@@ -19,7 +19,7 @@ from .cohomology import (
     curve_pairing,
     ring_mul,
 )
-from .engine import CountKey, Engine, EngineCycleError, Kind, MemoStore
+from .engine import Engine
 from .genus1 import BpsReport, compute_bps_table, martin_S, martin_V, martin_check
 from .geometry import (
     Geometry,
@@ -87,11 +87,7 @@ __all__ = [
     "localization_g0",
     "localization_g1",
     "verify_localization",
-    "Kind",
-    "CountKey",
-    "MemoStore",
     "Engine",
-    "EngineCycleError",
     "BpsReport",
     "compute_bps_table",
     "martin_S",

@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
         p.add_argument("--jobs", type=int, default=1, metavar="J",
-                       help="worker threads for per-degree evaluation (default 1)")
+                       help="accepted for compatibility, must be >= 1; "
+                            "evaluation is single-threaded (default 1)")
         if needs_input:
             p.add_argument("--input", metavar="PATH", required=True,
                            help="Gromov-Witten input file")
@@ -172,11 +173,12 @@ def _cmd_hypersurface(args) -> int:
     except (OSError, GeometryFileError) as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = compute_bps_table(geometry, max_degree, jobs=args.jobs)
+    # one engine: the meeting table reads counts the genus-1 run memoized
+    engine = Engine(geometry)
+    report = compute_bps_table(geometry, max_degree, jobs=args.jobs, engine=engine)
 
     matrix = None
     if meeting:
-        engine = Engine(geometry)
         H = geometry.ring.H(1)
         matrix = [
             [engine.n2B(d1, d2, H) for d2 in range(1, meeting + 1)]

@@ -25,153 +25,63 @@ Three layers of rules drive the computation:
   multiple-cover extraction, expands into the 1-component counts of
   c3, psi*c2 and psi^3 plus a symmetrized node-cotangent sum.
 
-All values are exact rationals and every (kind, degrees) key is
+Every count is exact: a Python ``int`` when its denominator is 1 and a
+:data:`Rat` otherwise.  Values are normalised to that form where they
+enter (memo entries, base-table values, insertion coefficients), and
+every division is exact, so on integral geometries such as local P^2
+the whole recursion runs on ``int``.  Each (kind, degrees) key is
 memoized; results extend linearly in each cohomology insertion, so the
-cache stores one canonical value per key with unit monomial
-insertions.
+memo stores one value per key with unit monomial insertions.
 """
 
 from __future__ import annotations
 
-import enum
 import sys
-import threading
-from typing import NamedTuple
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError, as_degree, ring_mul
 from .geometry import Geometry
 from .rational import Rat
 
-__all__ = [
-    "Kind",
-    "CountKey",
-    "MemoStore",
-    "Engine",
-    "EngineCycleError",
-    "MemoConsistencyError",
-]
+__all__ = ["Engine"]
 
 
-class EngineCycleError(RuntimeError):
-    """A count re-entered its own evaluation: the recursion would not terminate."""
+def _norm(x):
+    """x as an int when its denominator is 1, else x unchanged."""
+    return int(x.numerator) if x.denominator == 1 else x
 
 
-class MemoConsistencyError(RuntimeError):
-    """Two different values were stored for the same count key."""
+def _div(num, den: int):
+    """The exact quotient num / den, normalised."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return _norm(Rat(num) / den)
 
 
-class Kind(enum.Enum):
-    N1B = "n1B"
-    N1C = "n1C"
-    N1D = "n1D"
-    N1E = "n1E"
-    N1F = "n1F"
-    N1G = "n1G"
-    GAMMA1 = "gamma1"
-    N2A = "n2A"
-    N2B = "n2B"
-    N2C = "n2C"
-    N2D = "n2D"
-    N2E = "n2E"
-    GAMMA2 = "gamma2"
-    M3 = "m3"
-    CHERN = "chern"
-
-
-# H-powers of the canonical insertions each kind is memoized with.
-_INSERTION_POWERS = {
-    Kind.N1B: (2, 2),
-    Kind.N1C: (2,),
-    Kind.N1D: (1, 2),
-    Kind.N1E: (1,),
-    Kind.N1F: (2,),
-    Kind.N1G: (),
-    Kind.GAMMA1: (),
-    Kind.N2A: (2,),
-    Kind.N2B: (1,),
-    Kind.N2C: (),
-    Kind.N2D: (1,),
-    Kind.N2E: (),
-    Kind.GAMMA2: (),
-    Kind.M3: (),
-    Kind.CHERN: (),
-}
-
-
-class CountKey(NamedTuple):
-    kind: Kind
-    degrees: tuple[int, ...]
-    insertion_powers: tuple[int, ...]
-
-
-def count_key(kind: Kind, degrees: tuple[int, ...]) -> CountKey:
-    return CountKey(kind, degrees, _INSERTION_POWERS[kind])
-
-
-_MISSING = object()
-
-
-class MemoStore:
-    """Write-once cache of count values with cycle detection.
-
-    Writes are idempotent (re-storing the identical value is a no-op)
-    so that concurrent evaluation of distinct top-level degrees may
-    race on shared subproblems; a conflicting value raises.  Cycle
-    detection is per evaluation stack, i.e. per thread.
-    """
-
-    def __init__(self):
-        self._values: dict[CountKey, object] = {}
-        self._local = threading.local()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, key: CountKey) -> bool:
-        return key in self._values
-
-    def get(self, key: CountKey, default=_MISSING):
-        return self._values.get(key, default)
-
-    def put(self, key: CountKey, value) -> None:
-        existing = self._values.get(key, _MISSING)
-        if existing is _MISSING:
-            self._values[key] = value
-        elif existing != value:
-            raise MemoConsistencyError(
-                f"conflicting values for {key}: {existing} vs {value}"
-            )
-
-    def _pending(self) -> set:
-        try:
-            return self._local.pending
-        except AttributeError:
-            self._local.pending = set()
-            return self._local.pending
-
-    def enter(self, key: CountKey) -> None:
-        pending = self._pending()
-        if key in pending:
-            raise EngineCycleError(f"count {key} re-entered during its own evaluation")
-        pending.add(key)
-
-    def leave(self, key: CountKey) -> None:
-        self._pending().discard(key)
+def _times(s, value):
+    """The insertion scalar s times a memo value, normalised."""
+    return value if s == 1 else _norm(s * value)
 
 
 class Engine:
     """Demand-driven evaluator of all count types for one geometry.
 
     Evaluation is pure given (geometry, memo): recomputing any count
-    with a fresh store yields the identical rational.  Public methods
+    with a fresh engine yields the identical value.  Public methods
     accept homogeneous cohomology insertions of the H-power fixed by
     the count type and raise InsertionDegreeError otherwise (the zero
     class is accepted and yields zero by linearity).
+
+    ``memo`` maps ``(kind, *degrees)`` to the count with unit
+    insertions.  A key is stored only after its degrees were
+    validated, so a memo hit returns without checking them again;
+    each miss stores exactly one key.
     """
 
-    def __init__(self, geometry: Geometry, memo: MemoStore | None = None):
+    def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self.memo = memo if memo is not None else MemoStore()
+        self.memo: dict[tuple, object] = {}
         # a cold top-level call at degree d nests roughly 4*d Python frames;
         # raise the interpreter limit once so direct high-degree use is safe
         sys.setrecursionlimit(
@@ -180,41 +90,29 @@ class Engine:
         ring = geometry.ring
         self._H = ring.H(1)
         self._H2 = ring.H(2)
-        self._compute = {
-            Kind.N1B: self._c_n1B,
-            Kind.N1C: self._c_n1C,
-            Kind.N1D: self._c_n1D,
-            Kind.N1E: self._c_n1E,
-            Kind.N1F: self._c_n1F,
-            Kind.N1G: self._c_n1G,
-            Kind.GAMMA1: self._c_gamma1,
-            Kind.N2A: self._c_n2A,
-            Kind.N2B: self._c_n2B,
-            Kind.N2C: self._c_n2C,
-            Kind.N2D: self._c_n2D,
-            Kind.N2E: self._c_n2E,
-            Kind.GAMMA2: self._c_gamma2,
-            Kind.M3: self._c_m3,
-            Kind.CHERN: self._c_chern,
-        }
+        self._H3 = ring_mul(self._H, self._H2)
+        # the unit insertion of each H-power, indexed by the power
+        self._units = (None, self._H, self._H2)
 
     # -- insertion handling ------------------------------------------------
 
     def _scale(self, mu: CohClass, power: int):
         """Scalar s with mu = s * H^power; 0 for the zero class."""
+        if mu is self._units[power]:
+            return 1
         if not isinstance(mu, CohClass):
             raise InsertionDegreeError(f"insertion must be a CohClass, got {mu!r}")
         if mu.ring is not self.geometry.ring:
             raise RingMismatchError("insertion belongs to a different ring")
         if mu.is_zero():
-            return Rat(0)
+            return 0
         actual = mu.homogeneous_power()
         if actual != power:
             raise InsertionDegreeError(
                 f"insertion must be homogeneous of H-power {power}, "
                 f"got {'mixed' if actual is None else f'power {actual}'}"
             )
-        return mu.coefficients[power]
+        return _norm(mu.coefficients[power])
 
     def _degrees(self, *betas) -> tuple[int, ...]:
         ds = tuple(as_degree(b) for b in betas)
@@ -226,104 +124,132 @@ class Engine:
             )
         return ds
 
-    def _value(self, kind: Kind, degrees: tuple[int, ...]):
-        key = count_key(kind, degrees)
-        cached = self.memo.get(key)
-        if cached is not _MISSING:
-            return cached
-        self.memo.enter(key)
-        try:
-            value = self._compute[kind](*degrees)
-        finally:
-            self.memo.leave(key)
-        self.memo.put(key, value)
-        return value
+    def _miss(self, kind: str, compute, betas: tuple, *insertions):
+        """Answer a call whose key is not in the memo: validate the degrees
+        and the (mu, power) insertions, then compute and store the unit
+        value unless an insertion is zero."""
+        degrees = self._degrees(*betas)
+        s = 1
+        for mu, power in insertions:
+            s *= self._scale(mu, power)
+        if s == 0:
+            return 0
+        key = (kind, *degrees)
+        # a CurveClass argument misses on its own key but may hit here
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = _norm(compute(*degrees))
+        return _times(s, value)
+
+    def _base1(self, d: int, mu: CohClass):
+        return _norm(self.geometry.base_n1pt(d, mu))
+
+    def _base2(self, d: int, mu1: CohClass, mu2: CohClass):
+        return _norm(self.geometry.base_n2pt(d, mu1, mu2))
 
     # -- public counts -----------------------------------------------------
 
     def n1B(self, beta, mu1: CohClass, mu2: CohClass):
         """Curves of class beta through two H^4 insertions (base count)."""
-        (d,) = self._degrees(beta)
-        s = self._scale(mu1, 2) * self._scale(mu2, 2)
-        return s * self._value(Kind.N1B, (d,)) if s != 0 else Rat(0)
+        value = self.memo.get(("n1B", beta))
+        if value is None:
+            return self._miss("n1B", self._c_n1B, (beta,), (mu1, 2), (mu2, 2))
+        return _times(self._scale(mu1, 2) * self._scale(mu2, 2), value)
 
     def n1C(self, beta, mu: CohClass):
         """1-component count with one cotangent power on an H^4 insertion."""
-        (d,) = self._degrees(beta)
-        s = self._scale(mu, 2)
-        return s * self._value(Kind.N1C, (d,)) if s != 0 else Rat(0)
+        value = self.memo.get(("n1C", beta))
+        if value is None:
+            return self._miss("n1C", self._c_n1C, (beta,), (mu, 2))
+        return _times(self._scale(mu, 2), value)
 
     def n1D(self, beta, mu1: CohClass, mu2: CohClass):
         """Cotangent power on an H^2 insertion, plus a free H^4 insertion."""
-        (d,) = self._degrees(beta)
-        s = self._scale(mu1, 1) * self._scale(mu2, 2)
-        return s * self._value(Kind.N1D, (d,)) if s != 0 else Rat(0)
+        value = self.memo.get(("n1D", beta))
+        if value is None:
+            return self._miss("n1D", self._c_n1D, (beta,), (mu1, 1), (mu2, 2))
+        return _times(self._scale(mu1, 1) * self._scale(mu2, 2), value)
 
     def n1E(self, beta, mu: CohClass):
         """Second cotangent power on an H^2 insertion."""
-        (d,) = self._degrees(beta)
-        s = self._scale(mu, 1)
-        return s * self._value(Kind.N1E, (d,)) if s != 0 else Rat(0)
+        value = self.memo.get(("n1E", beta))
+        if value is None:
+            return self._miss("n1E", self._c_n1E, (beta,), (mu, 1))
+        return _times(self._scale(mu, 1), value)
 
     def n1F(self, beta, mu: CohClass):
         """Second cotangent power at one point, H^4 insertion at another."""
-        (d,) = self._degrees(beta)
-        s = self._scale(mu, 2)
-        return s * self._value(Kind.N1F, (d,)) if s != 0 else Rat(0)
+        value = self.memo.get(("n1F", beta))
+        if value is None:
+            return self._miss("n1F", self._c_n1F, (beta,), (mu, 2))
+        return _times(self._scale(mu, 2), value)
 
     def n1G(self, beta):
         """Third cotangent power, no insertions."""
-        (d,) = self._degrees(beta)
-        return self._value(Kind.N1G, (d,))
+        value = self.memo.get(("n1G", beta))
+        if value is None:
+            return self._miss("n1G", self._c_n1G, (beta,))
+        return value
 
     def gamma1(self, beta):
         """Chern number of the 2-dimensional family of beta-curves:
         the integral of c1^2 - c2 of the family."""
-        (d,) = self._degrees(beta)
-        return self._value(Kind.GAMMA1, (d,))
+        value = self.memo.get(("gamma1", beta))
+        if value is None:
+            return self._miss("gamma1", self._c_gamma1, (beta,))
+        return value
 
     def n2A(self, beta1, beta2, mu: CohClass):
         """2-component curves with an H^4 insertion on the second component."""
-        d1, d2 = self._degrees(beta1, beta2)
-        s = self._scale(mu, 2)
-        return s * self._value(Kind.N2A, (d1, d2)) if s != 0 else Rat(0)
+        value = self.memo.get(("n2A", beta1, beta2))
+        if value is None:
+            return self._miss("n2A", self._c_n2A, (beta1, beta2), (mu, 2))
+        return _times(self._scale(mu, 2), value)
 
     def n2B(self, beta1, beta2, mu: CohClass):
         """2-component curves with the node on an H^2 divisor."""
-        d1, d2 = self._degrees(beta1, beta2)
-        s = self._scale(mu, 1)
-        return s * self._value(Kind.N2B, (d1, d2)) if s != 0 else Rat(0)
+        value = self.memo.get(("n2B", beta1, beta2))
+        if value is None:
+            return self._miss("n2B", self._c_n2B, (beta1, beta2), (mu, 1))
+        return _times(self._scale(mu, 1), value)
 
     def n2C(self, beta1, beta2):
         """2-component curves with a cotangent class at the node, taken on
         the second-component side."""
-        d1, d2 = self._degrees(beta1, beta2)
-        return self._value(Kind.N2C, (d1, d2))
+        value = self.memo.get(("n2C", beta1, beta2))
+        if value is None:
+            return self._miss("n2C", self._c_n2C, (beta1, beta2))
+        return value
 
     def n2D(self, beta1, beta2, mu: CohClass):
         """2-component curves, cotangent power on an H^2 insertion carried
         by the second component."""
-        d1, d2 = self._degrees(beta1, beta2)
-        s = self._scale(mu, 1)
-        return s * self._value(Kind.N2D, (d1, d2)) if s != 0 else Rat(0)
+        value = self.memo.get(("n2D", beta1, beta2))
+        if value is None:
+            return self._miss("n2D", self._c_n2D, (beta1, beta2), (mu, 1))
+        return _times(self._scale(mu, 1), value)
 
     def n2E(self, beta1, beta2):
         """2-component curves with a second cotangent power on the second
         component."""
-        d1, d2 = self._degrees(beta1, beta2)
-        return self._value(Kind.N2E, (d1, d2))
+        value = self.memo.get(("n2E", beta1, beta2))
+        if value is None:
+            return self._miss("n2E", self._c_n2E, (beta1, beta2))
+        return value
 
     def gamma2(self, beta1, beta2):
         """Chern-type combination for 2-component configurations; appears in
         the excess corrections of the diagonal-splitting recursions."""
-        d1, d2 = self._degrees(beta1, beta2)
-        return self._value(Kind.GAMMA2, (d1, d2))
+        value = self.memo.get(("gamma2", beta1, beta2))
+        if value is None:
+            return self._miss("gamma2", self._c_gamma2, (beta1, beta2))
+        return value
 
     def correction_C2(self, beta1, beta2, mu: CohClass):
         """Excess correction for the node-on-divisor count."""
         d1, d2 = self._degrees(beta1, beta2)
         s = self._scale(mu, 1)
-        return s * self._corr2(d1, d2) if s != 0 else Rat(0)
+        return _times(s, self._corr2(d1, d2)) if s != 0 else 0
 
     def correction_C3(self, beta1, beta2, beta3):
         """The three excess corrections (C1, C2, C12) for the 3-component
@@ -334,93 +260,79 @@ class Engine:
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
         meeting at nodes."""
-        d1, d2, d3 = self._degrees(beta1, beta2, beta3)
-        return self._value(Kind.M3, (d1, d2, d3))
+        value = self.memo.get(("m3", beta1, beta2, beta3))
+        if value is None:
+            return self._miss("m3", self._c_m3, (beta1, beta2, beta3))
+        return value
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
         the genus-1 multiple-cover weight of the family."""
-        (d,) = self._degrees(beta)
-        return self._value(Kind.CHERN, (d,))
+        value = self.memo.get(("chern", beta))
+        if value is None:
+            return self._miss("chern", self._c_chern, (beta,))
+        return value
 
     # -- canonical computations (unit monomial insertions) ------------------
 
     def _c_n1B(self, d: int):
-        return Rat(self.geometry.base_n2pt(d, self._H2, self._H2))
+        return self._base2(d, self._H2, self._H2)
 
     def _c_n1C(self, d: int):
-        g = self.geometry
-        acc = self.n1B(d, self._H2, self._H2)
-        acc -= 2 * d * g.base_n1pt(d, ring_mul(self._H, self._H2))
-        acc += sum(
-            (a * a * self.n2A(a, d - a, self._H2) for a in range(1, d)), Rat(0)
-        )
-        return acc / Rat(d * d)
+        H2 = self._H2
+        acc = self.n1B(d, H2, H2) - 2 * d * self._base1(d, self._H3)
+        acc += sum(a * a * self.n2A(a, d - a, H2) for a in range(1, d))
+        return _div(acc, d * d)
 
     def _c_n1D(self, d: int):
-        H, H2 = self._H, self._H2
-        acc = d * self.n1B(d, H2, H2) - 2 * d * self.n1B(d, ring_mul(H, H), H2)
+        H2 = self._H2
+        # the second term's insertions are H*H and H^2
+        acc = d * self.n1B(d, H2, H2) - 2 * d * self.n1B(d, H2, H2)
         acc += sum(
-            (
-                (a * (d - a) ** 2 + (d - a) * a * a) * self.n2A(a, d - a, H2)
-                for a in range(1, d)
-            ),
-            Rat(0),
+            (a * (d - a) ** 2 + (d - a) * a * a) * self.n2A(a, d - a, H2)
+            for a in range(1, d)
         )
-        return acc / Rat(d * d)
+        return _div(acc, d * d)
 
     def _c_n1E(self, d: int):
-        H = self._H
-        acc = self.n1D(d, H, self._H2) - 2 * d * self.n1C(d, ring_mul(H, H))
+        H, H2 = self._H, self._H2
+        acc = self.n1D(d, H, H2) - 2 * d * self.n1C(d, H2)
         acc += sum(
-            (
-                a * a * (self.n2D(a, d - a, H) + self.n2B(a, d - a, H))
-                for a in range(1, d)
-            ),
-            Rat(0),
+            a * a * (self.n2D(a, d - a, H) + self.n2B(a, d - a, H))
+            for a in range(1, d)
         )
-        return acc / Rat(d * d)
+        return _div(acc, d * d)
 
     def _c_n1F(self, d: int):
-        return -sum((self.n2A(a, d - a, self._H2) for a in range(1, d)), Rat(0))
+        return -sum(self.n2A(a, d - a, self._H2) for a in range(1, d))
 
     def _c_n1G(self, d: int):
         acc = self.n1F(d, self._H2) - 2 * d * self.n1E(d, self._H)
         acc += sum(
-            (
-                a * a * (self.n2E(a, d - a) + self.n2C(a, d - a))
-                for a in range(1, d)
-            ),
-            Rat(0),
+            a * a * (self.n2E(a, d - a) + self.n2C(a, d - a)) for a in range(1, d)
         )
-        return acc / Rat(d * d)
+        return _div(acc, d * d)
 
     def _c_gamma1(self, d: int):
+        # twice the count, so that its halves stay integral until one division
         g = self.geometry
-        acc = Rat(1, 2) * (
-            g.base_n1pt(d, g.c3)
+        twice = (
+            self._base1(d, g.c3)
             + self.n1C(d, g.c2)
             + self.n1G(d)
             + self.n1B(d, g.c2, g.c2)
             + 4 * self.n1F(d, g.c2)
         )
-        acc -= sum(
-            (
-                2 * self.n2E(a, d - a) + Rat(5, 2) * self.n2C(a, d - a)
-                for a in range(1, d)
-            ),
-            Rat(0),
+        twice -= sum(
+            4 * self.n2E(a, d - a) + 5 * self.n2C(a, d - a) for a in range(1, d)
         )
-        return acc
+        return _div(twice, 2)
 
     def _c_n2A(self, d1: int, d2: int):
         g = self.geometry
         acc = sum(
-            (
-                Rat(g.base_n1pt(d1, w)) * g.base_n2pt(d2, ws, self._H2)
-                for w, ws in g.diagonal_pairs
-            ),
-            Rat(0),
+            self._base1(d1, w) * self._base2(d2, ws, self._H2)
+            for w, ws in g.diagonal_pairs
         )
         if d2 > d1:
             acc += self.n2A(d1, d2 - d1, self._H2) + self.n2A(d2 - d1, d1, self._H2)
@@ -433,68 +345,57 @@ class Engine:
     def _c_n2B(self, d1: int, d2: int):
         g = self.geometry
         acc = sum(
-            (
-                Rat(g.base_n1pt(d1, ring_mul(w, self._H))) * g.base_n1pt(d2, ws)
-                for w, ws in g.diagonal_pairs
-            ),
-            Rat(0),
+            self._base1(d1, ring_mul(w, self._H)) * self._base1(d2, ws)
+            for w, ws in g.diagonal_pairs
         )
-        acc -= sum(
-            (c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2))),
-            Rat(0),
-        )
+        acc -= sum(c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2)))
         return acc - self._corr2(d1, d2)
 
     def _corr2(self, d1: int, d2: int):
-        # canonical correction with mu = H; linear in mu like everything else
+        # canonical correction with mu = H; linear in mu like everything else.
+        # Both branches build twice the value and halve it once at the end.
         g = self.geometry
         H = self._H
         if d2 > d1:
             gap = d2 - d1
-            acc = self.n2D(gap, d1, H) + self.n2B(gap, d1, H)
-            acc += d1 * (
-                self.gamma2(gap, d1)
-                + Rat(1, 2)
-                * sum((self.m3(p, d1, gap - p) for p in range(1, gap)), Rat(0))
+            twice = 2 * (
+                self.n2D(gap, d1, H) + self.n2B(gap, d1, H) + d1 * self.gamma2(gap, d1)
             )
-            return acc
+            twice += d1 * sum(self.m3(p, d1, gap - p) for p in range(1, gap))
+            return _div(twice, 2)
         if d2 < d1:
             return self._corr2(d2, d1)
-        acc = Rat(g.base_n1pt(d1, ring_mul(g.c2, H)))
-        acc += self.n1E(d1, H) + self.n1D(d1, H, g.c2) + d1 * self.gamma1(d1)
-        acc -= sum(
-            (
-                2 * self.n2D(p, d2 - p, H) + Rat(5, 2) * self.n2B(p, d2 - p, H)
-                for p in range(1, d2)
-            ),
-            Rat(0),
+        twice = 2 * (
+            self._base1(d1, ring_mul(g.c2, H))
+            + self.n1E(d1, H)
+            + self.n1D(d1, H, g.c2)
+            + d1 * self.gamma1(d1)
         )
-        return acc
+        twice -= sum(
+            4 * self.n2D(p, d2 - p, H) + 5 * self.n2B(p, d2 - p, H)
+            for p in range(1, d2)
+        )
+        return _div(twice, 2)
 
     def _c_n2C(self, d1: int, d2: int):
         acc = self.n2A(d1, d2, self._H2) - 2 * d2 * self.n2B(d1, d2, self._H)
-        acc += sum(
-            (p * p * self.m3(d1, d2 - p, p) for p in range(1, d2)), Rat(0)
-        )
-        return acc / Rat(d2 * d2)
+        acc += sum(p * p * self.m3(d1, d2 - p, p) for p in range(1, d2))
+        return _div(acc, d2 * d2)
 
     def _c_n2D(self, d1: int, d2: int):
-        H = self._H
+        H2 = self._H2
         # the cotangent reduction on the second component pairs the divisor
-        # with that component's class, hence the leading factor d2
-        acc = d2 * self.n2A(d1, d2, self._H2)
-        acc -= 2 * d2 * self.n2A(d1, d2, ring_mul(H, H))
+        # with that component's class, hence the leading factor d2; the
+        # second term's insertion is H*H
+        acc = d2 * self.n2A(d1, d2, H2) - 2 * d2 * self.n2A(d1, d2, H2)
         acc += sum(
-            (
-                (p * (d2 - p) ** 2 + (d2 - p) * p * p) * self.m3(d1, d2 - p, p)
-                for p in range(1, d2)
-            ),
-            Rat(0),
+            (p * (d2 - p) ** 2 + (d2 - p) * p * p) * self.m3(d1, d2 - p, p)
+            for p in range(1, d2)
         )
-        return acc / Rat(d2 * d2)
+        return _div(acc, d2 * d2)
 
     def _c_n2E(self, d1: int, d2: int):
-        return -sum((self.m3(d1, d2 - p, p) for p in range(1, d2)), Rat(0))
+        return -sum(self.m3(d1, d2 - p, p) for p in range(1, d2))
 
     def _c_gamma2(self, d1: int, d2: int):
         return (
@@ -527,23 +428,21 @@ class Engine:
         elif d3 == d1 + d2:
             c12 = -self.gamma2(d2, d1)
         else:
-            c12 = Rat(0)
+            c12 = 0
         return c1, c2, c12
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         g = self.geometry
-        acc = Rat(0)
+        acc = 0
         for w, ws in g.diagonal_pairs:
             if w.homogeneous_power() == 2:
-                acc += self.n2A(d1, d2, w) * Rat(g.base_n1pt(d3, ws))
+                acc += self.n2A(d1, d2, w) * self._base1(d3, ws)
         c1, c2, c12 = self._corr3(d1, d2, d3)
         return acc - c1 - c2 - c12
 
     def _c_chern(self, d: int):
+        # twice the integral, halved once at the end
         g = self.geometry
-        acc = -(self.n1G(d) + self.n1C(d, g.c2) + Rat(g.base_n1pt(d, g.c3)))
-        acc += Rat(1, 2) * sum(
-            (self.n2C(a, d - a) + self.n2C(d - a, a) for a in range(1, d)),
-            Rat(0),
-        )
-        return acc
+        twice = -2 * (self.n1G(d) + self.n1C(d, g.c2) + self._base1(d, g.c3))
+        twice += sum(self.n2C(a, d - a) + self.n2C(d - a, a) for a in range(1, d))
+        return _div(twice, 2)

@@ -15,7 +15,6 @@ surfaces as data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,10 +42,13 @@ class BpsReport:
     integrality_failures: tuple[int, ...]
 
 
-def compute_bps_table(geometry: Geometry, max_degree: int, jobs: int = 1) -> BpsReport:
+def compute_bps_table(
+    geometry: Geometry, max_degree: int, jobs: int = 1, engine: Engine | None = None
+) -> BpsReport:
     """Compute Chern integrals for every degree and extract both genus-1
-    tables.  ``jobs > 1`` evaluates top-level degrees on a thread pool;
-    the memo contract makes the result identical to the sequential run.
+    tables.  ``engine`` (default: a fresh ``Engine(geometry)``) lets a
+    caller reuse its memo for further counts.  ``jobs`` is accepted for
+    compatibility and must be >= 1; evaluation is single-threaded.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -54,15 +56,14 @@ def compute_bps_table(geometry: Geometry, max_degree: int, jobs: int = 1) -> Bps
         raise ValueError(
             f"max_degree {max_degree} exceeds geometry max_degree {geometry.max_degree}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if engine is None:
+        engine = Engine(geometry)
+    elif engine.geometry is not geometry:
+        raise ValueError("engine was built for a different geometry")
     # evaluating degrees in increasing order keeps the recursion shallow
-    engine = Engine(geometry)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chern_values = list(
-                pool.map(engine.chern_integral, range(1, max_degree + 1))
-            )
-    else:
-        chern_values = [engine.chern_integral(d) for d in range(1, max_degree + 1)]
+    chern_values = [engine.chern_integral(d) for d in range(1, max_degree + 1)]
     chern = DegreeSeries(dict(enumerate(chern_values, start=1)), max_degree)
     gw1 = geometry.gw_genus1.truncated(max_degree)
     n1 = extract_genus1_bps(gw1, chern)

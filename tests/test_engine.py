@@ -1,18 +1,18 @@
-import threading
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cy5bps.cohomology import InsertionDegreeError, RingMismatchError
-from cy5bps.engine import (
-    Engine,
-    EngineCycleError,
-    Kind,
-    MemoConsistencyError,
-    MemoStore,
-    count_key,
-)
+from cy5bps.cohomology import CurveClass, InsertionDegreeError, RingMismatchError
+from cy5bps.engine import Engine
+from cy5bps.geometry import load_hypersurface_geometry
+from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
+from conftest import gw_file_text
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -148,8 +148,6 @@ def test_homogeneity_zero_inputs_zero_outputs(zero_geometry):
 def test_cold_start_at_geometry_max_degree():
     # a direct top-level call with nothing memoized must not hit the
     # interpreter recursion limit
-    from cy5bps.localp2 import localp2_geometry
-
     engine = Engine(localp2_geometry(60))
     assert engine.chern_integral(60) == engine.chern_integral(60)
 
@@ -198,50 +196,72 @@ def test_gamma2_swap_structure_total_degree_6(local_geometry_12):
     assert (1, 2) in asymmetric
 
 
-# -- memo store ----------------------------------------------------------------
+# -- value representation and the memo hit path --------------------------------
 
-def test_memo_write_once_is_idempotent():
-    memo = MemoStore()
-    key = count_key(Kind.M3, (1, 1, 1))
-    memo.put(key, Rat(5))
-    memo.put(key, Rat(5))
-    assert len(memo) == 1
-    with pytest.raises(MemoConsistencyError):
-        memo.put(key, Rat(6))
+def test_local_p2_memo_holds_only_ints():
+    engine = Engine(localp2_geometry(30))
+    engine.chern_integral(30)
+    assert len(engine.memo) > 1000
+    assert all(type(v) is int for v in engine.memo.values())
 
 
-def test_memo_cycle_detection():
-    memo = MemoStore()
-    key = count_key(Kind.N2C, (1, 2))
-    memo.enter(key)
-    with pytest.raises(EngineCycleError):
-        memo.enter(key)
-    memo.leave(key)
-    memo.enter(key)  # fine again after leaving
-    memo.leave(key)
+def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
+    engine = Engine(local_geometry_12)
+    for d in range(1, 13):
+        engine.chern_integral(d)
+    H, H2 = local_geometry_12.ring.H(1), local_geometry_12.ring.H(2)
+    with pytest.raises(ValueError):
+        engine.m3(5, 5, 5)
+    with pytest.raises(ValueError):
+        engine.n1G(0)
+    with pytest.raises(InsertionDegreeError):
+        engine.n2B(1, 1, H2)
+    with pytest.raises(InsertionDegreeError):
+        engine.n1D(2, H, H)
+    with pytest.raises(InsertionDegreeError):
+        engine.n2A(1, 1, H + H2)
+    with pytest.raises(RingMismatchError):
+        engine.n1C(1, zero_geometry.ring.H(2))
+    with pytest.raises(RingMismatchError):
+        engine.n2B(2, 3, zero_geometry.ring.H(1))
 
 
-def test_memo_pending_is_per_thread():
-    memo = MemoStore()
-    key = count_key(Kind.N1G, (4,))
-    memo.enter(key)
-    errors = []
-
-    def other():
-        try:
-            memo.enter(key)
-            memo.leave(key)
-        except EngineCycleError as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    t = threading.Thread(target=other)
-    t.start()
-    t.join()
-    assert not errors
-    memo.leave(key)
+def test_curve_class_arguments_match_ints(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    H = local_geometry_12.ring.H(1)
+    cc = CurveClass
+    cold = engine.m3(cc(2), cc(3), cc(4))
+    assert type(cold) is int and cold == engine.m3(2, 3, 4)
+    assert engine.n2B(cc(3), cc(5), H) == engine.n2B(3, 5, H)
+    assert engine.chern_integral(cc(7)) == engine.chern_integral(7)
+    assert type(engine.chern_integral(cc(7))) is int
+    assert all(type(k[1]) is int for k in engine.memo)
 
 
-def test_count_key_records_insertion_powers():
-    key = count_key(Kind.N1D, (3,))
-    assert key.insertion_powers == (1, 2)
-    assert count_key(Kind.M3, (1, 1, 1)).insertion_powers == ()
+_rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    t5=_rationals.filter(lambda q: q != 0),
+    c2=_rationals,
+    c3=_rationals,
+    columns=st.lists(st.tuples(_rationals, _rationals, _rationals), min_size=8, max_size=8),
+)
+def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
+    rows = {d: tuple(str(q) for q in row) for d, row in enumerate(columns, start=1)}
+    text = gw_file_text(t5=str(t5), c2=str(c2), c3=str(c3), maxdeg=8, rows=rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.gw"
+        path.write_text(text, encoding="utf-8")
+        geometry = load_hypersurface_geometry(path, 8)
+    engine = Engine(geometry)
+    H = geometry.ring.H(1)
+    for a in range(1, 8):
+        for b in range(1, 9 - a):
+            assert engine.n2B(a, b, H) == engine.n2B(b, a, H)
+            for c in range(1, 9 - a - b):
+                assert engine.m3(a, b, c) == engine.m3(c, b, a)
+    for d in range(1, 9):
+        engine.chern_integral(d)
+    assert all(type(v) is int or v.denominator != 1 for v in engine.memo.values())
