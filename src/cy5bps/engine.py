@@ -32,11 +32,17 @@ every division is exact, so on integral geometries such as local P^2
 the whole recursion runs on ``int``.  Each (kind, degrees) key is
 memoized; results extend linearly in each cohomology insertion, so the
 memo stores one value per key with unit monomial insertions.
+
+The geometry is sampled once, when the engine is built: every insertion
+the recursion uses is a monomial, so the geometry reduces to the scalars
+c2 and c3 and to per-degree tables of its base counts and of the Kunneth
+diagonal sums.  The recursion itself never calls the geometry's closures.
 """
 
 from __future__ import annotations
 
 import sys
+from math import gcd
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError, as_degree, ring_mul
 from .geometry import Geometry
@@ -64,11 +70,29 @@ def _times(s, value):
     return value if s == 1 else _norm(s * value)
 
 
+def _exact_sum(terms):
+    """sum(terms), normalised.  Rational terms are added over a running
+    common denominator and reduced once, instead of once per addition."""
+    terms = iter(terms)
+    first = next(terms, 0)
+    if type(first) is int:
+        return _norm(sum(terms, first))
+    num, den = first.numerator, first.denominator
+    for t in terms:
+        d = t.denominator
+        g = gcd(den, d)
+        num = num * (d // g) + t.numerator * (den // g)
+        den = den // g * d
+    return _norm(Rat(num, den))
+
+
 class Engine:
     """Demand-driven evaluator of all count types for one geometry.
 
     Evaluation is pure given (geometry, memo): recomputing any count
-    with a fresh engine yields the identical value.  Public methods
+    with a fresh engine yields the identical value.  The geometry is read
+    once, at construction: its c2 must be homogeneous of H-power 2 (or
+    zero), else InsertionDegreeError is raised here.  Public methods
     accept homogeneous cohomology insertions of the H-power fixed by
     the count type and raise InsertionDegreeError otherwise (the zero
     class is accepted and yields zero by linearity).
@@ -76,23 +100,55 @@ class Engine:
     ``memo`` maps ``(kind, *degrees)`` to the count with unit
     insertions.  A key is stored only after its degrees were
     validated, so a memo hit returns without checking them again;
-    each miss stores exactly one key.
+    each miss stores exactly one key.  The interpreter's recursion limit
+    is raised only while the outermost miss computes, and restored after.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.memo: dict[tuple, object] = {}
-        # a cold top-level call at degree d nests roughly 4*d Python frames;
-        # raise the interpreter limit once so direct high-degree use is safe
-        sys.setrecursionlimit(
-            max(sys.getrecursionlimit(), 2000 + 30 * geometry.max_degree)
-        )
+        # a cold top-level call at degree d nests roughly 4*d Python frames
+        self._recursion_limit = 2000 + 30 * geometry.max_degree
+        self._computing = False
         ring = geometry.ring
-        self._H = ring.H(1)
-        self._H2 = ring.H(2)
-        self._H3 = ring_mul(self._H, self._H2)
+        H = self._H = ring.H(1)
+        H2 = self._H2 = ring.H(2)
         # the unit insertion of each H-power, indexed by the power
-        self._units = (None, self._H, self._H2)
+        self._units = (None, H, H2)
+
+        # geometry-only inputs, read once: the scalars c2 and c3 ...
+        # (a zero c2 skips the counts it multiplies, as a zero insertion does)
+        g = geometry
+        self._c2 = self._scale(g.c2, 2)
+        self._c3 = _norm(g.c3.coefficient(3))
+
+        # ... and tables indexed by degree (entry 0 unused)
+        def table(base, *insertions):
+            return [0] + [_norm(base(d, *insertions)) for d in range(1, g.max_degree + 1)]
+
+        self._n1pt = table(g.base_n1pt, ring_mul(H, H2))
+        self._n2pt = table(g.base_n2pt, H2, H2)
+        # Kunneth diagonal sums: n2A adds left[d1] * right[d2] over its pairs,
+        # n2B likewise, and m3 adds n2A(d1, d2) * m3_base[d3] when some pair
+        # has an H^2 left factor (m3_base is None when none has)
+        pairs = g.diagonal_pairs
+        n1pt_right = [table(g.base_n1pt, ws) for _, ws in pairs]
+        self._n2A_pairs = [
+            (table(g.base_n1pt, w), table(g.base_n2pt, ws, H2)) for w, ws in pairs
+        ]
+        self._n2B_pairs = [
+            (table(g.base_n1pt, ring_mul(w, H)), right)
+            for (w, _), right in zip(pairs, n1pt_right)
+        ]
+        m3_terms = [
+            (self._scale(w, 2), right)
+            for (w, _), right in zip(pairs, n1pt_right)
+            if w.homogeneous_power() == 2
+        ]
+        self._m3_base = [
+            _norm(sum(s * right[d] for s, right in m3_terms))
+            for d in range(g.max_degree + 1)
+        ] if m3_terms else None
 
     # -- insertion handling ------------------------------------------------
 
@@ -138,14 +194,21 @@ class Engine:
         # a CurveClass argument misses on its own key but may hit here
         value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = _norm(compute(*degrees))
+            if self._computing:
+                value = compute(*degrees)
+            else:
+                # the outermost miss raises the limit for the whole recursion
+                # and gives the caller back its own
+                limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(limit, self._recursion_limit))
+                self._computing = True
+                try:
+                    value = compute(*degrees)
+                finally:
+                    self._computing = False
+                    sys.setrecursionlimit(limit)
+            value = self.memo[key] = _norm(value)
         return _times(s, value)
-
-    def _base1(self, d: int, mu: CohClass):
-        return _norm(self.geometry.base_n1pt(d, mu))
-
-    def _base2(self, d: int, mu1: CohClass, mu2: CohClass):
-        return _norm(self.geometry.base_n2pt(d, mu1, mu2))
 
     # -- public counts -----------------------------------------------------
 
@@ -276,11 +339,11 @@ class Engine:
     # -- canonical computations (unit monomial insertions) ------------------
 
     def _c_n1B(self, d: int):
-        return self._base2(d, self._H2, self._H2)
+        return self._n2pt[d]
 
     def _c_n1C(self, d: int):
         H2 = self._H2
-        acc = self.n1B(d, H2, H2) - 2 * d * self._base1(d, self._H3)
+        acc = self.n1B(d, H2, H2) - 2 * d * self._n1pt[d]
         acc += sum(a * a * self.n2A(a, d - a, H2) for a in range(1, d))
         return _div(acc, d * d)
 
@@ -315,62 +378,54 @@ class Engine:
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        g = self.geometry
-        twice = (
-            self._base1(d, g.c3)
-            + self.n1C(d, g.c2)
-            + self.n1G(d)
-            + self.n1B(d, g.c2, g.c2)
-            + 4 * self.n1F(d, g.c2)
-        )
+        c2, H2 = self._c2, self._H2
+        twice = self._c3 * self._n1pt[d] + self.n1G(d)
+        if c2:
+            twice += c2 * (
+                self.n1C(d, H2) + c2 * self.n1B(d, H2, H2) + 4 * self.n1F(d, H2)
+            )
         twice -= sum(
             4 * self.n2E(a, d - a) + 5 * self.n2C(a, d - a) for a in range(1, d)
         )
         return _div(twice, 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        g = self.geometry
-        acc = sum(
-            self._base1(d1, w) * self._base2(d2, ws, self._H2)
-            for w, ws in g.diagonal_pairs
-        )
+        H2 = self._H2
+        acc = sum(left[d1] * right[d2] for left, right in self._n2A_pairs)
         if d2 > d1:
-            acc += self.n2A(d1, d2 - d1, self._H2) + self.n2A(d2 - d1, d1, self._H2)
+            acc += self.n2A(d1, d2 - d1, H2) + self.n2A(d2 - d1, d1, H2)
         elif d2 < d1:
-            acc += self.n2A(d1 - d2, d2, self._H2)
+            acc += self.n2A(d1 - d2, d2, H2)
         else:
-            acc += self.n1B(d1, g.c2, self._H2) + 2 * self.n1F(d1, self._H2)
+            if self._c2:
+                acc += self._c2 * self.n1B(d1, H2, H2)
+            acc += 2 * self.n1F(d1, H2)
         return acc
 
     def _c_n2B(self, d1: int, d2: int):
-        g = self.geometry
-        acc = sum(
-            self._base1(d1, ring_mul(w, self._H)) * self._base1(d2, ws)
-            for w, ws in g.diagonal_pairs
-        )
-        acc -= sum(c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2)))
+        acc = sum(left[d1] * right[d2] for left, right in self._n2B_pairs)
+        acc -= _exact_sum(c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2)))
         return acc - self._corr2(d1, d2)
 
     def _corr2(self, d1: int, d2: int):
         # canonical correction with mu = H; linear in mu like everything else.
         # Both branches build twice the value and halve it once at the end.
-        g = self.geometry
         H = self._H
         if d2 > d1:
             gap = d2 - d1
             twice = 2 * (
                 self.n2D(gap, d1, H) + self.n2B(gap, d1, H) + d1 * self.gamma2(gap, d1)
             )
-            twice += d1 * sum(self.m3(p, d1, gap - p) for p in range(1, gap))
+            twice += d1 * _exact_sum(self.m3(p, d1, gap - p) for p in range(1, gap))
             return _div(twice, 2)
         if d2 < d1:
             return self._corr2(d2, d1)
-        twice = 2 * (
-            self._base1(d1, ring_mul(g.c2, H))
-            + self.n1E(d1, H)
-            + self.n1D(d1, H, g.c2)
-            + d1 * self.gamma1(d1)
-        )
+        # the terms base_n1pt(d1, c2*H) and n1D(d1, H, c2), both linear in c2
+        c2 = self._c2
+        twice = self.n1E(d1, H) + d1 * self.gamma1(d1)
+        if c2:
+            twice += c2 * (self._n1pt[d1] + self.n1D(d1, H, self._H2))
+        twice *= 2
         twice -= sum(
             4 * self.n2D(p, d2 - p, H) + 5 * self.n2B(p, d2 - p, H)
             for p in range(1, d2)
@@ -379,7 +434,7 @@ class Engine:
 
     def _c_n2C(self, d1: int, d2: int):
         acc = self.n2A(d1, d2, self._H2) - 2 * d2 * self.n2B(d1, d2, self._H)
-        acc += sum(p * p * self.m3(d1, d2 - p, p) for p in range(1, d2))
+        acc += _exact_sum(p * p * self.m3(d1, d2 - p, p) for p in range(1, d2))
         return _div(acc, d2 * d2)
 
     def _c_n2D(self, d1: int, d2: int):
@@ -388,25 +443,28 @@ class Engine:
         # with that component's class, hence the leading factor d2; the
         # second term's insertion is H*H
         acc = d2 * self.n2A(d1, d2, H2) - 2 * d2 * self.n2A(d1, d2, H2)
-        acc += sum(
+        acc += _exact_sum(
             (p * (d2 - p) ** 2 + (d2 - p) * p * p) * self.m3(d1, d2 - p, p)
             for p in range(1, d2)
         )
         return _div(acc, d2 * d2)
 
     def _c_n2E(self, d1: int, d2: int):
-        return -sum(self.m3(d1, d2 - p, p) for p in range(1, d2))
+        return -_exact_sum(self.m3(d1, d2 - p, p) for p in range(1, d2))
+
+    def _c2_n2A(self, d1: int, d2: int):
+        """n2A(d1, d2, c2)."""
+        return self._c2 * self.n2A(d1, d2, self._H2) if self._c2 else 0
 
     def _c_gamma2(self, d1: int, d2: int):
         return (
-            self.n2A(d1, d2, self.geometry.c2)
+            self._c2_n2A(d1, d2)
             + 2 * self.n2E(d1, d2)
             + self.n2C(d1, d2)
             + self.n2C(d2, d1)
         )
 
     def _corr3(self, d1: int, d2: int, d3: int):
-        g = self.geometry
         if d3 > d1:
             c1 = self.m3(d3 - d1, d1, d2)
         elif d3 < d1:
@@ -419,7 +477,7 @@ class Engine:
         elif d3 < d2:
             c2 = -(self.m3(d1, d3, d2 - d3) + self.m3(d1, d2 - d3, d3))
         else:
-            c2 = -(self.n2A(d1, d2, g.c2) + 2 * self.n2E(d1, d2))
+            c2 = -(self._c2_n2A(d1, d2) + 2 * self.n2E(d1, d2))
 
         if d3 > d1 + d2:
             c12 = -self.m3(d3 - d1 - d2, d1, d2)
@@ -432,17 +490,20 @@ class Engine:
         return c1, c2, c12
 
     def _c_m3(self, d1: int, d2: int, d3: int):
-        g = self.geometry
-        acc = 0
-        for w, ws in g.diagonal_pairs:
-            if w.homogeneous_power() == 2:
-                acc += self.n2A(d1, d2, w) * self._base1(d3, ws)
+        # n2A is evaluated even where m3_base[d3] is zero, so that the memo
+        # holds the same keys whatever the base data
+        if self._m3_base is None:
+            acc = 0
+        else:
+            acc = self.n2A(d1, d2, self._H2) * self._m3_base[d3]
         c1, c2, c12 = self._corr3(d1, d2, d3)
         return acc - c1 - c2 - c12
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        g = self.geometry
-        twice = -2 * (self.n1G(d) + self.n1C(d, g.c2) + self._base1(d, g.c3))
+        c2 = self._c2
+        twice = -2 * (self.n1G(d) + self._c3 * self._n1pt[d])
+        if c2:
+            twice -= 2 * c2 * self.n1C(d, self._H2)
         twice += sum(self.n2C(a, d - a) + self.n2C(d - a, a) for a in range(1, d))
         return _div(twice, 2)

@@ -51,7 +51,9 @@ class Geometry:
     ``base_n1pt(d, mu)`` and ``base_n2pt(d, mu1, mu2)`` are linear in
     each cohomology argument and vanish unless the insertions have the
     unique H-powers that make the count dimensionally possible (3 for
-    the 1-pointed count, 2 and 2 for the 2-pointed one).
+    the 1-pointed count, 2 and 2 for the 2-pointed one).  Each
+    :class:`~cy5bps.engine.Engine` calls them a few times per degree when
+    it is built and keeps the values, so they must be pure functions.
     """
 
     ring: Ring

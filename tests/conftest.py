@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cy5bps import localp2_geometry, load_hypersurface_geometry
@@ -13,6 +15,24 @@ def gw_file_text(t5="7", c2="21", c3="-112", maxdeg=6, rows=None):
             a = b = c = "0"
         lines.append(f"{d} {a} {b} {c}")
     return "\n".join(lines) + "\n"
+
+
+def _random_rational(rng, lo, hi):
+    num, den = rng.randint(lo, hi), rng.randint(1, 12)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def random_gw_text(seed, maxdeg):
+    """A Gromov-Witten input file with a seeded random rational header
+    (t5 > 0, c2, c3) and random rational columns."""
+    rng = random.Random(f"cy5bps-rational-path:{seed}")
+    t5 = _random_rational(rng, 1, 30)
+    c2, c3 = _random_rational(rng, -200, 200), _random_rational(rng, -200, 200)
+    rows = {
+        d: tuple(_random_rational(rng, -1000, 1000) for _ in range(3))
+        for d in range(1, maxdeg + 1)
+    }
+    return gw_file_text(t5=t5, c2=c2, c3=c3, maxdeg=maxdeg, rows=rows)
 
 
 @pytest.fixture

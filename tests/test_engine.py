@@ -1,18 +1,22 @@
+import dataclasses
+import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cy5bps.cohomology import CurveClass, InsertionDegreeError, RingMismatchError
-from cy5bps.engine import Engine
+from cy5bps.engine import Engine, _exact_sum
+from cy5bps.genus1 import compute_bps_table
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
-from conftest import gw_file_text
+from conftest import gw_file_text, random_gw_text
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -147,9 +151,49 @@ def test_homogeneity_zero_inputs_zero_outputs(zero_geometry):
 
 def test_cold_start_at_geometry_max_degree():
     # a direct top-level call with nothing memoized must not hit the
-    # interpreter recursion limit
-    engine = Engine(localp2_geometry(60))
-    assert engine.chern_integral(60) == engine.chern_integral(60)
+    # interpreter recursion limit, even a low one, and must leave the
+    # caller's limit as it found it
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        engine = Engine(localp2_geometry(60))
+        assert sys.getrecursionlimit() == 250
+        cold = engine.chern_integral(60)
+        assert sys.getrecursionlimit() == 250
+    finally:
+        sys.setrecursionlimit(saved)
+    assert cold == engine.chern_integral(60)
+
+
+def test_mixed_c2_is_rejected_at_construction(local_geometry_12):
+    ring = local_geometry_12.ring
+    for c2 in (ring.H(1) + ring.H(2), ring.H(1)):
+        with pytest.raises(InsertionDegreeError):
+            Engine(dataclasses.replace(local_geometry_12, c2=c2))
+
+
+def test_base_closures_are_read_only_when_built(write_gw_file):
+    geometry = load_hypersurface_geometry(write_gw_file(random_gw_text(1, 12)), 12)
+    calls = Counter()
+
+    def counted(name, base):
+        def wrapper(*args):
+            calls[name] += 1
+            return base(*args)
+        return wrapper
+
+    counted_geometry = dataclasses.replace(
+        geometry,
+        base_n1pt=counted("n1pt", geometry.base_n1pt),
+        base_n2pt=counted("n2pt", geometry.base_n2pt),
+    )
+    counted_engine, engine = Engine(counted_geometry), Engine(geometry)
+    built = sum(calls.values())
+    assert 0 < built <= 12 * (12 + 1)
+    compute_bps_table(counted_geometry, 12, engine=counted_engine)
+    assert sum(calls.values()) == built
+    compute_bps_table(geometry, 12, engine=engine)
+    assert counted_engine.memo == engine.memo
 
 
 def test_determinism_across_fresh_stores(local_geometry_12):
@@ -265,3 +309,20 @@ def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
     for d in range(1, 9):
         engine.chern_integral(d)
     assert all(type(v) is int or v.denominator != 1 for v in engine.memo.values())
+
+
+_ints = st.integers(-(10**30), 10**30)
+_rats = st.builds(Rat, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+
+
+@given(st.lists(st.one_of(_ints, _rats)))
+@example([])
+@example([3, -7, 12])
+@example([Rat(1, 2), Rat(3, 4), Rat(3, 4)])
+@example([Rat(1, 6), Rat(1, 3)])
+@example([1, Rat(1, 2), Rat(1, 2)])
+@example([1, Rat(1, 2)])
+def test_exact_sum_matches_builtin_sum(terms):
+    total = _exact_sum(iter(terms))
+    assert total == sum(terms)
+    assert (type(total) is int) == (Rat(sum(terms)).denominator == 1)
