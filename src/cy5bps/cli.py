@@ -90,11 +90,15 @@ def _check_max_degree(args) -> int:
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 def _csv_text(header, rows) -> str:
@@ -121,7 +125,7 @@ def _bool_cell(flag: bool) -> str:
 def _cmd_local_p2(args) -> int:
     max_degree = _check_max_degree(args)
     geometry = localp2_geometry(max_degree)
-    report = compute_bps_table(geometry, max_degree, jobs=args.jobs)
+    report = compute_bps_table(geometry, max_degree)
     rows = martin_check(report)
 
     if args.format == "csv":
@@ -171,11 +175,15 @@ def _cmd_hypersurface(args) -> int:
     try:
         geometry = load_hypersurface_geometry(args.input, needed)
     except (OSError, GeometryFileError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        # the coverage error ends in "need 1..{needed}"; name the flag that raised it
+        note = ""
+        if needed > max_degree and str(exc).endswith(f"need 1..{needed}"):
+            note = f" (--meeting-table {meeting} needs degrees up to {needed})"
+        print(f"error: {args.input}: {exc}{note}", file=sys.stderr)
         return EXIT_USAGE
     # one engine: the meeting table reads counts the genus-1 run memoized
     engine = Engine(geometry)
-    report = compute_bps_table(geometry, max_degree, jobs=args.jobs, engine=engine)
+    report = compute_bps_table(geometry, max_degree, engine=engine)
 
     matrix = None
     if meeting:
@@ -196,6 +204,15 @@ def _cmd_hypersurface(args) -> int:
                 lines.append([f"d1={i}"] + [format_rational(v) for v in row])
             text += "\n" + _csv_text(lines[0], lines[1:])
         _emit(args, text)
+        failures = report.integrality_failures
+        if failures:
+            shown = ", ".join(str(d) for d in failures[:5])
+            more = ", ..." if len(failures) > 5 else ""
+            print(
+                f"warning: {len(failures)} of {max_degree} n_{{1,d}} values are "
+                f"not integers, at d = {shown}{more}",
+                file=sys.stderr,
+            )
     else:
         payload = {
             "command": "hypersurface",
@@ -249,7 +266,7 @@ def _cmd_verify_localization(args) -> int:
 def _cmd_verify_martin(args) -> int:
     max_degree = _check_max_degree(args)
     geometry = localp2_geometry(max_degree)
-    report = compute_bps_table(geometry, max_degree, jobs=args.jobs)
+    report = compute_bps_table(geometry, max_degree)
     rows = martin_check(report)
 
     if args.format == "csv":

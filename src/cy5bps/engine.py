@@ -33,10 +33,11 @@ the whole recursion runs on ``int``.  Each (kind, degrees) key is
 memoized; results extend linearly in each cohomology insertion, so the
 memo stores one value per key with unit monomial insertions.
 
-The geometry is sampled once, when the engine is built: every insertion
-the recursion uses is a monomial, so the geometry reduces to the scalars
-c2 and c3 and to per-degree tables of its base counts and of the Kunneth
-diagonal sums.  The recursion itself never calls the geometry's closures.
+Every insertion the recursion uses is a monomial, so the geometry
+enters only as the scalars c2 and c3, its two base tables, and 1/t5:
+a compact ring's Kunneth diagonal pairs H^2 with H^3/t5, so each
+diagonal term is one product of base-table entries divided by t5, and
+a local ring has no diagonal terms.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import sys
 from math import gcd
 
-from .cohomology import CohClass, InsertionDegreeError, RingMismatchError, as_degree, ring_mul
+from .cohomology import CohClass, InsertionDegreeError, RingMismatchError, as_degree
 from .geometry import Geometry
 from .rational import Rat
 
@@ -90,9 +91,7 @@ class Engine:
     """Demand-driven evaluator of all count types for one geometry.
 
     Evaluation is pure given (geometry, memo): recomputing any count
-    with a fresh engine yields the identical value.  The geometry is read
-    once, at construction: its c2 must be homogeneous of H-power 2 (or
-    zero), else InsertionDegreeError is raised here.  Public methods
+    with a fresh engine yields the identical value.  Public methods
     accept homogeneous cohomology insertions of the H-power fixed by
     the count type and raise InsertionDegreeError otherwise (the zero
     class is accepted and yields zero by linearity).
@@ -116,39 +115,20 @@ class Engine:
         # the unit insertion of each H-power, indexed by the power
         self._units = (None, H, H2)
 
-        # geometry-only inputs, read once: the scalars c2 and c3 ...
-        # (a zero c2 skips the counts it multiplies, as a zero insertion does)
-        g = geometry
-        self._c2 = self._scale(g.c2, 2)
-        self._c3 = _norm(g.c3.coefficient(3))
-
-        # ... and tables indexed by degree (entry 0 unused)
-        def table(base, *insertions):
-            return [0] + [_norm(base(d, *insertions)) for d in range(1, g.max_degree + 1)]
-
-        self._n1pt = table(g.base_n1pt, ring_mul(H, H2))
-        self._n2pt = table(g.base_n2pt, H2, H2)
-        # Kunneth diagonal sums: n2A adds left[d1] * right[d2] over its pairs,
-        # n2B likewise, and m3 adds n2A(d1, d2) * m3_base[d3] when some pair
-        # has an H^2 left factor (m3_base is None when none has)
-        pairs = g.diagonal_pairs
-        n1pt_right = [table(g.base_n1pt, ws) for _, ws in pairs]
-        self._n2A_pairs = [
-            (table(g.base_n1pt, w), table(g.base_n2pt, ws, H2)) for w, ws in pairs
-        ]
-        self._n2B_pairs = [
-            (table(g.base_n1pt, ring_mul(w, H)), right)
-            for (w, _), right in zip(pairs, n1pt_right)
-        ]
-        m3_terms = [
-            (self._scale(w, 2), right)
-            for (w, _), right in zip(pairs, n1pt_right)
-            if w.homogeneous_power() == 2
-        ]
-        self._m3_base = [
-            _norm(sum(s * right[d] for s, right in m3_terms))
-            for d in range(g.max_degree + 1)
-        ] if m3_terms else None
+        # a zero c2 skips the counts it multiplies, as a zero insertion does
+        self._c2 = _norm(geometry.c2)
+        self._c3 = _norm(geometry.c3)
+        # base tables indexed by degree (entry 0 unused), and their 1/t5
+        # multiples for the diagonal terms (None when there is no diagonal)
+        degrees = range(1, geometry.max_degree + 1)
+        self._n1pt = [0] + [_norm(geometry.n1pt[d]) for d in degrees]
+        self._n2pt = [0] + [_norm(geometry.n2pt[d]) for d in degrees]
+        t5 = ring.top_integral
+        if t5 is None:
+            self._n1pt_t5 = self._n2pt_t5 = None
+        else:
+            self._n1pt_t5 = [0] + [_norm(self._n1pt[d] / t5) for d in degrees]
+            self._n2pt_t5 = [0] + [_norm(self._n2pt[d] / t5) for d in degrees]
 
     # -- insertion handling ------------------------------------------------
 
@@ -391,7 +371,7 @@ class Engine:
 
     def _c_n2A(self, d1: int, d2: int):
         H2 = self._H2
-        acc = sum(left[d1] * right[d2] for left, right in self._n2A_pairs)
+        acc = 0 if self._n2pt_t5 is None else self._n1pt[d1] * self._n2pt_t5[d2]
         if d2 > d1:
             acc += self.n2A(d1, d2 - d1, H2) + self.n2A(d2 - d1, d1, H2)
         elif d2 < d1:
@@ -403,7 +383,7 @@ class Engine:
         return acc
 
     def _c_n2B(self, d1: int, d2: int):
-        acc = sum(left[d1] * right[d2] for left, right in self._n2B_pairs)
+        acc = 0 if self._n1pt_t5 is None else self._n1pt[d1] * self._n1pt_t5[d2]
         acc -= _exact_sum(c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2)))
         return acc - self._corr2(d1, d2)
 
@@ -420,7 +400,8 @@ class Engine:
             return _div(twice, 2)
         if d2 < d1:
             return self._corr2(d2, d1)
-        # the terms base_n1pt(d1, c2*H) and n1D(d1, H, c2), both linear in c2
+        # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
+        # n1D(d1, H, c2): both linear in c2
         c2 = self._c2
         twice = self.n1E(d1, H) + d1 * self.gamma1(d1)
         if c2:
@@ -490,12 +471,12 @@ class Engine:
         return c1, c2, c12
 
     def _c_m3(self, d1: int, d2: int, d3: int):
-        # n2A is evaluated even where m3_base[d3] is zero, so that the memo
-        # holds the same keys whatever the base data
-        if self._m3_base is None:
+        # on a compact ring n2A is evaluated even where n1pt[d3] is zero, so
+        # that the memo holds the same keys whatever the base data
+        if self._n1pt_t5 is None:
             acc = 0
         else:
-            acc = self.n2A(d1, d2, self._H2) * self._m3_base[d3]
+            acc = self.n2A(d1, d2, self._H2) * self._n1pt_t5[d3]
         c1, c2, c12 = self._corr3(d1, d2, d3)
         return acc - c1 - c2 - c12
 

@@ -43,12 +43,11 @@ class BpsReport:
 
 
 def compute_bps_table(
-    geometry: Geometry, max_degree: int, jobs: int = 1, engine: Engine | None = None
+    geometry: Geometry, max_degree: int, engine: Engine | None = None
 ) -> BpsReport:
     """Compute Chern integrals for every degree and extract both genus-1
     tables.  ``engine`` (default: a fresh ``Engine(geometry)``) lets a
-    caller reuse its memo for further counts.  ``jobs`` is accepted for
-    compatibility and must be >= 1; evaluation is single-threaded.
+    caller reuse its memo for further counts.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
@@ -56,8 +55,6 @@ def compute_bps_table(
         raise ValueError(
             f"max_degree {max_degree} exceeds geometry max_degree {geometry.max_degree}"
         )
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if engine is None:
         engine = Engine(geometry)
     elif engine.geometry is not geometry:

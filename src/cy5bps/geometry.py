@@ -1,11 +1,11 @@
 """Geometric inputs consumed by the recursion engine.
 
-A :class:`Geometry` bundles everything the engine needs about a
-specific Calabi-Yau 5-fold with rank-1 curve cone: the truncated
-cohomology ring, the Chern classes c2 and c3, the Kunneth diagonal
-pairs used for node splitting, the genus-0 base counts (1- and
-2-pointed, already multiple-cover inverted), and the genus-1
-Gromov-Witten series.
+A :class:`Geometry` is plain data about one Calabi-Yau 5-fold with
+rank-1 curve cone: the truncated cohomology ring (whose top integral
+t5, when the model is compact, fixes the Kunneth diagonal), the
+scalars c2 and c3, the genus-0 base tables (1-pointed against H^3 and
+2-pointed against (H^2, H^2), already multiple-cover inverted), and the
+genus-1 Gromov-Witten series.
 
 The file-driven backend covers compact hypersurfaces: the required
 Gromov-Witten input per degree is exactly three numbers (the 1-pointed
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .cohomology import CohClass, Ring
+from .cohomology import Ring
 from .rational import Rat, parse_rational
 from .series import DegreeSeries, invert_multi_cover
 
@@ -29,8 +28,6 @@ __all__ = [
     "GeometryFileError",
     "load_hypersurface_geometry",
     "hypersurface_chern",
-    "linear_one_point",
-    "linear_two_point",
 ]
 
 GW_FILE_MAGIC = "cy5-gw v1"
@@ -48,48 +45,29 @@ class GeometryFileError(ValueError):
 class Geometry:
     """All geometric inputs for one target space.
 
-    ``base_n1pt(d, mu)`` and ``base_n2pt(d, mu1, mu2)`` are linear in
-    each cohomology argument and vanish unless the insertions have the
-    unique H-powers that make the count dimensionally possible (3 for
-    the 1-pointed count, 2 and 2 for the 2-pointed one).  Each
-    :class:`~cy5bps.engine.Engine` calls them a few times per degree when
-    it is built and keeps the values, so they must be pure functions.
+    ``c2`` and ``c3`` are the coefficients of H^2 and H^3 in the Chern
+    classes.  ``n1pt[d]`` is the 1-pointed genus-0 base count against
+    H^3 and ``n2pt[d]`` the 2-pointed one against (H^2, H^2); every
+    other insertion vanishes for dimension reasons.  The Kunneth
+    diagonal is not stored: a compact ring (``ring.top_integral`` is
+    t5) pairs H^2 with H^3/t5, and a local ring has none.
     """
 
     ring: Ring
-    c2: CohClass
-    c3: CohClass
-    diagonal_pairs: tuple[tuple[CohClass, CohClass], ...]
-    base_n1pt: Callable[[int, CohClass], object]
-    base_n2pt: Callable[[int, CohClass, CohClass], object]
+    c2: object
+    c3: object
+    n1pt: DegreeSeries
+    n2pt: DegreeSeries
     gw_genus1: DegreeSeries
     max_degree: int
 
 
-def linear_one_point(table: DegreeSeries) -> Callable[[int, CohClass], object]:
-    """1-pointed base count: only the H^3 component of the insertion survives."""
-
-    def n1pt(d: int, mu: CohClass):
-        return mu.coefficient(3) * table[d]
-
-    return n1pt
-
-
-def linear_two_point(table: DegreeSeries) -> Callable[[int, CohClass, CohClass], object]:
-    """2-pointed base count: only the (H^2, H^2) component pair survives."""
-
-    def n2pt(d: int, mu1: CohClass, mu2: CohClass):
-        return mu1.coefficient(2) * mu2.coefficient(2) * table[d]
-
-    return n2pt
-
-
-def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[CohClass, CohClass]:
-    """Chern classes c2, c3 of a Calabi-Yau hypersurface by adjunction.
+def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[object, object]:
+    """Chern coefficients (c2, c3) of a Calabi-Yau hypersurface by adjunction.
 
     Expands (1+H)^(ambient_dim+1) / (1 + hyp_degree*H) and returns the
-    H^2 and H^3 coefficients as classes in the hypersurface's ring.
-    Requires hyp_degree == ambient_dim + 1 so that c1 vanishes.
+    coefficients of H^2 and H^3.  Requires hyp_degree == ambient_dim + 1
+    so that c1 vanishes.
     """
     if hyp_degree != ambient_dim + 1:
         raise ValueError(
@@ -106,8 +84,7 @@ def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[CohClass, Coh
     ]
     if coeffs[1] != 0:
         raise ValueError("c1 did not vanish; inputs are not Calabi-Yau")
-    ring = Ring(top_power=ambient_dim - 1)
-    return ring.monomial(2, coeffs[2]), ring.monomial(3, coeffs[3])
+    return coeffs[2], coeffs[3]
 
 
 def _parse_header_fields(line: str, lineno: int) -> dict[str, str]:
@@ -127,8 +104,9 @@ def _parse_header_fields(line: str, lineno: int) -> dict[str, str]:
     return fields
 
 
-def _parse_gw_file(path) -> tuple[object, object, object, int, dict[int, tuple]]:
-    """Returns (t5, c2 coeff, c3 coeff, maxdeg, {d: (N0 1pt, N0 2pt, N1)})."""
+def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tuple]]:
+    """Returns (t5, c2 coeff, c3 coeff, maxdeg, parameter line number,
+    {d: (N0 1pt, N0 2pt, N1)})."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     lines = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
@@ -178,7 +156,7 @@ def _parse_gw_file(path) -> tuple[object, object, object, int, dict[int, tuple]]
     if expected <= maxdeg:
         last = lines[-1][0] if lines else 1
         raise GeometryFileError(last, f"missing degree {expected} of 1..{maxdeg}")
-    return t5, c2, c3, maxdeg, rows
+    return t5, c2, c3, maxdeg, lines[1][0], rows
 
 
 def load_hypersurface_geometry(path, max_degree: int) -> Geometry:
@@ -192,25 +170,21 @@ def load_hypersurface_geometry(path, max_degree: int) -> Geometry:
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    t5, c2_coeff, c3_coeff, maxdeg, rows = _parse_gw_file(path)
+    t5, c2, c3, maxdeg, header_line, rows = _parse_gw_file(path)
     if max_degree > maxdeg:
         raise GeometryFileError(
-            1, f"file covers degrees 1..{maxdeg}, need 1..{max_degree}"
+            header_line, f"file covers degrees 1..{maxdeg}, need 1..{max_degree}"
         )
 
-    ring = Ring(top_power=5, top_integral=t5)
-    H2, H3 = ring.H(2), ring.H(3)
-    gw_1pt = DegreeSeries({d: rows[d][0] for d in range(1, max_degree + 1)}, max_degree)
-    gw_2pt = DegreeSeries({d: rows[d][1] for d in range(1, max_degree + 1)}, max_degree)
-    gw_g1 = DegreeSeries({d: rows[d][2] for d in range(1, max_degree + 1)}, max_degree)
+    def column(i):
+        return DegreeSeries({d: rows[d][i] for d in range(1, max_degree + 1)}, max_degree)
 
     return Geometry(
-        ring=ring,
-        c2=ring.monomial(2, c2_coeff),
-        c3=ring.monomial(3, c3_coeff),
-        diagonal_pairs=((H2, H3.scaled(1 / Rat(t5))), (H3, H2.scaled(1 / Rat(t5)))),
-        base_n1pt=linear_one_point(invert_multi_cover(gw_1pt, k=1)),
-        base_n2pt=linear_two_point(invert_multi_cover(gw_2pt, k=2)),
-        gw_genus1=gw_g1,
+        ring=Ring(top_power=5, top_integral=t5),
+        c2=c2,
+        c3=c3,
+        n1pt=invert_multi_cover(column(0), k=1),
+        n2pt=invert_multi_cover(column(1), k=2),
+        gw_genus1=column(2),
         max_degree=max_degree,
     )

@@ -8,9 +8,10 @@ them are implemented here as independent verifiers.
 
 The cohomology ring is that of P^2, so H^3 = 0: every H^6-type
 insertion and c3 vanish identically, one-pointed base counts are
-zero, and the Kunneth diagonal pairs are empty (the compactly
-supported duals of H^4-classes restrict to multiples of the Euler
-class of the bundle, which is -H^3 = 0 on the zero section).
+zero, and the ring has no top integral, so the engine adds no Kunneth
+diagonal terms (the compactly supported duals of H^4-classes restrict
+to multiples of the Euler class of the bundle, which is -H^3 = 0 on
+the zero section).
 
 The genus-1 verifier works in the 1-dimensional moduli of 1-pointed
 elliptic curves, where products of the Hodge class lam and the
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .cohomology import Ring
-from .geometry import Geometry, linear_one_point, linear_two_point
+from .geometry import Geometry
 from .rational import Rat
 from .series import DegreeSeries, invert_multi_cover
 
@@ -134,16 +135,13 @@ def localp2_geometry(max_degree: int) -> Geometry:
     """Geometry for O(-1)^3 over P^2 with closed-form base data."""
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    ring = Ring(top_power=2)
     gw_2pt = DegreeSeries.from_function(lambda d: Rat((-1) ** (d - 1), d), max_degree)
-    zero_table = DegreeSeries.zero(max_degree)
     return Geometry(
-        ring=ring,
-        c2=ring.monomial(2, -3),
-        c3=ring.zero(),
-        diagonal_pairs=(),
-        base_n1pt=linear_one_point(zero_table),
-        base_n2pt=linear_two_point(invert_multi_cover(gw_2pt, k=2)),
+        ring=Ring(top_power=2),
+        c2=Rat(-3),
+        c3=Rat(0),
+        n1pt=DegreeSeries.zero(max_degree),
+        n2pt=invert_multi_cover(gw_2pt, k=2),
         gw_genus1=DegreeSeries.from_function(lambda d: Rat((-1) ** d, 8 * d), max_degree),
         max_degree=max_degree,
     )

@@ -169,16 +169,12 @@ def test_criterion_7_property_suite():
 
     # zero input implies zero output
     zero = DegreeSeries.zero(6)
-    from cy5bps.geometry import Geometry, linear_one_point, linear_two_point
+    from cy5bps.geometry import Geometry
     from cy5bps.cohomology import Ring
 
-    ring = Ring(top_power=5, top_integral=7)
     zero_geom = Geometry(
-        ring=ring, c2=ring.monomial(2, 21), c3=ring.monomial(3, -112),
-        diagonal_pairs=((ring.H(2), ring.H(3).scaled(Rat(1, 7))),
-                        (ring.H(3), ring.H(2).scaled(Rat(1, 7)))),
-        base_n1pt=linear_one_point(zero), base_n2pt=linear_two_point(zero),
-        gw_genus1=zero, max_degree=6,
+        ring=Ring(top_power=5, top_integral=7), c2=Rat(21), c3=Rat(-112),
+        n1pt=zero, n2pt=zero, gw_genus1=zero, max_degree=6,
     )
     zero_engine = Engine(zero_geom)
     homogeneous = all(zero_engine.chern_integral(d) == 0 for d in range(1, 7)) and all(
@@ -235,13 +231,12 @@ def test_criterion_8_septic_mode(tmp_path):
     path2.write_text(gw_file_text(t5="2", c2="5", c3="7", maxdeg=2, rows=rows),
                      encoding="utf-8")
     g2 = load_hypersurface_geometry(path2, 2)
-    H2, H3 = g2.ring.H(2), g2.ring.H(3)
     round_trip_ok = (
         g2.ring.top_integral == 2
-        and g2.c2.coefficient(2) == 5
-        and g2.c3.coefficient(3) == 7
-        and [g2.base_n1pt(d, H3) for d in (1, 2)] == [2, 3]
-        and [g2.base_n2pt(d, H2, H2) for d in (1, 2)] == [1, 1]
+        and g2.c2 == 5
+        and g2.c3 == 7
+        and [g2.n1pt[d] for d in (1, 2)] == [2, 3]
+        and [g2.n2pt[d] for d in (1, 2)] == [1, 1]
         and [g2.gw_genus1[d] for d in (1, 2)] == [1, 2]
     )
 

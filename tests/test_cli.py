@@ -7,7 +7,7 @@ import pytest
 from cy5bps.cli import main
 from cy5bps.rational import Rat, parse_rational
 
-from conftest import gw_file_text
+from conftest import gw_file_text, random_gw_text
 from golden import GENUS1_LOCAL_P2
 
 
@@ -92,6 +92,15 @@ def test_output_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(capsys, "local-p2", "--max-degree", "3", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_jobs_flag_matches_sequential(capsys):
     code, seq, _ = run_cli(capsys, "local-p2", "--max-degree", "8")
     assert code == 0
@@ -104,11 +113,24 @@ def test_jobs_flag_matches_sequential(capsys):
 
 def test_hypersurface_zero_data(write_gw_file, capsys):
     path = write_gw_file(gw_file_text(maxdeg=6))
-    code, out, _ = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "6")
+    code, out, err = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "6")
     assert code == 0
+    assert err == ""
     header, rows = parse_csv(out)
     assert header == ["d", "n_{1,d}"]
     assert [r[1] for r in rows] == ["0"] * 6
+
+
+def test_hypersurface_csv_warns_of_non_integral_values(write_gw_file, capsys):
+    path = write_gw_file(random_gw_text(0, 8))
+    code, out, err = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "8")
+    assert code == 0
+    _, rows = parse_csv(out)
+    failures = [int(r[0]) for r in rows if "/" in r[1]]
+    assert failures
+    assert err.count("\n") == 1
+    assert err.startswith(f"warning: {len(failures)} of 8 ")
+    assert f"at d = {', '.join(map(str, failures[:5]))}" in err
 
 
 def test_hypersurface_meeting_table(write_gw_file, capsys):
@@ -172,7 +194,11 @@ def test_hypersurface_requires_enough_rows_for_meeting_table(write_gw_file, caps
         "--max-degree", "2", "--meeting-table", "3",
     )
     assert code == 1
-    assert "1..6" in err
+    assert "line 2" in err and "1..6" in err
+    assert "--meeting-table 3 needs degrees up to 6" in err
+    code, _, err = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "5")
+    assert code == 1
+    assert "1..5" in err and "meeting-table" not in err
 
 
 # -- verifiers ---------------------------------------------------------------

@@ -1,7 +1,5 @@
-import dataclasses
 import sys
 import tempfile
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,12 +9,11 @@ from hypothesis import strategies as st
 
 from cy5bps.cohomology import CurveClass, InsertionDegreeError, RingMismatchError
 from cy5bps.engine import Engine, _exact_sum
-from cy5bps.genus1 import compute_bps_table
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
-from conftest import gw_file_text, random_gw_text
+from conftest import gw_file_text
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -165,37 +162,6 @@ def test_cold_start_at_geometry_max_degree():
     assert cold == engine.chern_integral(60)
 
 
-def test_mixed_c2_is_rejected_at_construction(local_geometry_12):
-    ring = local_geometry_12.ring
-    for c2 in (ring.H(1) + ring.H(2), ring.H(1)):
-        with pytest.raises(InsertionDegreeError):
-            Engine(dataclasses.replace(local_geometry_12, c2=c2))
-
-
-def test_base_closures_are_read_only_when_built(write_gw_file):
-    geometry = load_hypersurface_geometry(write_gw_file(random_gw_text(1, 12)), 12)
-    calls = Counter()
-
-    def counted(name, base):
-        def wrapper(*args):
-            calls[name] += 1
-            return base(*args)
-        return wrapper
-
-    counted_geometry = dataclasses.replace(
-        geometry,
-        base_n1pt=counted("n1pt", geometry.base_n1pt),
-        base_n2pt=counted("n2pt", geometry.base_n2pt),
-    )
-    counted_engine, engine = Engine(counted_geometry), Engine(geometry)
-    built = sum(calls.values())
-    assert 0 < built <= 12 * (12 + 1)
-    compute_bps_table(counted_geometry, 12, engine=counted_engine)
-    assert sum(calls.values()) == built
-    compute_bps_table(geometry, 12, engine=engine)
-    assert counted_engine.memo == engine.memo
-
-
 def test_determinism_across_fresh_stores(local_geometry_12):
     first = Engine(local_geometry_12)
     second = Engine(local_geometry_12)
@@ -226,13 +192,13 @@ def test_gamma2_swap_structure_total_degree_6(local_geometry_12):
     # any asymmetry comes entirely from its n2A + 2*n2E part; evaluating both
     # orders shows that part (and hence gamma2) is genuinely not symmetric
     engine = Engine(local_geometry_12)
-    c2 = local_geometry_12.c2
+    c2, H2 = local_geometry_12.c2, local_geometry_12.ring.H(2)
     asymmetric = []
     for a in range(1, 6):
         for b in range(1, 7 - a):
             lhs = engine.gamma2(a, b) - engine.gamma2(b, a)
-            rhs = (engine.n2A(a, b, c2) + 2 * engine.n2E(a, b)) - (
-                engine.n2A(b, a, c2) + 2 * engine.n2E(b, a)
+            rhs = (c2 * engine.n2A(a, b, H2) + 2 * engine.n2E(a, b)) - (
+                c2 * engine.n2A(b, a, H2) + 2 * engine.n2E(b, a)
             )
             assert lhs == rhs
             if lhs != 0:

@@ -61,14 +61,6 @@ def test_zero_geometry_pipeline(zero_geometry):
     assert report.integrality_failures == ()
 
 
-def test_jobs_parameter_is_bit_identical():
-    geometry = localp2_geometry(10)
-    sequential = compute_bps_table(geometry, 10, jobs=1)
-    threaded = compute_bps_table(geometry, 10, jobs=4)
-    assert sequential.n1 == threaded.n1
-    assert sequential.chern == threaded.chern
-
-
 # -- closed form -------------------------------------------------------------
 
 def test_martin_S_examples():

@@ -1,7 +1,7 @@
 import pytest
 import sympy
 
-from cy5bps.cohomology import ring_mul
+from cy5bps.engine import Engine
 from cy5bps.geometry import (
     GeometryFileError,
     hypersurface_chern,
@@ -9,7 +9,7 @@ from cy5bps.geometry import (
 )
 from cy5bps.rational import Rat
 
-from conftest import gw_file_text
+from conftest import SYNTHETIC_ROWS, gw_file_text
 
 
 # -- Chern classes by adjunction --------------------------------------------
@@ -28,12 +28,12 @@ def _chern_oracle(ambient_dim, degree):
 )
 def test_hypersurface_chern(ambient, degree, c2, c3):
     got_c2, got_c3 = hypersurface_chern(ambient, degree)
-    assert got_c2.coefficient(2) == c2
-    assert got_c3.coefficient(3) == c3
+    assert got_c2 == c2
+    assert got_c3 == c3
     oracle = _chern_oracle(ambient, degree)
     assert oracle[1] == 0
-    assert Rat(oracle[2].p, oracle[2].q) == got_c2.coefficient(2)
-    assert Rat(oracle[3].p, oracle[3].q) == got_c3.coefficient(3)
+    assert Rat(oracle[2].p, oracle[2].q) == got_c2
+    assert Rat(oracle[3].p, oracle[3].q) == got_c3
 
 
 def test_hypersurface_chern_requires_calabi_yau():
@@ -45,9 +45,8 @@ def test_hypersurface_chern_requires_calabi_yau():
 
 def test_zero_file_loads_with_zero_counts(zero_geometry):
     g = zero_geometry
-    H2, H3 = g.ring.H(2), g.ring.H(3)
-    assert all(g.base_n1pt(d, H3) == 0 for d in range(1, 9))
-    assert all(g.base_n2pt(d, H2, H2) == 0 for d in range(1, 9))
+    assert all(g.n1pt[d] == 0 for d in range(1, 9))
+    assert all(g.n2pt[d] == 0 for d in range(1, 9))
     assert all(v == 0 for v in g.gw_genus1.values())
 
 
@@ -55,50 +54,35 @@ def test_septic_shape(zero_geometry):
     g = zero_geometry
     assert g.ring.top_power == 5
     assert g.ring.top_integral == 7
-    assert g.c2.coefficient(2) == 21
-    assert g.c3.coefficient(3) == -112
-    (w1, ws1), (w2, ws2) = g.diagonal_pairs
-    assert (w1.homogeneous_power(), ws1.homogeneous_power()) == (2, 3)
-    assert (w2.homogeneous_power(), ws2.homogeneous_power()) == (3, 2)
-    assert ws1.coefficient(3) == Rat(1, 7)
+    assert (g.c2, g.c3) == (21, -112) == hypersurface_chern(6, 7)
+    # the Kunneth diagonal pairs H^2 with H^3/t5
+    assert 1 / g.ring.top_integral == Rat(1, 7)
 
 
-def test_diagonal_pairs_integrate_to_one(zero_geometry):
-    ring = zero_geometry.ring
-    for w, ws in zero_geometry.diagonal_pairs:
-        assert ring.integrate(ring_mul(w, ws)) == 1
+def test_diagonal_weight_is_one_over_t5(write_gw_file):
+    # n2B(1, 1) has no m3 terms, and its correction C2(1, 1) reads only
+    # 1-component counts, so t5 enters through n1pt[1]^2 / t5 alone
+    values = {}
+    for t5 in (2, 3):
+        text = gw_file_text(t5=str(t5), c2="5", c3="7", maxdeg=4, rows=SYNTHETIC_ROWS)
+        g = load_hypersurface_geometry(write_gw_file(text, name=f"t5_{t5}.gw"), 4)
+        values[t5] = Engine(g).n2B(1, 1, g.ring.H(1))
+    assert values[2] - values[3] == g.n1pt[1] ** 2 * (Rat(1, 2) - Rat(1, 3))
+    assert values[2] - values[3] == Rat(2, 3)
 
 
 def test_synthetic_base_counts(synthetic_geometry):
     g = synthetic_geometry
-    H2, H3 = g.ring.H(2), g.ring.H(3)
-    assert [g.base_n1pt(d, H3) for d in (1, 2, 3)] == [2, 3, 5]
-    assert [g.base_n2pt(d, H2, H2) for d in (1, 2, 3)] == [1, 1, 1]
-
-
-def test_base_counts_dimension_vanishing(synthetic_geometry):
-    g = synthetic_geometry
-    for k in (0, 1, 2, 4, 5):
-        assert g.base_n1pt(1, g.ring.H(k)) == 0
-    H2, H3 = g.ring.H(2), g.ring.H(3)
-    assert g.base_n2pt(1, H3, H2) == 0
-    assert g.base_n2pt(1, H2, H3) == 0
-    assert g.base_n2pt(1, g.ring.H(1), g.ring.H(1)) == 0
-
-
-def test_base_counts_linearity(synthetic_geometry):
-    g = synthetic_geometry
-    H2, H3 = g.ring.H(2), g.ring.H(3)
-    assert g.base_n1pt(2, 5 * H3) == 5 * g.base_n1pt(2, H3)
-    assert g.base_n2pt(2, 3 * H2, -2 * H2) == -6 * g.base_n2pt(2, H2, H2)
-    mixed = H2 + H3  # only the H^2 component survives in each slot
-    assert g.base_n2pt(1, mixed, H2) == g.base_n2pt(1, H2, H2)
+    assert [g.n1pt[d] for d in (1, 2, 3)] == [2, 3, 5]
+    assert [g.n2pt[d] for d in (1, 2, 3)] == [1, 1, 1]
 
 
 def test_requested_degree_must_be_covered(write_gw_file):
     path = write_gw_file(gw_file_text(maxdeg=4))
-    with pytest.raises(GeometryFileError):
+    with pytest.raises(GeometryFileError) as err:
         load_hypersurface_geometry(path, 5)
+    # maxdeg is on the parameter line
+    assert err.value.line == 2
     g = load_hypersurface_geometry(path, 4)
     assert g.max_degree == 4
 
@@ -140,6 +124,5 @@ def test_inversion_happens_at_load(write_gw_file):
     rows = {1: ("1", "1", "0"), 2: ("5/4", "3/2", "0")}
     path = write_gw_file(gw_file_text(t5="7", c2="21", c3="-112", maxdeg=2, rows=rows))
     g = load_hypersurface_geometry(path, 2)
-    H2, H3 = g.ring.H(2), g.ring.H(3)
-    assert [g.base_n1pt(d, H3) for d in (1, 2)] == [1, 1]
-    assert [g.base_n2pt(d, H2, H2) for d in (1, 2)] == [1, 1]
+    assert [g.n1pt[d] for d in (1, 2)] == [1, 1]
+    assert [g.n2pt[d] for d in (1, 2)] == [1, 1]

@@ -25,19 +25,17 @@ def test_geometry_structure(local_geometry_12):
     g = local_geometry_12
     assert g.ring.top_power == 2
     assert g.ring.top_integral is None
-    assert g.c2.coefficient(2) == -3
-    assert g.c3.is_zero()
-    assert g.diagonal_pairs == ()
+    assert g.c2 == -3
+    assert g.c3 == 0
 
 
 def test_base_counts(local_geometry_12):
     g = local_geometry_12
-    H2 = g.ring.H(2)
-    n0 = [g.base_n2pt(d, H2, H2) for d in range(1, 13)]
+    n0 = [g.n2pt[d] for d in range(1, 13)]
     assert n0[:2] == [1, -1]
     assert all(v == 0 for v in n0[2:])
-    # the ring has no H^3, so every 1-pointed insertion vanishes
-    assert all(g.base_n1pt(d, g.ring.zero()) == 0 for d in range(1, 13))
+    # the ring has no H^3, so every 1-pointed count vanishes
+    assert all(g.n1pt[d] == 0 for d in range(1, 13))
 
 
 def test_genus1_gw_series(local_geometry_12):
