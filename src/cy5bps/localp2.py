@@ -17,10 +17,15 @@ The genus-1 verifier works in the 1-dimensional moduli of 1-pointed
 elliptic curves, where products of the Hodge class lam and the
 cotangent class psi truncate at total degree 1 and both integrate
 to 1/24.
+
+The interior cover-weight product, the largest factor of both
+fixed-point formulas, is multiplied out on integer numerators over one
+common denominator and normalised once, rather than once per factor.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -77,9 +82,10 @@ class LinearForm:
     psi_coeff: object = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "constant", Rat(self.constant))
-        object.__setattr__(self, "lambda_coeff", Rat(self.lambda_coeff))
-        object.__setattr__(self, "psi_coeff", Rat(self.psi_coeff))
+        for name in ("constant", "lambda_coeff", "psi_coeff"):
+            value = getattr(self, name)
+            if type(value) is not Rat:
+                object.__setattr__(self, name, Rat(value))
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(
@@ -147,17 +153,31 @@ def localp2_geometry(max_degree: int) -> Geometry:
     )
 
 
+def _check_degree(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+
+
 def _interior_product(d: int, x, y, z):
-    """prod over r=1..d-1 of (z - ((d-r)x + r y)/d), the interior cover weights."""
-    prod = Rat(1)
+    """prod over r=1..d-1 of (z - ((d-r)x + r y)/d), the interior cover weights.
+
+    Over the common denominator L of x, y and z each factor is the
+    integer d*Z - (d-r)*X - r*Y over d*L, so the product is one integer
+    over (d*L)^(d-1), normalised once.
+    """
+    L = math.lcm(x.denominator, y.denominator, z.denominator)
+    X = x.numerator * (L // x.denominator)
+    Y = y.numerator * (L // y.denominator)
+    Z = z.numerator * (L // z.denominator)
+    num = 1
     for r in range(1, d):
-        factor = z - ((d - r) * x + r * y) / Rat(d)
+        factor = d * Z - (d - r) * X - r * Y
         if factor == 0:
             raise WeightDegeneracyError(
                 f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
             )
-        prod *= factor
-    return prod
+        num *= factor
+    return Rat(num, (d * L) ** (d - 1))
 
 
 def localization_g0(d: int, w: WeightTriple):
@@ -169,13 +189,10 @@ def localization_g0(d: int, w: WeightTriple):
     bundle weights divided by the automorphism factor d; the value
     must equal (-1)^(d-1)/d independently of the weights.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    _check_degree(d)
     a, b, c = w.a, w.b, w.c
     sign = Rat((-1) ** (d - 1))
-    fact = Rat(1)
-    for r in range(1, d):
-        fact *= r
+    fact = math.factorial(d - 1)
     scale = fact / Rat(d) ** (d - 1)
     interior = _interior_product(d, a, b, c)
 
@@ -195,11 +212,10 @@ def localization_g1_locus(d: int, x, y, z):
     (lam, psi), combined, divided by the automorphism factor d, and
     integrated; the result must equal (-1)^d/(24d) * (z-x)/(z-y).
     """
+    _check_degree(d)
     x, y, z = Rat(x), Rat(y), Rat(z)
     sign = Rat((-1) ** (d - 1))
-    fact = Rat(1)
-    for r in range(1, d):
-        fact *= r
+    fact = math.factorial(d - 1)
     scale = fact / Rat(d) ** (d - 1)
     interior = _interior_product(d, x, y, z)
     if z == x or z == y:
@@ -225,6 +241,7 @@ def localization_g1_locus(d: int, x, y, z):
 
 def cover_factor(d: int, x, y, z):
     """The closed-form single-locus value (-1)^d/(24d) * (z-x)/(z-y)."""
+    _check_degree(d)
     x, y, z = Rat(x), Rat(y), Rat(z)
     if z == y:
         raise WeightDegeneracyError("weights must be pairwise distinct")
@@ -238,8 +255,7 @@ def localization_g1(d: int, w: WeightTriple):
     """Genus-1 fixed-point sum: six loci (ordered pairs of fixed points,
     vertex at the first).  Must equal (-1)^d/(8d) for any admissible
     weights."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    _check_degree(d)
     weights = (w.a, w.b, w.c)
     total = Rat(0)
     for i, j, k in _LOCUS_ORDER:
@@ -265,8 +281,13 @@ def verify_localization(max_degree: int, seed: int = 0, triples: int = 3, max_dr
     Returns a list of per-degree dicts with the computed values and an
     overall ``ok`` flag (the per-locus values are checked against the
     closed-form cover factor, and the sum of the six locus factors is
-    checked to be weight independent).
+    checked to be weight independent).  ``triples`` and ``max_draws``
+    must be at least 1, so that every degree is checked.
     """
+    if triples < 1:
+        raise ValueError(f"triples must be >= 1, got {triples}")
+    if max_draws < 1:
+        raise ValueError(f"max_draws must be >= 1, got {max_draws}")
     rng = random.Random(seed)
     results = []
     for d in range(1, max_degree + 1):

@@ -1,11 +1,18 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cy5bps import localp2
+from cy5bps.cli import main
 from cy5bps.localp2 import (
     LinearForm,
     WeightDegeneracyError,
     WeightTriple,
+    _interior_product,
     cover_factor,
     integrate_M11,
     localization_g0,
@@ -148,3 +155,97 @@ def test_verify_localization_retries_degenerate_draws():
     results = verify_localization(8, seed=0)
     assert all(r["ok"] for r in results)
     assert [r["degree"] for r in results] == list(range(1, 9))
+
+
+@pytest.mark.parametrize("kwargs", [{"triples": 0}, {"triples": -1}, {"max_draws": 0}])
+def test_verify_localization_rejects_vacuous_runs(kwargs):
+    with pytest.raises(ValueError):
+        verify_localization(3, **kwargs)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_locus_helpers_validate_degree(d):
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        localization_g1_locus(d, 0, 1, 3)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        cover_factor(d, 0, 1, 3)
+
+
+# -- the verifier can fail ----------------------------------------------------
+
+def _off_by(func, eps):
+    def shifted(*args):
+        return func(*args) + eps
+    return shifted
+
+
+@pytest.mark.parametrize("name", ["cover_factor", "localization_g1_locus", "localization_g0"])
+def test_verify_localization_reports_a_wrong_value(monkeypatch, capsys, name):
+    monkeypatch.setattr(localp2, name, _off_by(getattr(localp2, name), Rat(1, 10**9)))
+    results = verify_localization(3, seed=0)
+    assert [r["ok"] for r in results] == [False, False, False]
+
+    assert main(["verify-localization", "--max-degree", "3"]) == 2
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["FAIL"] * 3
+
+
+# -- the interior product against a per-factor product --------------------------
+
+def _naive_interior_product(d, x, y, z):
+    x, y, z = (Fraction(int(v.numerator), int(v.denominator)) for v in (x, y, z))
+    prod = Fraction(1)
+    for r in range(1, d):
+        factor = z - ((d - r) * x + r * y) / Fraction(d)
+        if factor == 0:
+            raise WeightDegeneracyError(
+                f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
+            )
+        prod *= factor
+    return prod
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except WeightDegeneracyError as exc:
+        return str(exc)
+
+
+_weights = st.builds(Rat, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 40), x=_weights, y=_weights, z=_weights)
+def test_interior_product_matches_per_factor_product(d, x, y, z):
+    expected = _outcome(_naive_interior_product, d, x, y, z)
+    assert _outcome(_interior_product, d, x, y, z) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 40), r=st.integers(1, 39), x=_weights, y=_weights)
+def test_interior_product_degenerate_weights_raise(d, r, x, y):
+    r = min(r, d - 1)
+    z = ((d - r) * x + r * y) / Rat(d)
+    expected = _outcome(_naive_interior_product, d, x, y, z)
+    assert isinstance(expected, str)
+    assert _outcome(_interior_product, d, x, y, z) == expected
+
+
+# -- pinned verifier output -----------------------------------------------------
+
+# SHA-256 of the stdout of ``verify-localization --max-degree 60 --seed 3``,
+# recorded with the per-factor Fraction verifiers, before the interior
+# product was multiplied out on integer numerators.
+VERIFY_DIGESTS = {
+    "csv": "70ee2b3258fe6531d70655978735c94deef1f80336bf719bf2a1f8822eb733db",
+    "json": "8c10cdf1353c09191494e8cf0e5cbf0596a9d74625fa3dcb81e6abaac9dec9e7",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_DIGESTS))
+def test_verify_localization_output_is_pinned(capsys, fmt):
+    code = main(["verify-localization", "--max-degree", "60", "--seed", "3", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[fmt]
