@@ -10,15 +10,7 @@ are included: the closed-form local P^2 geometry (with torus
 fixed-point verifiers) and a file-driven compact hypersurface mode.
 """
 
-from .cohomology import (
-    CohClass,
-    CurveClass,
-    InsertionDegreeError,
-    Ring,
-    RingMismatchError,
-    curve_pairing,
-    ring_mul,
-)
+from .cohomology import CohClass, InsertionDegreeError, Ring, RingMismatchError
 from .engine import Engine
 from .genus1 import BpsReport, compute_bps_table, martin_S, martin_V, martin_check
 from .geometry import (
@@ -70,9 +62,6 @@ __all__ = [
     "forward_genus1_gw_tilde",
     "Ring",
     "CohClass",
-    "CurveClass",
-    "ring_mul",
-    "curve_pairing",
     "RingMismatchError",
     "InsertionDegreeError",
     "Geometry",

@@ -89,19 +89,30 @@ def _check_max_degree(args) -> int:
     return args.max_degree
 
 
-def _emit(args, text: str) -> None:
-    if not args.output:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+# Cell renderers: each gives one table cell as (CSV cell, JSON value).
+
+def _plain(value):
+    return value, value
 
 
-def _csv_text(header, rows) -> str:
+def _rational(value):
+    num, den = rational_pair(value)
+    return format_rational(value), {"num": num, "den": den}
+
+
+def _flag(value: bool):
+    return ("true" if value else "false"), value
+
+
+# Table columns are (CSV header, JSON key, cell renderer); a row is a
+# dict keyed by the JSON keys.
+_D, _N1 = ("d", "d", _plain), ("n_{1,d}", "n1", _rational)
+_MARTIN = (("martin_predicted", "martin_predicted", _rational), ("match", "match", _flag))
+_LOCALP2 = (_D, _N1, ("ñ_{1,d}", "n1_tilde", _rational), ("chern_d", "chern", _rational), *_MARTIN)
+_LOCALIZATION = (_D, ("g0", "g0", _rational), ("g1", "g1", _rational), ("status", "status", _plain))
+
+
+def _csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -109,60 +120,72 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _write_table(args, columns, rows, head, tail=None, csv_tail="", csv_warning=None) -> None:
+    """Write ``rows`` as CSV or JSON, to ``--output`` or stdout.
+
+    JSON puts the command name and the ``head`` fields before ``rows``
+    and the ``tail`` fields after it.  CSV has room for neither: it
+    appends ``csv_tail`` to the table instead, and ``csv_warning``, if
+    given, goes to stderr as a ``warning:`` line.
+    """
+    csv_out = args.format == "csv"
+    if csv_out:
+        text = _csv(
+            [header for header, _, _ in columns],
+            ([render(row[key])[0] for _, key, render in columns] for row in rows),
+        ) + csv_tail
+    else:
+        payload = {
+            "command": args.command,
+            **head,
+            "rows": [{key: render(row[key])[1] for _, key, render in columns} for row in rows],
+            **(tail or {}),
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE) from None
+    else:
+        sys.stdout.write(text)
+    if csv_out and csv_warning:
+        print(f"warning: {csv_warning}", file=sys.stderr)
 
 
-def _pair(value) -> dict:
-    num, den = rational_pair(value)
-    return {"num": num, "den": den}
-
-
-def _bool_cell(flag: bool) -> str:
-    return "true" if flag else "false"
+def _localp2_rows(args):
+    """The local-P2 genus-1 table with the closed-form comparison, one row per degree."""
+    max_degree = _check_max_degree(args)
+    report = compute_bps_table(localp2_geometry(max_degree), max_degree)
+    rows = [
+        {
+            "d": row.degree,
+            "n1": row.computed,
+            "n1_tilde": report.n1_tilde[row.degree],
+            "chern": report.chern[row.degree],
+            "martin_predicted": row.predicted,
+            "match": row.match,
+        }
+        for row in martin_check(report)
+    ]
+    return max_degree, report, rows
 
 
 def _cmd_local_p2(args) -> int:
-    max_degree = _check_max_degree(args)
-    geometry = localp2_geometry(max_degree)
-    report = compute_bps_table(geometry, max_degree)
-    rows = martin_check(report)
-
-    if args.format == "csv":
-        header = ["d", "n_{1,d}", "ñ_{1,d}", "chern_d", "martin_predicted", "match"]
-        body = [
-            [
-                row.degree,
-                format_rational(report.n1[row.degree]),
-                format_rational(report.n1_tilde[row.degree]),
-                format_rational(report.chern[row.degree]),
-                format_rational(row.predicted),
-                _bool_cell(row.match),
-            ]
-            for row in rows
-        ]
-        _emit(args, _csv_text(header, body))
-    else:
-        payload = {
-            "command": "local-p2",
-            "max_degree": max_degree,
-            "rows": [
-                {
-                    "d": row.degree,
-                    "n1": _pair(report.n1[row.degree]),
-                    "n1_tilde": _pair(report.n1_tilde[row.degree]),
-                    "chern": _pair(report.chern[row.degree]),
-                    "martin_predicted": _pair(row.predicted),
-                    "match": row.match,
-                }
-                for row in rows
-            ],
-            "integrality_failures": list(report.integrality_failures),
-        }
-        _emit(args, _json_text(payload))
-
-    ok = not report.integrality_failures and all(row.match for row in rows)
+    max_degree, report, rows = _localp2_rows(args)
+    failures = list(report.integrality_failures)
+    _write_table(args, _LOCALP2, rows, {"max_degree": max_degree},
+                 {"integrality_failures": failures})
+    ok = not failures and all(row["match"] for row in rows)
     return EXIT_OK if ok else EXIT_VERIFY
+
+
+def _cmd_verify_martin(args) -> int:
+    max_degree, _, rows = _localp2_rows(args)
+    _write_table(args, (_D, _N1, *_MARTIN), rows, {"max_degree": max_degree})
+    return EXIT_OK if all(row["match"] for row in rows) else EXIT_VERIFY
 
 
 def _cmd_hypersurface(args) -> int:
@@ -184,119 +207,44 @@ def _cmd_hypersurface(args) -> int:
     # one engine: the meeting table reads counts the genus-1 run memoized
     engine = Engine(geometry)
     report = compute_bps_table(geometry, max_degree, engine=engine)
+    failures = list(report.integrality_failures)
 
-    matrix = None
+    tail = {"integrality_failures": failures}
+    csv_tail = ""
     if meeting:
         H = geometry.ring.H(1)
-        matrix = [
-            [engine.n2B(d1, d2, H) for d2 in range(1, meeting + 1)]
-            for d1 in range(1, meeting + 1)
-        ]
-
-    if args.format == "csv":
-        text = _csv_text(
-            ["d", "n_{1,d}"],
-            [[d, format_rational(report.n1[d])] for d in report.n1],
-        )
-        if matrix is not None:
-            lines = [["n_{d1d2}(H|;)"] + [f"d2={j}" for j in range(1, meeting + 1)]]
-            for i, row in enumerate(matrix, start=1):
-                lines.append([f"d1={i}"] + [format_rational(v) for v in row])
-            text += "\n" + _csv_text(lines[0], lines[1:])
-        _emit(args, text)
-        failures = report.integrality_failures
-        if failures:
-            shown = ", ".join(str(d) for d in failures[:5])
-            more = ", ..." if len(failures) > 5 else ""
-            print(
-                f"warning: {len(failures)} of {max_degree} n_{{1,d}} values are "
-                f"not integers, at d = {shown}{more}",
-                file=sys.stderr,
-            )
-    else:
-        payload = {
-            "command": "hypersurface",
-            "max_degree": max_degree,
-            "rows": [{"d": d, "n1": _pair(report.n1[d])} for d in report.n1],
-            "integrality_failures": list(report.integrality_failures),
+        span = range(1, meeting + 1)
+        cells = [[_rational(engine.n2B(d1, d2, H)) for d2 in span] for d1 in span]
+        tail["meeting_table"] = {
+            "max_degree": meeting,
+            "values": [[value for _, value in row] for row in cells],
         }
-        if matrix is not None:
-            payload["meeting_table"] = {
-                "max_degree": meeting,
-                "values": [[_pair(v) for v in row] for row in matrix],
-            }
-        _emit(args, _json_text(payload))
+        csv_tail = "\n" + _csv(
+            ["n_{d1d2}(H|;)"] + [f"d2={j}" for j in span],
+            ([f"d1={i}"] + [cell for cell, _ in row] for i, row in zip(span, cells)),
+        )
+
+    warning = None
+    if failures:
+        shown = ", ".join(str(d) for d in failures[:5])
+        more = ", ..." if len(failures) > 5 else ""
+        warning = (f"{len(failures)} of {max_degree} n_{{1,d}} values are "
+                   f"not integers, at d = {shown}{more}")
+    rows = [{"d": d, "n1": report.n1[d]} for d in report.n1]
+    _write_table(args, (_D, _N1), rows, {"max_degree": max_degree},
+                 tail, csv_tail, warning)
     return EXIT_OK
 
 
 def _cmd_verify_localization(args) -> int:
     max_degree = _check_max_degree(args)
     results = verify_localization(max_degree, seed=args.seed)
-
-    if args.format == "csv":
-        header = ["d", "g0", "g1", "status"]
-        body = [
-            [
-                r["degree"],
-                format_rational(r["g0"]),
-                format_rational(r["g1"]),
-                "PASS" if r["ok"] else "FAIL",
-            ]
-            for r in results
-        ]
-        _emit(args, _csv_text(header, body))
-    else:
-        payload = {
-            "command": "verify-localization",
-            "seed": args.seed,
-            "rows": [
-                {
-                    "d": r["degree"],
-                    "g0": _pair(r["g0"]),
-                    "g1": _pair(r["g1"]),
-                    "status": "PASS" if r["ok"] else "FAIL",
-                }
-                for r in results
-            ],
-        }
-        _emit(args, _json_text(payload))
+    rows = [
+        {"d": r["degree"], "g0": r["g0"], "g1": r["g1"], "status": "PASS" if r["ok"] else "FAIL"}
+        for r in results
+    ]
+    _write_table(args, _LOCALIZATION, rows, {"seed": args.seed})
     return EXIT_OK if all(r["ok"] for r in results) else EXIT_VERIFY
-
-
-def _cmd_verify_martin(args) -> int:
-    max_degree = _check_max_degree(args)
-    geometry = localp2_geometry(max_degree)
-    report = compute_bps_table(geometry, max_degree)
-    rows = martin_check(report)
-
-    if args.format == "csv":
-        header = ["d", "n_{1,d}", "martin_predicted", "match"]
-        body = [
-            [
-                row.degree,
-                format_rational(row.computed),
-                format_rational(row.predicted),
-                _bool_cell(row.match),
-            ]
-            for row in rows
-        ]
-        _emit(args, _csv_text(header, body))
-    else:
-        payload = {
-            "command": "verify-martin",
-            "max_degree": max_degree,
-            "rows": [
-                {
-                    "d": row.degree,
-                    "n1": _pair(row.computed),
-                    "martin_predicted": _pair(row.predicted),
-                    "match": row.match,
-                }
-                for row in rows
-            ],
-        }
-        _emit(args, _json_text(payload))
-    return EXIT_OK if all(row.match for row in rows) else EXIT_VERIFY
 
 
 _COMMANDS = {

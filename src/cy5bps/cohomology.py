@@ -2,20 +2,19 @@
 
 Models the even cohomology of a space with a single degree-2 generator
 H: a class is a coefficient vector over the powers ``H^0 .. H^top``,
-and any product landing above ``top`` is zero.  Two rings appear in
-practice: the compact hypersurface ring (top power 5, with a top
-intersection number for integration) and the local surface ring where
+and any power above ``top`` is zero.  Two rings appear in practice:
+the compact hypersurface ring (top power 5, with the top intersection
+number t5, the integral of ``H^5``) and the local surface ring where
 ``H^3`` already vanishes (top power 2).
 
-Curve classes are positive integers under the normalization
-``(H, line) = 1``, so pairing a divisor ``x*H`` with a degree-``d``
-class gives ``x*d``.
+The engine reads an insertion only as a scalar multiple of one power
+of H.  Curve classes are plain positive integer degrees, under the
+normalization ``(H, line) = 1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .rational import Rat, format_rational
 
@@ -24,9 +23,6 @@ __all__ = [
     "InsertionDegreeError",
     "Ring",
     "CohClass",
-    "CurveClass",
-    "ring_mul",
-    "curve_pairing",
 ]
 
 
@@ -53,6 +49,8 @@ class Ring:
             raise ValueError(f"top_power must be >= 1, got {top_power}")
         self.top_power = top_power
         self.top_integral = None if top_integral is None else Rat(top_integral)
+        if self.top_integral == 0:
+            raise ValueError("top_integral must be nonzero (None for a local model)")
 
     def zero(self) -> "CohClass":
         return CohClass(self, (Rat(0),) * (self.top_power + 1))
@@ -68,14 +66,6 @@ class Ring:
 
     def H(self, power: int) -> "CohClass":
         return self.monomial(power)
-
-    def integrate(self, cls: "CohClass"):
-        """Integrate a class over the space: top coefficient times the top integral."""
-        if self.top_integral is None:
-            raise ValueError("ring has no top integral (non-compact model)")
-        if cls.ring is not self:
-            raise RingMismatchError("class belongs to a different ring")
-        return cls.coefficients[self.top_power] * self.top_integral
 
     def __repr__(self) -> str:
         t5 = "" if self.top_integral is None else f", top_integral={self.top_integral}"
@@ -104,39 +94,18 @@ class CohClass:
         powers = [k for k, c in enumerate(self.coefficients) if c != 0]
         return powers[0] if len(powers) == 1 else None
 
-    def coefficient(self, power: int):
-        if not 0 <= power <= self.ring.top_power:
-            return Rat(0)
-        return self.coefficients[power]
-
-    def _require_same_ring(self, other: "CohClass") -> None:
+    def __add__(self, other: "CohClass") -> "CohClass":
         if self.ring is not other.ring:
             raise RingMismatchError("classes belong to different rings")
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        self._require_same_ring(other)
         return CohClass(
             self.ring,
             tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
         )
 
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        self._require_same_ring(other)
-        return CohClass(
-            self.ring,
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+    def __mul__(self, scalar):
+        return self.scaled(scalar)
 
-    def __neg__(self) -> "CohClass":
-        return CohClass(self.ring, tuple(-a for a in self.coefficients))
-
-    def __mul__(self, other):
-        if isinstance(other, CohClass):
-            return ring_mul(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
+    __rmul__ = __mul__
 
     def scaled(self, scalar) -> "CohClass":
         s = Rat(scalar)
@@ -160,63 +129,3 @@ class CohClass:
             mono = "1" if k == 0 else ("H" if k == 1 else f"H^{k}")
             terms.append(f"{format_rational(c)}*{mono}")
         return " + ".join(terms) if terms else "0"
-
-
-def ring_mul(a: CohClass, b: CohClass) -> CohClass:
-    """Graded product with truncation above the ring's top power."""
-    a._require_same_ring(b)
-    top = a.ring.top_power
-    coeffs = [Rat(0)] * (top + 1)
-    for i, ca in enumerate(a.coefficients):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coefficients):
-            if cb == 0 or i + j > top:
-                continue
-            coeffs[i + j] += ca * cb
-    return CohClass(a.ring, tuple(coeffs))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class CurveClass:
-    """Effective curve class on a rank-1 cone: a positive integer degree."""
-
-    degree: int
-
-    def __post_init__(self):
-        if not isinstance(self.degree, int) or self.degree < 1:
-            raise ValueError(f"curve class degree must be a positive integer, got {self.degree}")
-
-    def __add__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(self.degree + other.degree)
-
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return CurveClass(self.degree - other.degree)
-
-    def __lt__(self, other: "CurveClass") -> bool:
-        return self.degree < other.degree
-
-    def __int__(self) -> int:
-        return self.degree
-
-
-def as_degree(beta) -> int:
-    """Coerce an int or CurveClass to a validated positive integer degree."""
-    d = beta.degree if isinstance(beta, CurveClass) else beta
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"curve degree must be a positive integer, got {beta!r}")
-    return d
-
-
-def curve_pairing(mu: CohClass, beta):
-    """Pair a divisor class ``x*H`` with a curve class: returns ``x*d``."""
-    d = as_degree(beta)
-    if mu.is_zero():
-        return Rat(0)
-    power = mu.homogeneous_power()
-    if power != 1:
-        raise InsertionDegreeError(
-            f"curve pairing requires a class of H-power 1, got power {power}"
-        )
-    return mu.coefficients[1] * d

@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 from math import gcd
 
-from .cohomology import CohClass, InsertionDegreeError, RingMismatchError, as_degree
+from .cohomology import CohClass, InsertionDegreeError, RingMismatchError
 from .geometry import Geometry
 from .rational import Rat
 
@@ -151,43 +151,41 @@ class Engine:
         return _norm(mu.coefficients[power])
 
     def _degrees(self, *betas) -> tuple[int, ...]:
-        ds = tuple(as_degree(b) for b in betas)
-        total = sum(ds)
+        for beta in betas:
+            if not isinstance(beta, int) or beta < 1:
+                raise ValueError(f"curve degree must be a positive integer, got {beta!r}")
+        total = sum(betas)
         if total > self.geometry.max_degree:
             raise ValueError(
                 f"total degree {total} exceeds geometry max_degree "
                 f"{self.geometry.max_degree}"
             )
-        return ds
+        return betas
 
     def _miss(self, kind: str, compute, betas: tuple, *insertions):
         """Answer a call whose key is not in the memo: validate the degrees
         and the (mu, power) insertions, then compute and store the unit
         value unless an insertion is zero."""
-        degrees = self._degrees(*betas)
+        self._degrees(*betas)
         s = 1
         for mu, power in insertions:
             s *= self._scale(mu, power)
         if s == 0:
             return 0
-        key = (kind, *degrees)
-        # a CurveClass argument misses on its own key but may hit here
-        value = self.memo.get(key)
-        if value is None:
-            if self._computing:
-                value = compute(*degrees)
-            else:
-                # the outermost miss raises the limit for the whole recursion
-                # and gives the caller back its own
-                limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(limit, self._recursion_limit))
-                self._computing = True
-                try:
-                    value = compute(*degrees)
-                finally:
-                    self._computing = False
-                    sys.setrecursionlimit(limit)
-            value = self.memo[key] = _norm(value)
+        if self._computing:
+            value = compute(*betas)
+        else:
+            # the outermost miss raises the limit for the whole recursion
+            # and gives the caller back its own
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(max(limit, self._recursion_limit))
+            self._computing = True
+            try:
+                value = compute(*betas)
+            finally:
+                self._computing = False
+                sys.setrecursionlimit(limit)
+        value = self.memo[(kind, *betas)] = _norm(value)
         return _times(s, value)
 
     # -- public counts -----------------------------------------------------

@@ -281,9 +281,12 @@ def verify_localization(max_degree: int, seed: int = 0, triples: int = 3, max_dr
     Returns a list of per-degree dicts with the computed values and an
     overall ``ok`` flag (the per-locus values are checked against the
     closed-form cover factor, and the sum of the six locus factors is
-    checked to be weight independent).  ``triples`` and ``max_draws``
-    must be at least 1, so that every degree is checked.
+    checked to be weight independent).  ``max_degree``, ``triples`` and
+    ``max_draws`` must be at least 1, so that a run checks something and
+    every degree is checked.
     """
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     if triples < 1:
         raise ValueError(f"triples must be >= 1, got {triples}")
     if max_draws < 1:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -229,3 +230,22 @@ def test_verify_martin(capsys):
     assert len(rows) == 20
     assert all(r[3] == "true" for r in rows)
     assert [parse_rational(r[1]) for r in rows] == GENUS1_LOCAL_P2[:20]
+
+
+# -- pinned local-p2 and verify-martin output -----------------------------------
+
+# SHA-256 of the stdout of ``<command> --max-degree 30``, recorded while
+# each command still wrote its own CSV and JSON text.
+TABLE_DIGESTS = {
+    ("local-p2", "csv"): "02588e342370784c8b0d08897646f825bff04d1333f62cd74b164b4907aacba3",
+    ("local-p2", "json"): "73130ad9ae6d760bd6b81365bb12ed9b12d3ef48c97c7f59dc3a45fb5256b6be",
+    ("verify-martin", "csv"): "5e6f21b194519dce594ed49b5174f7278f1d881af7ecf2ddb349bf7aee3ae646",
+    ("verify-martin", "json"): "4b1a22789045d1fca3ae395b4bc4f4c563e19e3192ce0b43d48c9d89ddffd7b6",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(TABLE_DIGESTS))
+def test_table_output_is_pinned(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, command, "--max-degree", "30", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_DIGESTS[command, fmt]

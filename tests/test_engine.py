@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cy5bps.cohomology import CurveClass, InsertionDegreeError, RingMismatchError
+from cy5bps.cohomology import InsertionDegreeError, RingMismatchError
 from cy5bps.engine import Engine, _exact_sum
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
@@ -234,18 +234,6 @@ def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
         engine.n1C(1, zero_geometry.ring.H(2))
     with pytest.raises(RingMismatchError):
         engine.n2B(2, 3, zero_geometry.ring.H(1))
-
-
-def test_curve_class_arguments_match_ints(local_geometry_12):
-    engine = Engine(local_geometry_12)
-    H = local_geometry_12.ring.H(1)
-    cc = CurveClass
-    cold = engine.m3(cc(2), cc(3), cc(4))
-    assert type(cold) is int and cold == engine.m3(2, 3, 4)
-    assert engine.n2B(cc(3), cc(5), H) == engine.n2B(3, 5, H)
-    assert engine.chern_integral(cc(7)) == engine.chern_integral(7)
-    assert type(engine.chern_integral(cc(7))) is int
-    assert all(type(k[1]) is int for k in engine.memo)
 
 
 _rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))

@@ -157,10 +157,12 @@ def test_verify_localization_retries_degenerate_draws():
     assert [r["degree"] for r in results] == list(range(1, 9))
 
 
-@pytest.mark.parametrize("kwargs", [{"triples": 0}, {"triples": -1}, {"max_draws": 0}])
+@pytest.mark.parametrize("kwargs", [
+    {"triples": 0}, {"triples": -1}, {"max_draws": 0}, {"max_degree": 0}, {"max_degree": -3},
+])
 def test_verify_localization_rejects_vacuous_runs(kwargs):
     with pytest.raises(ValueError):
-        verify_localization(3, **kwargs)
+        verify_localization(**{"max_degree": 3, **kwargs})
 
 
 @pytest.mark.parametrize("d", [0, -1])
