@@ -20,10 +20,8 @@ from .geometry import (
     load_hypersurface_geometry,
 )
 from .localp2 import (
-    LinearForm,
     WeightDegeneracyError,
     WeightTriple,
-    integrate_M11,
     localization_g0,
     localization_g1,
     localp2_geometry,
@@ -71,8 +69,6 @@ __all__ = [
     "localp2_geometry",
     "WeightTriple",
     "WeightDegeneracyError",
-    "LinearForm",
-    "integrate_M11",
     "localization_g0",
     "localization_g1",
     "verify_localization",

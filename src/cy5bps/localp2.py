@@ -13,10 +13,12 @@ diagonal terms (the compactly supported duals of H^4-classes restrict
 to multiples of the Euler class of the bundle, which is -H^3 = 0 on
 the zero section).
 
-The genus-1 verifier works in the 1-dimensional moduli of 1-pointed
-elliptic curves, where products of the Hodge class lam and the
-cotangent class psi truncate at total degree 1 and both integrate
-to 1/24.
+The genus-1 verifier integrates over the 1-dimensional moduli of
+1-pointed elliptic curves, where the Hodge class lam is nilpotent
+(lam^2 = lam*psi = 0) and integrates to 1/24.  Each fixed locus's
+integrand has a factor that is a pure multiple of lam, so every other
+factor contributes only its constant term, and the integral is one
+exact scalar product.
 
 The interior cover-weight product, the largest factor of both
 fixed-point formulas, is multiplied out on integer numerators over one
@@ -37,13 +39,11 @@ from .series import DegreeSeries, invert_multi_cover
 __all__ = [
     "WeightDegeneracyError",
     "WeightTriple",
-    "LinearForm",
     "localp2_geometry",
     "localization_g0",
     "localization_g1",
     "localization_g1_locus",
     "cover_factor",
-    "integrate_M11",
     "random_weight_triple",
     "verify_localization",
 ]
@@ -67,74 +67,6 @@ class WeightTriple:
         object.__setattr__(self, "c", Rat(self.c))
         if self.a == self.b or self.b == self.c or self.a == self.c:
             raise WeightDegeneracyError(f"weights must be pairwise distinct: {self}")
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """c0 + c1*lam + c2*psi with all degree >= 2 products dropped.
-
-    The ambient moduli space is 1-dimensional, so lam^2 = lam*psi =
-    psi^2 = 0; a form with nonzero constant term is invertible.
-    """
-
-    constant: object
-    lambda_coeff: object = 0
-    psi_coeff: object = 0
-
-    def __post_init__(self):
-        for name in ("constant", "lambda_coeff", "psi_coeff"):
-            value = getattr(self, name)
-            if type(value) is not Rat:
-                object.__setattr__(self, name, Rat(value))
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(
-            self.constant + other.constant,
-            self.lambda_coeff + other.lambda_coeff,
-            self.psi_coeff + other.psi_coeff,
-        )
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.constant, -self.lambda_coeff, -self.psi_coeff)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            s = Rat(other)
-            return LinearForm(s * self.constant, s * self.lambda_coeff, s * self.psi_coeff)
-        return LinearForm(
-            self.constant * other.constant,
-            self.constant * other.lambda_coeff + self.lambda_coeff * other.constant,
-            self.constant * other.psi_coeff + self.psi_coeff * other.constant,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "LinearForm":
-        if self.constant == 0:
-            raise WeightDegeneracyError("cannot invert a form with zero constant term")
-        c = self.constant
-        return LinearForm(1 / c, -self.lambda_coeff / (c * c), -self.psi_coeff / (c * c))
-
-    def __truediv__(self, other) -> "LinearForm":
-        if isinstance(other, LinearForm):
-            return self * other.inverse()
-        return self * (1 / Rat(other))
-
-
-LAMBDA = LinearForm(0, 1, 0)
-PSI = LinearForm(0, 0, 1)
-
-
-def integrate_M11(f: LinearForm):
-    """Integrate over the 1-dimensional moduli of 1-pointed elliptic curves.
-
-    Both lam and psi integrate to 1/24; the constant term has the
-    wrong degree and integrates to 0.
-    """
-    return (f.lambda_coeff + f.psi_coeff) / Rat(24)
 
 
 def localp2_geometry(max_degree: int) -> Geometry:
@@ -203,28 +135,39 @@ def localization_g0(d: int, w: WeightTriple):
     return h1_first * h1_second * h1_third / tangent / Rat(d)
 
 
+def _distinct_weights(x, y, z):
+    """x, y, z as rationals; coincident weights leave no isolated fixed locus."""
+    x, y, z = Rat(x), Rat(y), Rat(z)
+    if x == y or y == z or x == z:
+        raise WeightDegeneracyError("weights must be pairwise distinct")
+    return x, y, z
+
+
 def localization_g1_locus(d: int, x, y, z):
     """Contribution of one genus-1 fixed locus: the d-fold cover of the
     line through the fixed points with weights x and y, carrying a
     contracted elliptic curve at the x-vertex (z is the third weight).
 
-    The five tabulated weight expressions are built as linear forms in
-    (lam, psi), combined, divided by the automorphism factor d, and
-    integrated; the result must equal (-1)^d/(24d) * (z-x)/(z-y).
+    The integrand is five tabulated weight expressions, each a constant
+    plus multiples of lam and psi.  The first, h1_first, is a multiple
+    of lam with no constant term, and lam^2 = lam*psi = 0 on the moduli
+    of 1-pointed elliptic curves, so the integrand is that multiple of
+    lam times the ratio of the other four constant terms.  Divided by
+    the automorphism factor d and integrated (lam integrates to 1/24),
+    the result must equal (-1)^d/(24d) * (z-x)/(z-y).
     """
     _check_degree(d)
-    x, y, z = Rat(x), Rat(y), Rat(z)
+    x, y, z = _distinct_weights(x, y, z)
     sign = Rat((-1) ** (d - 1))
     fact = math.factorial(d - 1)
     scale = fact / Rat(d) ** (d - 1)
     interior = _interior_product(d, x, y, z)
-    if z == x or z == y:
-        raise WeightDegeneracyError("weights must be pairwise distinct")
 
-    h1_first = sign * scale * (x - y) ** (d - 1) * (-LAMBDA)
-    h1_second = sign * scale * (y - x) ** (d - 1) * (LinearForm(x - y) - LAMBDA)
-    h1_third = sign * interior * (LinearForm(x - z) - LAMBDA)
-    obstruction = (LinearForm(y - x) - LAMBDA) * (LinearForm(z - x) - LAMBDA)
+    # the lam coefficient of h1_first, then the constant terms of the rest
+    h1_first = -sign * scale * (x - y) ** (d - 1)
+    h1_second = sign * scale * (y - x) ** (d - 1) * (x - y)
+    h1_third = sign * interior * (x - z)
+    obstruction = (y - x) * (z - x)
     tangent = (
         Rat((-1) ** d)
         * (fact * Rat(d)) ** 2
@@ -233,18 +176,15 @@ def localization_g1_locus(d: int, x, y, z):
         * (z - x)
         * (z - y)
         * interior
-        * (LinearForm((y - x) / Rat(d)) - PSI)
+        * ((y - x) / Rat(d))
     )
-    ratio = h1_first * h1_second * h1_third * obstruction / tangent
-    return integrate_M11(ratio / Rat(d))
+    return h1_first * h1_second * h1_third * obstruction / tangent / Rat(24 * d)
 
 
 def cover_factor(d: int, x, y, z):
     """The closed-form single-locus value (-1)^d/(24d) * (z-x)/(z-y)."""
     _check_degree(d)
-    x, y, z = Rat(x), Rat(y), Rat(z)
-    if z == y:
-        raise WeightDegeneracyError("weights must be pairwise distinct")
+    x, y, z = _distinct_weights(x, y, z)
     return Rat((-1) ** d, 24 * d) * (z - x) / (z - y)
 
 

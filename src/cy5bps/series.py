@@ -180,17 +180,22 @@ def _check_pointed(k: int) -> int:
     return 3 - k
 
 
+def _solve_cover_sum(total: DegreeSeries, weight: Callable[[int], object]) -> DegreeSeries:
+    """Solve total_D = n_D + sum_{e|D, e>1} weight(e) n_{D/e} for n, degree by degree."""
+    n: dict[int, object] = {}
+    for D in total:
+        acc = total[D]
+        for e in divisors(D):
+            if e > 1:
+                acc -= weight(e) * n[D // e]
+        n[D] = acc
+    return DegreeSeries(n, total.max_degree)
+
+
 def invert_multi_cover(gw: DegreeSeries, k: int) -> DegreeSeries:
     """Solve N_D = sum_{e|D} n_{D/e} / e^(3-k) for n, degree by degree."""
     power = _check_pointed(k)
-    n: dict[int, object] = {}
-    for D in gw:
-        acc = gw[D]
-        for e in divisors(D):
-            if e > 1:
-                acc -= n[D // e] / Rat(e**power)
-        n[D] = acc
-    return DegreeSeries(n, gw.max_degree)
+    return _solve_cover_sum(gw, lambda e: Rat(1, e**power))
 
 
 def forward_multi_cover(n: DegreeSeries, k: int) -> DegreeSeries:
@@ -209,18 +214,18 @@ def _check_same_range(a: DegreeSeries, b: DegreeSeries) -> None:
         )
 
 
+def _without_chern_term(n1_gw: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
+    """N1_D - 1/24 sum_{e|D} C_{D/e}/e, the cover sum left for the BPS counts."""
+    _check_same_range(n1_gw, chern)
+    return DegreeSeries.from_function(
+        lambda D: n1_gw[D] - sum((chern[D // e] / Rat(e) for e in divisors(D)), Rat(0)) / 24,
+        n1_gw.max_degree,
+    )
+
+
 def extract_genus1_bps(n1_gw: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
     """Solve N1_D = sum_{e|D} sigma(e)/e n1_{D/e} + 1/24 sum_{e|D} C_{D/e}/e."""
-    _check_same_range(n1_gw, chern)
-    n1: dict[int, object] = {}
-    for D in n1_gw:
-        acc = n1_gw[D]
-        for e in divisors(D):
-            acc -= chern[D // e] / Rat(24 * e)
-            if e > 1:
-                acc -= Rat(sigma(e), e) * n1[D // e]
-        n1[D] = acc
-    return DegreeSeries(n1, n1_gw.max_degree)
+    return _solve_cover_sum(_without_chern_term(n1_gw, chern), lambda e: Rat(sigma(e), e))
 
 
 def forward_genus1_gw(n1: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
@@ -240,16 +245,7 @@ def forward_genus1_gw(n1: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
 
 def extract_genus1_bps_tilde(n1_gw: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
     """Solve N1_D = sum_{e|D} (nt_{D/e} + C_{D/e}/24) / e for nt."""
-    _check_same_range(n1_gw, chern)
-    nt: dict[int, object] = {}
-    for D in n1_gw:
-        acc = n1_gw[D]
-        for e in divisors(D):
-            acc -= chern[D // e] / Rat(24 * e)
-            if e > 1:
-                acc -= nt[D // e] / Rat(e)
-        nt[D] = acc
-    return DegreeSeries(nt, n1_gw.max_degree)
+    return _solve_cover_sum(_without_chern_term(n1_gw, chern), lambda e: Rat(1, e))
 
 
 def forward_genus1_gw_tilde(nt: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:

@@ -3,18 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cy5bps import localp2
 from cy5bps.cli import main
 from cy5bps.localp2 import (
-    LinearForm,
     WeightDegeneracyError,
     WeightTriple,
     _interior_product,
     cover_factor,
-    integrate_M11,
     localization_g0,
     localization_g1,
     localization_g1_locus,
@@ -50,38 +49,6 @@ def test_genus1_gw_series(local_geometry_12):
     assert gw[1] == Rat(-1, 8)
     assert gw[2] == Rat(1, 16)
     assert gw[7] == Rat(-1, 56)
-
-
-# -- linear forms over the 1-dimensional moduli --------------------------------
-
-def test_product_truncates_degree_two():
-    f = LinearForm(2, 3, 5)
-    g = LinearForm(7, -1, 4)
-    assert f * g == LinearForm(14, 3 * 7 + 2 * (-1), 5 * 7 + 2 * 4)
-    lam = LinearForm(0, 1, 0)
-    psi = LinearForm(0, 0, 1)
-    assert (lam * lam) == LinearForm(0)
-    assert (lam * psi) == LinearForm(0)
-    assert (psi * psi) == LinearForm(0)
-
-
-def test_inverse_of_x_minus_psi():
-    x = Rat(5, 3)
-    form = LinearForm(x, 0, -1)
-    inv = form.inverse()
-    assert inv == LinearForm(1 / x, 0, 1 / (x * x))
-    assert form * inv == LinearForm(1)
-
-
-def test_inverse_requires_nonzero_constant():
-    with pytest.raises(WeightDegeneracyError):
-        LinearForm(0, 1, 0).inverse()
-
-
-def test_integrate_M11():
-    assert integrate_M11(LinearForm(0, 1, 0)) == Rat(1, 24)
-    assert integrate_M11(LinearForm(5, 0, 0)) == 0
-    assert integrate_M11(LinearForm(0, 2, 3)) == Rat(5, 24)
 
 
 # -- fixed-point sums ----------------------------------------------------------
@@ -120,6 +87,44 @@ def test_locus_values_match_cover_factor():
             assert localization_g1_locus(d, x, y, z) == cover_factor(d, x, y, z)
 
 
+def _sympy_locus(d, x, y, z):
+    """The five-factor genus-1 integrand as forms in lam and psi, integrated.
+
+    lam and psi are scaled by t; the degree-1 part of the integrand is
+    its t-derivative at t = 0, and both classes integrate to 1/24.
+    """
+    lam, psi, t = sympy.symbols("lam psi t")
+    x, y, z = (sympy.Rational(int(v.numerator), int(v.denominator)) for v in (x, y, z))
+    sign = sympy.Integer(-1) ** (d - 1)
+    fact = sympy.factorial(d - 1)
+    scale = fact / sympy.Integer(d) ** (d - 1)
+    interior = sympy.prod([z - ((d - r) * x + r * y) / d for r in range(1, d)])
+    h1_first = sign * scale * (x - y) ** (d - 1) * (-t * lam)
+    h1_second = sign * scale * (y - x) ** (d - 1) * ((x - y) - t * lam)
+    h1_third = sign * interior * ((x - z) - t * lam)
+    obstruction = ((y - x) - t * lam) * ((z - x) - t * lam)
+    tangent = (
+        (-1) ** d * (fact * d) ** 2 / sympy.Integer(d) ** (2 * d - 1)
+        * (x - y) ** (2 * d - 1) * (z - x) * (z - y) * interior
+        * ((y - x) / d - t * psi)
+    )
+    integrand = h1_first * h1_second * h1_third * obstruction / tangent / d
+    degree_one = sympy.diff(integrand, t).subs(t, 0)
+    return degree_one.subs({lam: sympy.Rational(1, 24), psi: sympy.Rational(1, 24)})
+
+
+@pytest.mark.parametrize("weights", [(0, 1, 3), ("-7/3", "5/2", 11), (3, 1, 0)])
+def test_locus_matches_five_factor_integrand(weights):
+    x, y, z = (Rat(v) for v in weights)
+    for d in range(1, 9):
+        expected = _sympy_locus(d, x, y, z)
+        assert expected.is_Rational
+        value = localization_g1_locus(d, x, y, z)
+        assert Fraction(int(value.numerator), int(value.denominator)) == Fraction(
+            int(expected.p), int(expected.q)
+        )
+
+
 def test_six_factor_sum_is_three():
     rng = random.Random(11)
     for _ in range(5):
@@ -141,6 +146,13 @@ def test_g1_closed_form_small_degrees():
         except WeightDegeneracyError:
             continue
         assert value == Rat((-1) ** d, 8 * d)
+
+
+@pytest.mark.parametrize("x, y, z", [(1, 1, 3), (3, 1, 3), (1, 3, 3)])
+@pytest.mark.parametrize("func", [localization_g1_locus, cover_factor])
+def test_locus_helpers_reject_coincident_weights(func, x, y, z):
+    with pytest.raises(WeightDegeneracyError, match="weights must be pairwise distinct"):
+        func(2, x, y, z)
 
 
 def test_degenerate_interior_weight_raises():
