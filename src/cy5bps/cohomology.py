@@ -1,15 +1,15 @@
-"""Rank-1 truncated cohomology ring.
+"""Rank-1 truncated cohomology ring and its monomial classes.
 
 Models the even cohomology of a space with a single degree-2 generator
-H: a class is a coefficient vector over the powers ``H^0 .. H^top``,
-and any power above ``top`` is zero.  Two rings appear in practice:
-the compact hypersurface ring (top power 5, with the top intersection
-number t5, the integral of ``H^5``) and the local surface ring where
-``H^3`` already vanishes (top power 2).
+H, where any power above ``top`` is zero.  Two rings appear in
+practice: the compact hypersurface ring (top power 5, with the top
+intersection number t5, the integral of ``H^5``) and the local surface
+ring where ``H^3`` already vanishes (top power 2).
 
-The engine reads an insertion only as a scalar multiple of one power
-of H.  Curve classes are plain positive integer degrees, under the
-normalization ``(H, line) = 1``.
+Every insertion the recursions take is a scalar multiple of one power
+of H, so a class is the monomial ``coeff * H^power``; a sum of nonzero
+classes of different powers is rejected.  Curve classes are plain
+positive integer degrees, under the normalization ``(H, line) = 1``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class RingMismatchError(ValueError):
 
 
 class InsertionDegreeError(ValueError):
-    """A cohomology insertion has the wrong (or no) homogeneous degree."""
+    """A cohomology insertion, or a summand, has the wrong H-power."""
 
 
 class Ring:
@@ -53,16 +53,17 @@ class Ring:
             raise ValueError("top_integral must be nonzero (None for a local model)")
 
     def zero(self) -> "CohClass":
-        return CohClass(self, (Rat(0),) * (self.top_power + 1))
+        return CohClass(self, 0, Rat(0))
 
     def monomial(self, power: int, coeff=1) -> "CohClass":
-        """The class ``coeff * H^power`` (zero if the power is truncated away)."""
+        """The class ``coeff * H^power``; the zero class when the power is
+        truncated away or coeff is 0."""
         if power < 0:
             raise ValueError(f"power must be >= 0, got {power}")
-        coeffs = [Rat(0)] * (self.top_power + 1)
-        if power <= self.top_power:
-            coeffs[power] = Rat(coeff)
-        return CohClass(self, tuple(coeffs))
+        coeff = Rat(coeff)
+        if power > self.top_power or coeff == 0:
+            return self.zero()
+        return CohClass(self, power, coeff)
 
     def H(self, power: int) -> "CohClass":
         return self.monomial(power)
@@ -74,58 +75,39 @@ class Ring:
 
 @dataclass(frozen=True)
 class CohClass:
-    """Element of a rank-1 ring: rational coefficients indexed by H-power."""
+    """The monomial ``coeff * H^power`` of a rank-1 ring.
+
+    The zero class is power 0 with coefficient 0; build classes with
+    :meth:`Ring.monomial`, :meth:`Ring.H` and :meth:`Ring.zero`.
+    """
 
     ring: Ring
-    coefficients: tuple
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.ring.top_power + 1:
-            raise ValueError(
-                f"expected {self.ring.top_power + 1} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
+    power: int
+    coeff: Rat
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    def homogeneous_power(self) -> int | None:
-        """The unique power with a nonzero coefficient, or None (mixed or zero)."""
-        powers = [k for k, c in enumerate(self.coefficients) if c != 0]
-        return powers[0] if len(powers) == 1 else None
+        return self.coeff == 0
 
     def __add__(self, other: "CohClass") -> "CohClass":
         if self.ring is not other.ring:
             raise RingMismatchError("classes belong to different rings")
-        return CohClass(
-            self.ring,
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)),
-        )
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
+        if self.power != other.power:
+            raise InsertionDegreeError(
+                f"cannot add H^{self.power} and H^{other.power}: a class is one monomial"
+            )
+        return self.ring.monomial(self.power, self.coeff + other.coeff)
 
-    def __mul__(self, scalar):
-        return self.scaled(scalar)
+    def __mul__(self, scalar) -> "CohClass":
+        return self.ring.monomial(self.power, self.coeff * Rat(scalar))
 
     __rmul__ = __mul__
 
-    def scaled(self, scalar) -> "CohClass":
-        s = Rat(scalar)
-        return CohClass(self.ring, tuple(s * a for a in self.coefficients))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.ring is other.ring and all(
-            a == b for a, b in zip(self.coefficients, other.coefficients)
-        )
-
-    def __hash__(self):
-        return hash((id(self.ring), tuple(self.coefficients)))
-
     def __repr__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            mono = "1" if k == 0 else ("H" if k == 1 else f"H^{k}")
-            terms.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(terms) if terms else "0"
+        if self.is_zero():
+            return "0"
+        mono = "1" if self.power == 0 else ("H" if self.power == 1 else f"H^{self.power}")
+        return f"{format_rational(self.coeff)}*{mono}"

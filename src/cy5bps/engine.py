@@ -54,7 +54,7 @@ __all__ = ["Engine"]
 
 def _norm(x):
     """x as an int when its denominator is 1, else x unchanged."""
-    return int(x.numerator) if x.denominator == 1 else x
+    return x.numerator if x.denominator == 1 else x
 
 
 def _div(num, den: int):
@@ -92,9 +92,10 @@ class Engine:
 
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
-    accept homogeneous cohomology insertions of the H-power fixed by
-    the count type and raise InsertionDegreeError otherwise (the zero
-    class is accepted and yields zero by linearity).
+    take each insertion as a monomial ``s * H^p`` whose power p is fixed
+    by the count type, scale the unit-insertion count by s, and raise
+    InsertionDegreeError for any other power (the zero class is
+    accepted and yields zero by linearity).
 
     ``memo`` maps ``(kind, *degrees)`` to the count with unit
     insertions.  A key is stored only after its degrees were
@@ -142,13 +143,11 @@ class Engine:
             raise RingMismatchError("insertion belongs to a different ring")
         if mu.is_zero():
             return 0
-        actual = mu.homogeneous_power()
-        if actual != power:
+        if mu.power != power:
             raise InsertionDegreeError(
-                f"insertion must be homogeneous of H-power {power}, "
-                f"got {'mixed' if actual is None else f'power {actual}'}"
+                f"insertion must be a multiple of H^{power}, got H^{mu.power}"
             )
-        return _norm(mu.coefficients[power])
+        return _norm(mu.coeff)
 
     def _degrees(self, *betas) -> tuple[int, ...]:
         for beta in betas:

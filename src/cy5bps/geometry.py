@@ -17,6 +17,7 @@ vanishes for dimension reasons or is produced by the engine.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .cohomology import Ring
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 GW_FILE_MAGIC = "cy5-gw v1"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class GeometryFileError(ValueError):
@@ -104,6 +106,13 @@ def _parse_header_fields(line: str, lineno: int) -> dict[str, str]:
     return fields
 
 
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    """An optionally signed run of ASCII digits, as an int."""
+    if _INTEGER.fullmatch(text) is None:
+        raise GeometryFileError(lineno, f"malformed {what} {text!r}")
+    return int(text)
+
+
 def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tuple]]:
     """Returns (t5, c2 coeff, c3 coeff, maxdeg, parameter line number,
     {d: (N0 1pt, N0 2pt, N1)})."""
@@ -124,10 +133,7 @@ def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tu
         c3 = parse_rational(fields["c3"])
     except ValueError as exc:
         raise GeometryFileError(lineno, str(exc)) from None
-    try:
-        maxdeg = int(fields["maxdeg"])
-    except ValueError:
-        raise GeometryFileError(lineno, f"malformed maxdeg {fields['maxdeg']!r}") from None
+    maxdeg = _parse_int(fields["maxdeg"], "maxdeg", lineno)
     if maxdeg < 1:
         raise GeometryFileError(lineno, f"maxdeg must be >= 1, got {maxdeg}")
     if t5 == 0:
@@ -139,10 +145,7 @@ def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tu
         parts = line.split()
         if len(parts) != 4:
             raise GeometryFileError(lineno, f"expected 4 fields, got {len(parts)}")
-        try:
-            d = int(parts[0])
-        except ValueError:
-            raise GeometryFileError(lineno, f"malformed degree {parts[0]!r}") from None
+        d = _parse_int(parts[0], "degree", lineno)
         if d != expected:
             raise GeometryFileError(lineno, f"expected degree {expected}, got {d}")
         if d > maxdeg:

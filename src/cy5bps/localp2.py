@@ -213,24 +213,24 @@ def random_weight_triple(rng: random.Random) -> WeightTriple:
             return WeightTriple(*values)
 
 
-def verify_localization(max_degree: int, seed: int = 0, triples: int = 3, max_draws: int = 200):
+# weight triples drawn per degree, and draws allowed per triple before giving up
+_TRIPLES = 3
+_MAX_DRAWS = 200
+
+
+def verify_localization(max_degree: int, seed: int = 0):
     """Check both fixed-point sums against the closed forms for every
-    degree up to max_degree, at ``triples`` independently drawn weight
-    triples each.  Degenerate draws are rejected and redrawn.
+    degree up to max_degree, at 3 independently drawn weight triples
+    each.  Degenerate draws are rejected and redrawn.
 
     Returns a list of per-degree dicts with the computed values and an
     overall ``ok`` flag (the per-locus values are checked against the
     closed-form cover factor, and the sum of the six locus factors is
-    checked to be weight independent).  ``max_degree``, ``triples`` and
-    ``max_draws`` must be at least 1, so that a run checks something and
-    every degree is checked.
+    checked to be weight independent).  ``max_degree`` must be at
+    least 1, so that a run checks something.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be >= 1, got {max_degree}")
-    if triples < 1:
-        raise ValueError(f"triples must be >= 1, got {triples}")
-    if max_draws < 1:
-        raise ValueError(f"max_draws must be >= 1, got {max_draws}")
     rng = random.Random(seed)
     results = []
     for d in range(1, max_degree + 1):
@@ -238,8 +238,8 @@ def verify_localization(max_degree: int, seed: int = 0, triples: int = 3, max_dr
         expected_g1 = Rat((-1) ** d, 8 * d)
         ok = True
         g0 = g1 = None
-        for _ in range(triples):
-            for _attempt in range(max_draws):
+        for _ in range(_TRIPLES):
+            for _attempt in range(_MAX_DRAWS):
                 w = random_weight_triple(rng)
                 try:
                     g0 = localization_g0(d, w)
@@ -258,7 +258,7 @@ def verify_localization(max_degree: int, seed: int = 0, triples: int = 3, max_dr
                 break
             else:
                 raise WeightDegeneracyError(
-                    f"no admissible weight triple found in {max_draws} draws at degree {d}"
+                    f"no admissible weight triple found in {_MAX_DRAWS} draws at degree {d}"
                 )
             if g0 != expected_g0 or g1 != expected_g1 or factor_sum != 3:
                 ok = False

@@ -1,39 +1,34 @@
 """Exact rational scalars.
 
 Every numeric quantity in this library is an exact rational number;
-no floating point appears anywhere on a computational path.  gmpy2's
-``mpq`` is used when available (it is much faster on long memoized
-recursions), with :class:`fractions.Fraction` as a pure-Python
-fallback.  Both keep values in lowest terms with a positive
-denominator and hash/compare interchangeably, so the two backends can
-be mixed freely.
+no floating point appears anywhere on a computational path.  ``Rat``
+is :class:`fractions.Fraction`, which keeps values in lowest terms with
+a positive denominator.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
+import re
+from fractions import Fraction as Rat
 
 __all__ = ["Rat", "parse_rational", "format_rational", "rational_pair", "is_integer"]
+
+# ASCII digits only: no underscores, no other Unicode digits, no signed denominator
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str):
     """Parse ``p/q`` or a plain integer into a :data:`Rat`.
 
-    Raises ValueError for anything else, including a zero denominator.
+    ``p`` is an optionally signed run of ASCII digits and ``q`` an
+    unsigned, nonzero one; surrounding whitespace is ignored.  Raises
+    ValueError for anything else.
     """
-    s = text.strip()
-    if not s or any(ch.isspace() for ch in s):
+    match = _RATIONAL.fullmatch(text.strip())
+    den = int(match[2] or 1) if match else 0
+    if den == 0:
         raise ValueError(f"malformed rational {text!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Rat(int(num), int(den))
-        return Rat(int(s), 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+    return Rat(int(match[1]), den)
 
 
 def format_rational(value) -> str:
@@ -44,8 +39,8 @@ def format_rational(value) -> str:
 
 
 def rational_pair(value) -> tuple[int, int]:
-    """Return ``(numerator, denominator)`` as plain ints (for JSON output)."""
-    return int(value.numerator), int(value.denominator)
+    """Return ``(numerator, denominator)`` (for JSON output)."""
+    return value.numerator, value.denominator
 
 
 def is_integer(value) -> bool:

@@ -3,7 +3,7 @@
 Every check here is exact rational equality; there are no numeric
 tolerances anywhere.  Each test prints a single PASS/FAIL line (visible
 with ``pytest -s``).  The degree-200 run is shared by the criteria that
-need it and takes about 11 s with the ``fractions`` backend.
+need it and takes about 10 s (Python 3.11, 2 cores).
 """
 
 import csv
@@ -95,7 +95,7 @@ def test_criterion_4_genus0_inversion():
 
 def test_criterion_5_localization():
     start = time.time()
-    results = verify_localization(30, seed=20080211, triples=3)
+    results = verify_localization(30, seed=20080211)
     elapsed = time.time() - start
     ok = all(r["ok"] for r in results)
     _report(

@@ -1,7 +1,6 @@
 import pytest
 
-from cy5bps.cohomology import CohClass, Ring, RingMismatchError
-from cy5bps.rational import Rat
+from cy5bps.cohomology import InsertionDegreeError, Ring, RingMismatchError
 
 LOCAL = Ring(top_power=2)
 COMPACT = Ring(top_power=5, top_integral=7)
@@ -13,21 +12,39 @@ def test_mixed_ring_error():
 
 
 def test_homogeneity_detection():
-    assert COMPACT.H(2).homogeneous_power() == 2
-    assert COMPACT.zero().homogeneous_power() is None
-    mixed = COMPACT.H(1) + COMPACT.H(2)
-    assert mixed.homogeneous_power() is None
+    assert (COMPACT.H(2).power, COMPACT.H(2).coeff) == (2, 1)
+    assert (COMPACT.zero().power, COMPACT.zero().coeff) == (0, 0)
+    assert COMPACT.monomial(3, 0) == COMPACT.zero()
+
+
+def test_sum_of_different_powers_raises():
+    with pytest.raises(InsertionDegreeError):
+        COMPACT.H(1) + COMPACT.H(2)
+
+
+def test_sum_of_equal_powers():
+    assert LOCAL.H(2) + LOCAL.monomial(2, 4) == LOCAL.monomial(2, 5)
+    assert (LOCAL.H(2) + LOCAL.monomial(2, -1)).is_zero()
+
+
+def test_truncated_power_is_zero():
+    assert LOCAL.H(3).is_zero()
+    assert LOCAL.H(3) == LOCAL.zero()
 
 
 def test_scalar_multiplication():
     assert 3 * LOCAL.H(1) == LOCAL.monomial(1, 3)
     assert (-1) * LOCAL.H(1) == LOCAL.monomial(1, -1)
-    assert LOCAL.H(1).scaled(0).is_zero()
+    H = LOCAL.H(1)
+    assert 0 * H == LOCAL.zero()
+    assert H + LOCAL.zero() == H
+    assert LOCAL.zero() + H == H
 
 
-def test_cohclass_validates_length():
-    with pytest.raises(ValueError):
-        CohClass(LOCAL, (Rat(1),))
+def test_equal_classes_hash_equal():
+    assert hash(3 * COMPACT.H(2)) == hash(COMPACT.monomial(2, 3))
+    assert len({COMPACT.H(1), 1 * COMPACT.H(1), COMPACT.monomial(1, 1)}) == 1
+    assert COMPACT.H(1) != LOCAL.H(1)
 
 
 def test_compact_ring_needs_nonzero_top_integral():

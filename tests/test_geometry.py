@@ -100,6 +100,15 @@ def test_requested_degree_must_be_covered(write_gw_file):
         (lambda t: t.replace("\n2 0 0 0\n3 0 0 0", "\n3 0 0 0\n2 0 0 0"), "degree"),
         (lambda t: t.replace("1 0 0 0", "1 0 0"), "4 fields"),
         (lambda t: t.replace("1 0 0 0", "1 0 1.5 0"), "malformed"),
+        # numbers are ASCII digits only (explicit ids leave the automatic ones above as they are)
+        pytest.param(lambda t: t.replace("1 0 0 0", "1 1_0 0 0"), "malformed", id="cell 1_0"),
+        pytest.param(lambda t: t.replace("1 0 0 0", "1 0 3/-4 0"), "malformed", id="cell 3/-4"),
+        pytest.param(lambda t: t.replace("t5=7", "t5=\u0667"), "malformed", id="t5 arabic-indic"),
+        pytest.param(lambda t: t.replace("maxdeg=6", "maxdeg=\u0666"), "maxdeg",
+                     id="maxdeg arabic-indic"),
+        pytest.param(lambda t: t.replace("maxdeg=6", "maxdeg=6_0"), "maxdeg", id="maxdeg 6_0"),
+        pytest.param(lambda t: t.replace("1 0 0 0", "\uff11 0 0 0"), "degree", id="degree fullwidth"),
+        pytest.param(lambda t: t.replace("2 0 0 0", "0_2 0 0 0"), "degree", id="degree 0_2"),
     ],
 )
 def test_malformed_files_are_line_diagnosed(write_gw_file, mutate, expected_fragment):

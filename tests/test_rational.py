@@ -1,5 +1,11 @@
+import fractions
+import os
+import subprocess
+import sys
+
 import pytest
 
+import cy5bps
 from cy5bps.rational import Rat, format_rational, is_integer, parse_rational, rational_pair
 
 
@@ -24,7 +30,10 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/2/3", "1.5", "3/0", "1/ 2"])
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "1/2/3", "1.5", "3/0", "1/ 2", "1_000", "\u0663", "\uff11\uff12", "3/-4"],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -45,3 +54,16 @@ def test_pair_and_integrality():
     assert rational_pair(Rat(-3, 7)) == (-3, 7)
     assert is_integer(Rat(8, 2))
     assert not is_integer(Rat(1, 2))
+
+
+def test_fraction_is_the_only_rational_type():
+    # a fresh interpreter, so that no other test has imported anything yet
+    code = (
+        "import fractions, sys, cy5bps; "
+        "assert 'gmpy2' not in sys.modules; "
+        "assert cy5bps.Rat is fractions.Fraction"
+    )
+    src = os.path.dirname(os.path.dirname(cy5bps.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert cy5bps.Rat is fractions.Fraction
