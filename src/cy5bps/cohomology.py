@@ -15,6 +15,7 @@ positive integer degrees, under the normalization ``(H, line) = 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Rational
 
 from .rational import Rat, format_rational
 
@@ -53,16 +54,11 @@ class Ring:
             raise ValueError("top_integral must be nonzero (None for a local model)")
 
     def zero(self) -> "CohClass":
-        return CohClass(self, 0, Rat(0))
+        return CohClass(self, 0, 0)
 
     def monomial(self, power: int, coeff=1) -> "CohClass":
         """The class ``coeff * H^power``; the zero class when the power is
         truncated away or coeff is 0."""
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
-        coeff = Rat(coeff)
-        if power > self.top_power or coeff == 0:
-            return self.zero()
         return CohClass(self, power, coeff)
 
     def H(self, power: int) -> "CohClass":
@@ -77,13 +73,25 @@ class Ring:
 class CohClass:
     """The monomial ``coeff * H^power`` of a rank-1 ring.
 
-    The zero class is power 0 with coefficient 0; build classes with
-    :meth:`Ring.monomial`, :meth:`Ring.H` and :meth:`Ring.zero`.
+    The coefficient is stored as a :data:`Rat`; an inexact one (a float)
+    raises ValueError.  The zero class is power 0 with coefficient 0, and
+    a power above the ring's top power or a zero coefficient gives it.
     """
 
     ring: Ring
     power: int
     coeff: Rat
+
+    def __post_init__(self):
+        if self.power < 0:
+            raise ValueError(f"power must be >= 0, got {self.power}")
+        if not isinstance(self.coeff, Rational):
+            raise ValueError(f"coefficient must be an exact rational, got {self.coeff!r}")
+        coeff = Rat(self.coeff)
+        if self.power > self.ring.top_power or coeff == 0:
+            object.__setattr__(self, "power", 0)
+            coeff = Rat(0)
+        object.__setattr__(self, "coeff", coeff)
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -99,10 +107,10 @@ class CohClass:
             raise InsertionDegreeError(
                 f"cannot add H^{self.power} and H^{other.power}: a class is one monomial"
             )
-        return self.ring.monomial(self.power, self.coeff + other.coeff)
+        return CohClass(self.ring, self.power, self.coeff + other.coeff)
 
     def __mul__(self, scalar) -> "CohClass":
-        return self.ring.monomial(self.power, self.coeff * Rat(scalar))
+        return CohClass(self.ring, self.power, self.coeff * scalar)
 
     __rmul__ = __mul__
 

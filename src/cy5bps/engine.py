@@ -26,12 +26,21 @@ Three layers of rules drive the computation:
   c3, psi*c2 and psi^3 plus a symmetrized node-cotangent sum.
 
 Every count is exact: a Python ``int`` when its denominator is 1 and a
-:data:`Rat` otherwise.  Values are normalised to that form where they
-enter (memo entries, base-table values, insertion coefficients), and
-every division is exact, so on integral geometries such as local P^2
-the whole recursion runs on ``int``.  Each (kind, degrees) key is
-memoized; results extend linearly in each cohomology insertion, so the
-memo stores one value per key with unit monomial insertions.
+:data:`Rat` otherwise.  Each (kind, degrees) key is memoized; results
+extend linearly in each cohomology insertion, so the memo stores one
+value per key with unit monomial insertions.
+
+Every miss is one weighted sum of memo values, with integer weights or
+small products of the geometry's scalars.  An all-``int`` sum stays on
+``int`` arithmetic, so on integral geometries such as local P^2 the
+whole recursion runs on ``int``.  A rational sum is carried as an
+integer numerator over a running common denominator and reduced once,
+when its value is stored: one normalisation per rational miss (two for
+an m3 key on the diagonal d3 = d2, whose C2 is itself a sum).  n2C, n2D
+and n2E all sum the same m3 row m3(d1, d2-p, p); it is read in one pass
+that builds their three numerators over one denominator, and dropped
+after its third use.  The recursion reads memo hits directly and calls
+a public method only on a miss.
 
 Every insertion the recursion uses is a monomial, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -57,34 +66,41 @@ def _norm(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _div(num, den: int):
-    """The exact quotient num / den, normalised."""
-    if type(num) is int:
-        q, r = divmod(num, den)
-        if not r:
-            return q
-    return _norm(Rat(num) / den)
-
-
 def _times(s, value):
     """The insertion scalar s times a memo value, normalised."""
     return value if s == 1 else _norm(s * value)
 
 
-def _exact_sum(terms):
-    """sum(terms), normalised.  Rational terms are added over a running
-    common denominator and reduced once, instead of once per addition."""
-    terms = iter(terms)
-    first = next(terms, 0)
-    if type(first) is int:
-        return _norm(sum(terms, first))
-    num, den = first.numerator, first.denominator
-    for t in terms:
-        d = t.denominator
-        g = gcd(den, d)
-        num = num * (d // g) + t.numerator * (den // g)
-        den = den // g * d
-    return _norm(Rat(num, den))
+def _ratio(num: int, den: int):
+    """The exact quotient of two ints, normalised and reduced once."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Rat(num, den) if r else q
+
+
+def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
+    """(num/den + the sum of w*v over the (w, v) terms) / divisor, normalised.
+
+    Weights and values are exact numbers; in the hot sums the weight is
+    an int.  An int term is added on int arithmetic.  A rational term is
+    folded in as an integer numerator over the running common
+    denominator: its weight is multiplied into the numerator, and a term
+    whose denominator equals the running one needs no gcd.  The result
+    is reduced once.
+    """
+    for w, v in terms:
+        if type(v) is int and type(w) is int:
+            num += w * v if den == 1 else w * v * den
+        else:
+            n, d = w.numerator * v.numerator, w.denominator * v.denominator
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+    return _ratio(num, den * divisor)
 
 
 class Engine:
@@ -98,23 +114,32 @@ class Engine:
     accepted and yields zero by linearity).
 
     ``memo`` maps ``(kind, *degrees)`` to the count with unit
-    insertions.  A key is stored only after its degrees were
-    validated, so a memo hit returns without checking them again;
-    each miss stores exactly one key.  The interpreter's recursion limit
-    is raised only while the outermost miss computes, and restored after.
+    insertions.  Every public call validates its degrees and insertions,
+    hit or miss; the recursion reads the memo directly and calls the
+    public method only on a miss, so every key is stored by a public
+    call with that key, and each miss stores exactly one key.  The
+    interpreter's recursion limit is raised only while the outermost
+    miss computes, and restored after.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.memo: dict[tuple, object] = {}
-        # a cold top-level call at degree d nests roughly 4*d Python frames
+        # (d1, d2) -> [n2C, n2D, n2E row numerators, their denominator,
+        # uses left] for each m3 row read but not yet used three times
+        self._rows: dict[tuple[int, int], list] = {}
+        # a cold top-level call at degree d nests about 5.5*d Python frames
         self._recursion_limit = 2000 + 30 * geometry.max_degree
         self._computing = False
         ring = geometry.ring
-        H = self._H = ring.H(1)
-        H2 = self._H2 = ring.H(2)
-        # the unit insertion of each H-power, indexed by the power
+        H, H2 = ring.H(1), ring.H(2)
+        # the unit insertion of each H-power, indexed by the power, and the
+        # unit insertions of each kind's public method that takes any
         self._units = (None, H, H2)
+        self._unit_args = {
+            "n1B": (H2, H2), "n1C": (H2,), "n1D": (H, H2), "n1E": (H,), "n1F": (H2,),
+            "n2A": (H2,), "n2B": (H,), "n2D": (H,),
+        }
 
         # a zero c2 skips the counts it multiplies, as a zero insertion does
         self._c2 = _norm(geometry.c2)
@@ -131,7 +156,7 @@ class Engine:
             self._n1pt_t5 = [0] + [_norm(self._n1pt[d] / t5) for d in degrees]
             self._n2pt_t5 = [0] + [_norm(self._n2pt[d] / t5) for d in degrees]
 
-    # -- insertion handling ------------------------------------------------
+    # -- validation and the memo -------------------------------------------
 
     def _scale(self, mu: CohClass, power: int):
         """Scalar s with mu = s * H^power; 0 for the zero class."""
@@ -161,327 +186,339 @@ class Engine:
             )
         return betas
 
-    def _miss(self, kind: str, compute, betas: tuple, *insertions):
-        """Answer a call whose key is not in the memo: validate the degrees
-        and the (mu, power) insertions, then compute and store the unit
-        value unless an insertion is zero."""
+    def _count(self, kind: str, compute, betas: tuple, *insertions):
+        """Answer a public call: validate the degrees and the (mu, power)
+        insertions, then scale the unit value, computing and storing it
+        on a miss unless an insertion is zero."""
         self._degrees(*betas)
         s = 1
         for mu, power in insertions:
             s *= self._scale(mu, power)
         if s == 0:
             return 0
-        if self._computing:
-            value = compute(*betas)
-        else:
-            # the outermost miss raises the limit for the whole recursion
-            # and gives the caller back its own
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(limit, self._recursion_limit))
-            self._computing = True
-            try:
+        key = (kind, *betas)
+        value = self.memo.get(key)
+        if value is None:
+            if self._computing:
                 value = compute(*betas)
-            finally:
-                self._computing = False
-                sys.setrecursionlimit(limit)
-        value = self.memo[(kind, *betas)] = _norm(value)
+            else:
+                # the outermost miss raises the limit for the whole recursion
+                # and gives the caller back its own
+                limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(limit, self._recursion_limit))
+                self._computing = True
+                try:
+                    value = compute(*betas)
+                finally:
+                    self._computing = False
+                    sys.setrecursionlimit(limit)
+            self.memo[key] = value
         return _times(s, value)
+
+    def _get(self, key: tuple):
+        """The unit-insertion value at a memo key the recursion reads: from
+        the memo, or on a miss from the public method with unit insertions,
+        which validates the key and stores the value."""
+        value = self.memo.get(key)
+        if value is None:
+            kind = key[0]
+            value = getattr(self, kind)(*key[1:], *self._unit_args.get(kind, ()))
+        return value
 
     # -- public counts -----------------------------------------------------
 
     def n1B(self, beta, mu1: CohClass, mu2: CohClass):
         """Curves of class beta through two H^4 insertions (base count)."""
-        value = self.memo.get(("n1B", beta))
-        if value is None:
-            return self._miss("n1B", self._c_n1B, (beta,), (mu1, 2), (mu2, 2))
-        return _times(self._scale(mu1, 2) * self._scale(mu2, 2), value)
+        return self._count("n1B", self._c_n1B, (beta,), (mu1, 2), (mu2, 2))
 
     def n1C(self, beta, mu: CohClass):
         """1-component count with one cotangent power on an H^4 insertion."""
-        value = self.memo.get(("n1C", beta))
-        if value is None:
-            return self._miss("n1C", self._c_n1C, (beta,), (mu, 2))
-        return _times(self._scale(mu, 2), value)
+        return self._count("n1C", self._c_n1C, (beta,), (mu, 2))
 
     def n1D(self, beta, mu1: CohClass, mu2: CohClass):
         """Cotangent power on an H^2 insertion, plus a free H^4 insertion."""
-        value = self.memo.get(("n1D", beta))
-        if value is None:
-            return self._miss("n1D", self._c_n1D, (beta,), (mu1, 1), (mu2, 2))
-        return _times(self._scale(mu1, 1) * self._scale(mu2, 2), value)
+        return self._count("n1D", self._c_n1D, (beta,), (mu1, 1), (mu2, 2))
 
     def n1E(self, beta, mu: CohClass):
         """Second cotangent power on an H^2 insertion."""
-        value = self.memo.get(("n1E", beta))
-        if value is None:
-            return self._miss("n1E", self._c_n1E, (beta,), (mu, 1))
-        return _times(self._scale(mu, 1), value)
+        return self._count("n1E", self._c_n1E, (beta,), (mu, 1))
 
     def n1F(self, beta, mu: CohClass):
         """Second cotangent power at one point, H^4 insertion at another."""
-        value = self.memo.get(("n1F", beta))
-        if value is None:
-            return self._miss("n1F", self._c_n1F, (beta,), (mu, 2))
-        return _times(self._scale(mu, 2), value)
+        return self._count("n1F", self._c_n1F, (beta,), (mu, 2))
 
     def n1G(self, beta):
         """Third cotangent power, no insertions."""
-        value = self.memo.get(("n1G", beta))
-        if value is None:
-            return self._miss("n1G", self._c_n1G, (beta,))
-        return value
+        return self._count("n1G", self._c_n1G, (beta,))
 
     def gamma1(self, beta):
         """Chern number of the 2-dimensional family of beta-curves:
         the integral of c1^2 - c2 of the family."""
-        value = self.memo.get(("gamma1", beta))
-        if value is None:
-            return self._miss("gamma1", self._c_gamma1, (beta,))
-        return value
+        return self._count("gamma1", self._c_gamma1, (beta,))
 
     def n2A(self, beta1, beta2, mu: CohClass):
         """2-component curves with an H^4 insertion on the second component."""
-        value = self.memo.get(("n2A", beta1, beta2))
-        if value is None:
-            return self._miss("n2A", self._c_n2A, (beta1, beta2), (mu, 2))
-        return _times(self._scale(mu, 2), value)
+        return self._count("n2A", self._c_n2A, (beta1, beta2), (mu, 2))
 
     def n2B(self, beta1, beta2, mu: CohClass):
         """2-component curves with the node on an H^2 divisor."""
-        value = self.memo.get(("n2B", beta1, beta2))
-        if value is None:
-            return self._miss("n2B", self._c_n2B, (beta1, beta2), (mu, 1))
-        return _times(self._scale(mu, 1), value)
+        return self._count("n2B", self._c_n2B, (beta1, beta2), (mu, 1))
 
     def n2C(self, beta1, beta2):
         """2-component curves with a cotangent class at the node, taken on
         the second-component side."""
-        value = self.memo.get(("n2C", beta1, beta2))
-        if value is None:
-            return self._miss("n2C", self._c_n2C, (beta1, beta2))
-        return value
+        return self._count("n2C", self._c_n2C, (beta1, beta2))
 
     def n2D(self, beta1, beta2, mu: CohClass):
         """2-component curves, cotangent power on an H^2 insertion carried
         by the second component."""
-        value = self.memo.get(("n2D", beta1, beta2))
-        if value is None:
-            return self._miss("n2D", self._c_n2D, (beta1, beta2), (mu, 1))
-        return _times(self._scale(mu, 1), value)
+        return self._count("n2D", self._c_n2D, (beta1, beta2), (mu, 1))
 
     def n2E(self, beta1, beta2):
         """2-component curves with a second cotangent power on the second
         component."""
-        value = self.memo.get(("n2E", beta1, beta2))
-        if value is None:
-            return self._miss("n2E", self._c_n2E, (beta1, beta2))
-        return value
+        return self._count("n2E", self._c_n2E, (beta1, beta2))
 
     def gamma2(self, beta1, beta2):
         """Chern-type combination for 2-component configurations; appears in
         the excess corrections of the diagonal-splitting recursions."""
-        value = self.memo.get(("gamma2", beta1, beta2))
-        if value is None:
-            return self._miss("gamma2", self._c_gamma2, (beta1, beta2))
-        return value
+        return self._count("gamma2", self._c_gamma2, (beta1, beta2))
 
     def correction_C2(self, beta1, beta2, mu: CohClass):
         """Excess correction for the node-on-divisor count."""
         d1, d2 = self._degrees(beta1, beta2)
         s = self._scale(mu, 1)
-        return _times(s, self._corr2(d1, d2)) if s != 0 else 0
+        return _times(s, _weighted_sum(self._corr2(d1, d2), 2)) if s != 0 else 0
 
     def correction_C3(self, beta1, beta2, beta3):
         """The three excess corrections (C1, C2, C12) for the 3-component
         meeting number, with their defining signs included."""
         d1, d2, d3 = self._degrees(beta1, beta2, beta3)
-        return self._corr3(d1, d2, d3)
+        x1, x2, x3, x4 = self._corr3(d1, d2, d3)
+        return x1, _weighted_sum(((-1, x2), (-1, x3))), -x4
 
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
         meeting at nodes."""
-        value = self.memo.get(("m3", beta1, beta2, beta3))
-        if value is None:
-            return self._miss("m3", self._c_m3, (beta1, beta2, beta3))
-        return value
+        return self._count("m3", self._c_m3, (beta1, beta2, beta3))
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
         the genus-1 multiple-cover weight of the family."""
-        value = self.memo.get(("chern", beta))
-        if value is None:
-            return self._miss("chern", self._c_chern, (beta,))
-        return value
+        return self._count("chern", self._c_chern, (beta,))
 
     # -- canonical computations (unit monomial insertions) ------------------
+    #
+    # Each returns the weighted sum of its (weight, value) terms.
 
     def _c_n1B(self, d: int):
         return self._n2pt[d]
 
     def _c_n1C(self, d: int):
-        H2 = self._H2
-        acc = self.n1B(d, H2, H2) - 2 * d * self._n1pt[d]
-        acc += sum(a * a * self.n2A(a, d - a, H2) for a in range(1, d))
-        return _div(acc, d * d)
+        get = self._get
+        terms = [(1, get(("n1B", d))), (-2 * d, self._n1pt[d])]
+        terms += [(a * a, get(("n2A", a, d - a))) for a in range(1, d)]
+        return _weighted_sum(terms, d * d)
 
     def _c_n1D(self, d: int):
-        H2 = self._H2
-        # the second term's insertions are H*H and H^2
-        acc = d * self.n1B(d, H2, H2) - 2 * d * self.n1B(d, H2, H2)
-        acc += sum(
-            (a * (d - a) ** 2 + (d - a) * a * a) * self.n2A(a, d - a, H2)
+        get = self._get
+        # d * n1B - 2d * n1B: the second term's insertions are H*H and H^2
+        terms = [(-d, get(("n1B", d)))]
+        terms += [
+            (a * (d - a) ** 2 + (d - a) * a * a, get(("n2A", a, d - a)))
             for a in range(1, d)
-        )
-        return _div(acc, d * d)
+        ]
+        return _weighted_sum(terms, d * d)
 
     def _c_n1E(self, d: int):
-        H, H2 = self._H, self._H2
-        acc = self.n1D(d, H, H2) - 2 * d * self.n1C(d, H2)
-        acc += sum(
-            a * a * (self.n2D(a, d - a, H) + self.n2B(a, d - a, H))
-            for a in range(1, d)
-        )
-        return _div(acc, d * d)
+        get = self._get
+        terms = [(1, get(("n1D", d))), (-2 * d, get(("n1C", d)))]
+        for a in range(1, d):
+            terms += ((a * a, get(("n2D", a, d - a))), (a * a, get(("n2B", a, d - a))))
+        return _weighted_sum(terms, d * d)
 
     def _c_n1F(self, d: int):
-        return -sum(self.n2A(a, d - a, self._H2) for a in range(1, d))
+        return _weighted_sum((-1, self._get(("n2A", a, d - a))) for a in range(1, d))
 
     def _c_n1G(self, d: int):
-        acc = self.n1F(d, self._H2) - 2 * d * self.n1E(d, self._H)
-        acc += sum(
-            a * a * (self.n2E(a, d - a) + self.n2C(a, d - a)) for a in range(1, d)
-        )
-        return _div(acc, d * d)
+        get = self._get
+        terms = [(1, get(("n1F", d))), (-2 * d, get(("n1E", d)))]
+        for a in range(1, d):
+            terms += ((a * a, get(("n2E", a, d - a))), (a * a, get(("n2C", a, d - a))))
+        return _weighted_sum(terms, d * d)
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        c2, H2 = self._c2, self._H2
-        twice = self._c3 * self._n1pt[d] + self.n1G(d)
+        get, c2 = self._get, self._c2
+        terms = [(self._c3, self._n1pt[d]), (1, get(("n1G", d)))]
         if c2:
-            twice += c2 * (
-                self.n1C(d, H2) + c2 * self.n1B(d, H2, H2) + 4 * self.n1F(d, H2)
-            )
-        twice -= sum(
-            4 * self.n2E(a, d - a) + 5 * self.n2C(a, d - a) for a in range(1, d)
-        )
-        return _div(twice, 2)
+            terms += [(c2, get(("n1C", d))), (c2 * c2, get(("n1B", d))), (4 * c2, get(("n1F", d)))]
+        for a in range(1, d):
+            terms += ((-4, get(("n2E", a, d - a))), (-5, get(("n2C", a, d - a))))
+        return _weighted_sum(terms, 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        H2 = self._H2
-        acc = 0 if self._n2pt_t5 is None else self._n1pt[d1] * self._n2pt_t5[d2]
+        get = self._get
+        terms = [] if self._n2pt_t5 is None else [(self._n1pt[d1], self._n2pt_t5[d2])]
         if d2 > d1:
-            acc += self.n2A(d1, d2 - d1, H2) + self.n2A(d2 - d1, d1, H2)
+            terms += [(1, get(("n2A", d1, d2 - d1))), (1, get(("n2A", d2 - d1, d1)))]
         elif d2 < d1:
-            acc += self.n2A(d1 - d2, d2, H2)
+            terms.append((1, get(("n2A", d1 - d2, d2))))
         else:
             if self._c2:
-                acc += self._c2 * self.n1B(d1, H2, H2)
-            acc += 2 * self.n1F(d1, H2)
-        return acc
+                terms.append((self._c2, get(("n1B", d1))))
+            terms.append((2, get(("n1F", d1))))
+        return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
-        acc = 0 if self._n1pt_t5 is None else self._n1pt[d1] * self._n1pt_t5[d2]
-        acc -= _exact_sum(c * self.m3(d1 - c, c, d2 - c) for c in range(1, min(d1, d2)))
-        return acc - self._corr2(d1, d2)
+        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2, since the
+        # correction's terms are those of 2 C2
+        get = self._get
+        terms = [(2 * c, get(("m3", d1 - c, c, d2 - c))) for c in range(1, min(d1, d2))]
+        terms += self._corr2(d1, d2)
+        if self._n1pt_t5 is not None:
+            terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
+        return _weighted_sum(terms, -2)
 
     def _corr2(self, d1: int, d2: int):
-        # canonical correction with mu = H; linear in mu like everything else.
-        # Both branches build twice the value and halve it once at the end.
-        H = self._H
+        """The terms of twice the correction C2 with mu = H (linear in mu
+        like everything else); C2 is symmetric in its degrees."""
+        get = self._get
+        if d2 < d1:
+            d1, d2 = d2, d1
         if d2 > d1:
             gap = d2 - d1
-            twice = 2 * (
-                self.n2D(gap, d1, H) + self.n2B(gap, d1, H) + d1 * self.gamma2(gap, d1)
-            )
-            twice += d1 * _exact_sum(self.m3(p, d1, gap - p) for p in range(1, gap))
-            return _div(twice, 2)
-        if d2 < d1:
-            return self._corr2(d2, d1)
+            terms = [
+                (2, get(("n2D", gap, d1))), (2, get(("n2B", gap, d1))),
+                (2 * d1, get(("gamma2", gap, d1))),
+            ]
+            terms += [(d1, get(("m3", p, d1, gap - p))) for p in range(1, gap)]
+            return terms
         # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
         # n1D(d1, H, c2): both linear in c2
         c2 = self._c2
-        twice = self.n1E(d1, H) + d1 * self.gamma1(d1)
+        terms = [(2, get(("n1E", d1))), (2 * d1, get(("gamma1", d1)))]
         if c2:
-            twice += c2 * (self._n1pt[d1] + self.n1D(d1, H, self._H2))
-        twice *= 2
-        twice -= sum(
-            4 * self.n2D(p, d2 - p, H) + 5 * self.n2B(p, d2 - p, H)
-            for p in range(1, d2)
-        )
-        return _div(twice, 2)
+            terms += [(2 * c2, self._n1pt[d1]), (2 * c2, get(("n1D", d1)))]
+        for p in range(1, d2):
+            terms += ((-4, get(("n2D", p, d2 - p))), (-5, get(("n2B", p, d2 - p))))
+        return terms
+
+    def _row(self, d1: int, d2: int):
+        """The m3 row m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass with
+        the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
+        and n2E (1): ``[num_C, num_D, num_E, den, uses left]``, three
+        numerators over one denominator.  Each of n2C, n2D and n2E uses
+        it once; the row is dropped after the third use."""
+        row = self._rows.get((d1, d2))
+        if row is None:
+            memo, m3 = self.memo, self.m3
+            num_c = num_d = num_e = 0
+            den = 1
+            for p in range(1, d2):
+                q = d2 - p
+                v = memo.get(("m3", d1, q, p))
+                if v is None:
+                    v = m3(d1, q, p)
+                if type(v) is int:
+                    if den != 1:
+                        v *= den
+                else:
+                    d, v = v.denominator, v.numerator
+                    if d != den:
+                        g = gcd(den, d)
+                        scale = d // g
+                        if scale != 1:
+                            num_c, num_d, num_e = num_c * scale, num_d * scale, num_e * scale
+                            den *= scale
+                        v *= den // d
+                num_c += p * p * v
+                num_d += p * q * v
+                num_e += v
+            row = self._rows[(d1, d2)] = [num_c, d2 * num_d, num_e, den, 3]
+        row[4] -= 1
+        if not row[4]:
+            del self._rows[(d1, d2)]
+        return row
 
     def _c_n2C(self, d1: int, d2: int):
-        acc = self.n2A(d1, d2, self._H2) - 2 * d2 * self.n2B(d1, d2, self._H)
-        acc += _exact_sum(p * p * self.m3(d1, d2 - p, p) for p in range(1, d2))
-        return _div(acc, d2 * d2)
+        get = self._get
+        terms = ((1, get(("n2A", d1, d2))), (-2 * d2, get(("n2B", d1, d2))))
+        row = self._row(d1, d2)
+        return _weighted_sum(terms, d2 * d2, row[0], row[3])
 
     def _c_n2D(self, d1: int, d2: int):
-        H2 = self._H2
         # the cotangent reduction on the second component pairs the divisor
-        # with that component's class, hence the leading factor d2; the
-        # second term's insertion is H*H
-        acc = d2 * self.n2A(d1, d2, H2) - 2 * d2 * self.n2A(d1, d2, H2)
-        acc += _exact_sum(
-            (p * (d2 - p) ** 2 + (d2 - p) * p * p) * self.m3(d1, d2 - p, p)
-            for p in range(1, d2)
-        )
-        return _div(acc, d2 * d2)
+        # with that component's class, hence d2 * n2A; the second term,
+        # -2 d2 * n2A, has the insertion H*H
+        n2A = self._get(("n2A", d1, d2))
+        row = self._row(d1, d2)
+        return _weighted_sum(((-d2, n2A),), d2 * d2, row[1], row[3])
 
     def _c_n2E(self, d1: int, d2: int):
-        return -_exact_sum(self.m3(d1, d2 - p, p) for p in range(1, d2))
-
-    def _c2_n2A(self, d1: int, d2: int):
-        """n2A(d1, d2, c2)."""
-        return self._c2 * self.n2A(d1, d2, self._H2) if self._c2 else 0
+        row = self._row(d1, d2)
+        return _ratio(-row[2], row[3])
 
     def _c_gamma2(self, d1: int, d2: int):
-        return (
-            self._c2_n2A(d1, d2)
-            + 2 * self.n2E(d1, d2)
-            + self.n2C(d1, d2)
-            + self.n2C(d2, d1)
-        )
+        get = self._get
+        terms = [(self._c2, get(("n2A", d1, d2)))] if self._c2 else []
+        terms += [(2, get(("n2E", d1, d2))), (1, get(("n2C", d1, d2))), (1, get(("n2C", d2, d1)))]
+        return _weighted_sum(terms)
 
     def _corr3(self, d1: int, d2: int, d3: int):
+        """The corrections as ``(x1, x2, x3, x4)``: C1 = x1,
+        C2 = -(x2 + x3) and C12 = -x4, where x3 and x4 may be 0."""
+        get = self._get
         if d3 > d1:
-            c1 = self.m3(d3 - d1, d1, d2)
+            x1 = get(("m3", d3 - d1, d1, d2))
         elif d3 < d1:
-            c1 = self.m3(d1 - d3, d3, d2)
+            x1 = get(("m3", d1 - d3, d3, d2))
         else:
-            c1 = self.gamma2(d2, d1)
+            x1 = get(("gamma2", d2, d1))
 
+        x3 = 0
         if d3 > d2:
-            c2 = -self.m3(d1, d2, d3 - d2)
+            x2 = get(("m3", d1, d2, d3 - d2))
         elif d3 < d2:
-            c2 = -(self.m3(d1, d3, d2 - d3) + self.m3(d1, d2 - d3, d3))
+            x2, x3 = get(("m3", d1, d3, d2 - d3)), get(("m3", d1, d2 - d3, d3))
         else:
-            c2 = -(self._c2_n2A(d1, d2) + 2 * self.n2E(d1, d2))
+            # n2A(d1, d2, c2) + 2 n2E(d1, d2): on this diagonal, one
+            # normalisation more than elsewhere
+            terms = [(self._c2, get(("n2A", d1, d2)))] if self._c2 else []
+            x2 = _weighted_sum(terms + [(2, get(("n2E", d1, d2)))])
 
         if d3 > d1 + d2:
-            c12 = -self.m3(d3 - d1 - d2, d1, d2)
+            x4 = get(("m3", d3 - d1 - d2, d1, d2))
         elif d2 < d3 < d1 + d2:
-            c12 = -self.m3(d1 + d2 - d3, d3 - d2, d2)
+            x4 = get(("m3", d1 + d2 - d3, d3 - d2, d2))
         elif d3 == d1 + d2:
-            c12 = -self.gamma2(d2, d1)
+            x4 = get(("gamma2", d2, d1))
         else:
-            c12 = 0
-        return c1, c2, c12
+            x4 = 0
+        return x1, x2, x3, x4
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # on a compact ring n2A is evaluated even where n1pt[d3] is zero, so
-        # that the memo holds the same keys whatever the base data
+        # that the memo holds the same keys whatever the base data; the
+        # base term n2A * n1pt[d3] / t5 enters as a raw numerator and
+        # denominator
         if self._n1pt_t5 is None:
-            acc = 0
+            num, den = 0, 1
         else:
-            acc = self.n2A(d1, d2, self._H2) * self._n1pt_t5[d3]
-        c1, c2, c12 = self._corr3(d1, d2, d3)
-        return acc - c1 - c2 - c12
+            a, t = self._get(("n2A", d1, d2)), self._n1pt_t5[d3]
+            num, den = a.numerator * t.numerator, a.denominator * t.denominator
+        # base - C1 - C2 - C12
+        x1, x2, x3, x4 = self._corr3(d1, d2, d3)
+        if den == 1 and type(x1) is type(x2) is type(x3) is type(x4) is int:
+            return num - x1 + x2 + x3 + x4
+        return _weighted_sum(((-1, x1), (1, x2), (1, x3), (1, x4)), 1, num, den)
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        c2 = self._c2
-        twice = -2 * (self.n1G(d) + self._c3 * self._n1pt[d])
+        get, c2 = self._get, self._c2
+        terms = [(-2, get(("n1G", d))), (-2 * self._c3, self._n1pt[d])]
         if c2:
-            twice -= 2 * c2 * self.n1C(d, self._H2)
-        twice += sum(self.n2C(a, d - a) + self.n2C(d - a, a) for a in range(1, d))
-        return _div(twice, 2)
+            terms.append((-2 * c2, get(("n1C", d))))
+        for a in range(1, d):
+            terms += ((1, get(("n2C", a, d - a))), (1, get(("n2C", d - a, a))))
+        return _weighted_sum(terms, 2)

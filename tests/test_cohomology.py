@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from cy5bps.cohomology import InsertionDegreeError, Ring, RingMismatchError
+from cy5bps.cohomology import CohClass, InsertionDegreeError, Ring, RingMismatchError
+from cy5bps.engine import Engine
+from cy5bps.localp2 import localp2_geometry
 
 LOCAL = Ring(top_power=2)
 COMPACT = Ring(top_power=5, top_integral=7)
@@ -50,3 +54,22 @@ def test_equal_classes_hash_equal():
 def test_compact_ring_needs_nonzero_top_integral():
     with pytest.raises(ValueError, match="top_integral"):
         Ring(5, 0)
+
+
+def test_direct_construction_is_normalised():
+    ring = Ring(2)
+    assert CohClass(ring, 2, 0) == ring.zero()
+    assert CohClass(ring, 3, 1).is_zero()
+    assert CohClass(ring, 3, 1) == ring.zero()
+    assert type(CohClass(ring, 1, 3).coeff) is Fraction
+
+
+def test_float_coefficient_is_rejected():
+    geometry = localp2_geometry(4)
+    engine = Engine(geometry)
+    with pytest.raises(ValueError):
+        engine.n1C(1, CohClass(geometry.ring, 2, 0.5))
+    with pytest.raises(ValueError):
+        geometry.ring.monomial(2, 0.5)
+    with pytest.raises(ValueError):
+        0.5 * geometry.ring.H(2)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cy5bps.cohomology import InsertionDegreeError, RingMismatchError
-from cy5bps.engine import Engine, _exact_sum
+from cy5bps.engine import Engine, _weighted_sum
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
@@ -220,6 +220,14 @@ def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
     for d in range(1, 13):
         engine.chern_integral(d)
     H, H2 = local_geometry_12.ring.H(1), local_geometry_12.ring.H(2)
+    # a non-int degree equal to a stored key is refused all the same
+    assert {("n1G", 2), ("chern", 3), ("m3", 1, 1, 1)} <= engine.memo.keys()
+    with pytest.raises(ValueError):
+        engine.n1G(2.0)
+    with pytest.raises(ValueError):
+        engine.chern_integral(3.0)
+    with pytest.raises(ValueError):
+        engine.m3(1.0, 1, 1)
     with pytest.raises(ValueError):
         engine.m3(5, 5, 5)
     with pytest.raises(ValueError):
@@ -267,16 +275,39 @@ def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
 
 _ints = st.integers(-(10**30), 10**30)
 _rats = st.builds(Rat, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+_weights = st.integers(-(10**6), 10**6)
 
 
-@given(st.lists(st.one_of(_ints, _rats)))
+@given(st.lists(st.tuples(_weights, st.one_of(_ints, _rats))))
 @example([])
-@example([3, -7, 12])
-@example([Rat(1, 2), Rat(3, 4), Rat(3, 4)])
-@example([Rat(1, 6), Rat(1, 3)])
-@example([1, Rat(1, 2), Rat(1, 2)])
-@example([1, Rat(1, 2)])
+@example([(1, 3), (1, -7), (1, 12)])
+@example([(1, Rat(1, 2)), (1, Rat(3, 4)), (1, Rat(3, 4))])
+@example([(1, Rat(1, 6)), (1, Rat(1, 3))])
+@example([(1, 1), (1, Rat(1, 2)), (1, Rat(1, 2))])
+@example([(1, 1), (1, Rat(1, 2))])
+@example([(0, Rat(1, 3)), (0, 5), (0, Rat(2, 7))])  # zero weights
+@example([(3, Rat(1, 4)), (5, Rat(3, 4)), (-1, Rat(1, 4))])  # equal denominators
+@example([(2, Rat(1, 4)), (1, Rat(1, 2)), (3, 7)])  # reduces to the integer 22
+@example([(-3, Rat(5, 6)), (-2, Rat(1, 3)), (-1, 4)])  # negative weights
 def test_exact_sum_matches_builtin_sum(terms):
-    total = _exact_sum(iter(terms))
-    assert total == sum(terms)
-    assert (type(total) is int) == (Rat(sum(terms)).denominator == 1)
+    total = _weighted_sum(iter(terms))
+    expected = sum(w * v for w, v in terms)
+    assert total == expected
+    assert (type(total) is int) == (Rat(expected).denominator == 1)
+
+
+@given(
+    st.lists(st.tuples(st.one_of(_weights, _rats), st.one_of(_ints, _rats))),
+    st.integers(-50, 50).filter(bool),
+    _ints,
+    st.integers(1, 10**6),
+)
+@example([], -1, 6, 3)
+@example([(Rat(1, 2), Rat(1, 2))], 2, 3, 4)
+def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
+    # rational weights, a running start num/den and a negative divisor are
+    # the forms the engine's products, row sums and m3 base term take
+    total = _weighted_sum(terms, divisor, num, den)
+    expected = (Rat(num, den) + sum(w * v for w, v in terms)) / divisor
+    assert total == expected
+    assert (type(total) is int) == (expected.denominator == 1)
