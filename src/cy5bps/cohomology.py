@@ -35,21 +35,25 @@ class InsertionDegreeError(ValueError):
     """A cohomology insertion, or a summand, has the wrong H-power."""
 
 
+@dataclass(frozen=True)
 class Ring:
     """Truncated polynomial ring Q[H] / (H^(top_power+1)).
 
     ``top_power`` is the highest surviving power of H.  ``top_integral``
     is the value of the integral of ``H^top_power`` over the space when
     the model is compact, and None for local (non-compact) models.
+    A ring is immutable and compares and hashes by these two values, so
+    classes built on two equal rings are interchangeable.
     """
 
-    __slots__ = ("top_power", "top_integral")
+    top_power: int
+    top_integral: Rat | None = None
 
-    def __init__(self, top_power: int, top_integral=None):
-        if top_power < 1:
-            raise ValueError(f"top_power must be >= 1, got {top_power}")
-        self.top_power = top_power
-        self.top_integral = None if top_integral is None else Rat(top_integral)
+    def __post_init__(self):
+        if self.top_power < 1:
+            raise ValueError(f"top_power must be >= 1, got {self.top_power}")
+        if self.top_integral is not None:
+            object.__setattr__(self, "top_integral", Rat(self.top_integral))
         if self.top_integral == 0:
             raise ValueError("top_integral must be nonzero (None for a local model)")
 
@@ -73,9 +77,11 @@ class Ring:
 class CohClass:
     """The monomial ``coeff * H^power`` of a rank-1 ring.
 
-    The coefficient is stored as a :data:`Rat`; an inexact one (a float)
-    raises ValueError.  The zero class is power 0 with coefficient 0, and
-    a power above the ring's top power or a zero coefficient gives it.
+    The power must be a plain ``int`` (a bool, a float or a string raises
+    ValueError).  The coefficient is stored as a :data:`Rat`; an inexact
+    one (a float) raises ValueError.  The zero class is power 0 with
+    coefficient 0, and a power above the ring's top power or a zero
+    coefficient gives it.
     """
 
     ring: Ring
@@ -83,6 +89,8 @@ class CohClass:
     coeff: Rat
 
     def __post_init__(self):
+        if type(self.power) is not int:
+            raise ValueError(f"power must be an int, got {self.power!r}")
         if self.power < 0:
             raise ValueError(f"power must be >= 0, got {self.power}")
         if not isinstance(self.coeff, Rational):
@@ -97,7 +105,7 @@ class CohClass:
         return self.coeff == 0
 
     def __add__(self, other: "CohClass") -> "CohClass":
-        if self.ring is not other.ring:
+        if self.ring != other.ring:
             raise RingMismatchError("classes belong to different rings")
         if other.is_zero():
             return self

@@ -164,7 +164,7 @@ class Engine:
             return 1
         if not isinstance(mu, CohClass):
             raise InsertionDegreeError(f"insertion must be a CohClass, got {mu!r}")
-        if mu.ring is not self.geometry.ring:
+        if mu.ring != self.geometry.ring:
             raise RingMismatchError("insertion belongs to a different ring")
         if mu.is_zero():
             return 0
@@ -176,7 +176,7 @@ class Engine:
 
     def _degrees(self, *betas) -> tuple[int, ...]:
         for beta in betas:
-            if not isinstance(beta, int) or beta < 1:
+            if type(beta) is not int or beta < 1:
                 raise ValueError(f"curve degree must be a positive integer, got {beta!r}")
         total = sum(betas)
         if total > self.geometry.max_degree:

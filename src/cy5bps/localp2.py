@@ -20,9 +20,12 @@ integrand has a factor that is a pure multiple of lam, so every other
 factor contributes only its constant term, and the integral is one
 exact scalar product.
 
-The interior cover-weight product, the largest factor of both
-fixed-point formulas, is multiplied out on integer numerators over one
-common denominator and normalised once, rather than once per factor.
+Both fixed-point formulas are evaluated fraction-free: every factor,
+the interior cover-weight product (the largest, entering twice) among
+them, is an integer numerator over an integer denominator built from
+the weight differences and (d-1)!, the numerators and denominators are
+multiplied out separately, and each call normalises its whole value
+once, by one gcd, rather than once per factor.
 """
 
 from __future__ import annotations
@@ -90,12 +93,13 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree must be >= 1, got {d}")
 
 
-def _interior_product(d: int, x, y, z):
-    """prod over r=1..d-1 of (z - ((d-r)x + r y)/d), the interior cover weights.
+def _interior_parts(d: int, x, y, z) -> tuple[int, int]:
+    """prod over r=1..d-1 of (z - ((d-r)x + r y)/d), the interior cover
+    weights, as an integer pair (numerator, denominator), not reduced.
 
     Over the common denominator L of x, y and z each factor is the
     integer d*Z - (d-r)*X - r*Y over d*L, so the product is one integer
-    over (d*L)^(d-1), normalised once.
+    over (d*L)^(d-1).
     """
     L = math.lcm(x.denominator, y.denominator, z.denominator)
     X = x.numerator * (L // x.denominator)
@@ -109,7 +113,23 @@ def _interior_product(d: int, x, y, z):
                 f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
             )
         num *= factor
-    return Rat(num, (d * L) ** (d - 1))
+    return num, (d * L) ** (d - 1)
+
+
+def _interior_product(d: int, x, y, z):
+    """The interior cover-weight product as one :data:`Rat`, normalised once."""
+    return Rat(*_interior_parts(d, x, y, z))
+
+
+def _quotient(factors, divisor) -> Rat:
+    """The product of the integer (numerator, denominator) pairs in
+    factors, divided by the pair divisor, as one :data:`Rat`: the only
+    normalisation, so the gcd does all the cancelling."""
+    den, num = divisor
+    for n, m in factors:
+        num *= n
+        den *= m
+    return Rat(num, den)
 
 
 def localization_g0(d: int, w: WeightTriple):
@@ -123,16 +143,21 @@ def localization_g0(d: int, w: WeightTriple):
     """
     _check_degree(d)
     a, b, c = w.a, w.b, w.c
-    sign = Rat((-1) ** (d - 1))
+    sign = (-1) ** (d - 1)
     fact = math.factorial(d - 1)
-    scale = fact / Rat(d) ** (d - 1)
-    interior = _interior_product(d, a, b, c)
+    i_num, i_den = _interior_parts(d, a, b, c)
+    p, q = (a - b).as_integer_ratio()
 
-    h1_first = sign * scale * (a - b) ** (d - 1)
-    h1_second = sign * scale * (b - a) ** (d - 1)
-    h1_third = sign * interior
-    tangent = sign * scale * scale * (a - b) ** (2 * (d - 1)) * interior
-    return h1_first * h1_second * h1_third / tangent / Rat(d)
+    # each factor as an integer (numerator, denominator) pair, with
+    # scale = (d-1)!/d^(d-1) and a - b = p/q
+    h1_first = (sign * fact * p ** (d - 1), d ** (d - 1) * q ** (d - 1))
+    h1_second = (sign * fact * (-p) ** (d - 1), d ** (d - 1) * q ** (d - 1))
+    h1_third = (sign * i_num, i_den)
+    tangent = (
+        sign * fact * fact * p ** (2 * (d - 1)) * i_num,
+        d ** (2 * (d - 1)) * q ** (2 * (d - 1)) * i_den,
+    )
+    return _quotient((h1_first, h1_second, h1_third, (1, d)), tangent)
 
 
 def _distinct_weights(x, y, z):
@@ -158,27 +183,25 @@ def localization_g1_locus(d: int, x, y, z):
     """
     _check_degree(d)
     x, y, z = _distinct_weights(x, y, z)
-    sign = Rat((-1) ** (d - 1))
+    sign = (-1) ** (d - 1)
     fact = math.factorial(d - 1)
-    scale = fact / Rat(d) ** (d - 1)
-    interior = _interior_product(d, x, y, z)
+    i_num, i_den = _interior_parts(d, x, y, z)
+    p, q = (x - y).as_integer_ratio()
+    s, t = (z - x).as_integer_ratio()
+    u, v = (z - y).as_integer_ratio()
 
-    # the lam coefficient of h1_first, then the constant terms of the rest
-    h1_first = -sign * scale * (x - y) ** (d - 1)
-    h1_second = sign * scale * (y - x) ** (d - 1) * (x - y)
-    h1_third = sign * interior * (x - z)
-    obstruction = (y - x) * (z - x)
+    # the lam coefficient of h1_first, then the constant terms of the rest,
+    # each an integer (numerator, denominator) pair; x - z = -s/t and
+    # y - x = -p/q
+    h1_first = (-sign * fact * p ** (d - 1), d ** (d - 1) * q ** (d - 1))
+    h1_second = (sign * fact * (-p) ** (d - 1) * p, d ** (d - 1) * q ** (d - 1) * q)
+    h1_third = (sign * i_num * -s, i_den * t)
+    obstruction = (-p * s, q * t)
     tangent = (
-        Rat((-1) ** d)
-        * (fact * Rat(d)) ** 2
-        / Rat(d) ** (2 * d - 1)
-        * (x - y) ** (2 * d - 1)
-        * (z - x)
-        * (z - y)
-        * interior
-        * ((y - x) / Rat(d))
+        (-1) ** d * (fact * d) ** 2 * p ** (2 * d - 1) * s * u * i_num * -p,
+        d ** (2 * d - 1) * q ** (2 * d - 1) * t * v * i_den * d * q,
     )
-    return h1_first * h1_second * h1_third * obstruction / tangent / Rat(24 * d)
+    return _quotient((h1_first, h1_second, h1_third, obstruction, (1, 24 * d)), tangent)
 
 
 def cover_factor(d: int, x, y, z):

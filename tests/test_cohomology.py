@@ -73,3 +73,34 @@ def test_float_coefficient_is_rejected():
         geometry.ring.monomial(2, 0.5)
     with pytest.raises(ValueError):
         0.5 * geometry.ring.H(2)
+
+
+@pytest.mark.parametrize("power", [2.0, True, "2", Fraction(2)])
+def test_non_int_power_is_rejected(power):
+    ring = Ring(2)
+    with pytest.raises(ValueError, match="power must be an int"):
+        CohClass(ring, power, 1)
+    with pytest.raises(ValueError, match="power must be an int"):
+        ring.monomial(power)
+
+
+def test_equal_rings_are_interchangeable():
+    assert Ring(2) == Ring(2)
+    assert hash(Ring(2)) == hash(Ring(2))
+    assert Ring(5, 7) == Ring(5, Fraction(14, 2))
+    assert hash(Ring(5, 7)) == hash(Ring(5, Fraction(14, 2)))
+    assert Ring(2).H(1) == Ring(2).H(1)
+    assert CohClass(Ring(2), 2, 0) == Ring(2).zero()
+    assert Ring(5, 7).H(2) + Ring(5, 7).monomial(2, 3) == COMPACT.monomial(2, 4)
+    assert len({Ring(5, 7).H(1), COMPACT.H(1)}) == 1
+    # the hash is over the two values, so they cannot change
+    with pytest.raises(AttributeError):
+        Ring(2).top_power = 3
+
+
+@pytest.mark.parametrize("other", [Ring(4, 7), Ring(5, 8), Ring(5)], ids=repr)
+def test_unequal_rings(other):
+    assert COMPACT != other
+    assert COMPACT.H(1) != other.H(1)
+    with pytest.raises(RingMismatchError):
+        COMPACT.H(1) + other.H(1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cy5bps.cohomology import InsertionDegreeError, RingMismatchError
+from cy5bps.cohomology import InsertionDegreeError, Ring, RingMismatchError
 from cy5bps.engine import Engine, _weighted_sum
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
@@ -126,6 +126,40 @@ def test_degree_validation(local_engine):
         local_engine.n1G(13)  # geometry holds data up to degree 12
     with pytest.raises(ValueError):
         local_engine.m3(5, 5, 5)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_bool_degree_is_refused(local_geometry_12, warm):
+    engine = Engine(local_geometry_12)
+    if warm:
+        for d in range(1, 13):
+            engine.chern_integral(d)
+        assert {("n1G", 1), ("chern", 1), ("m3", 1, 1, 1)} <= engine.memo.keys()
+    memo = dict(engine.memo)
+    calls = [
+        lambda: engine.n1G(True),
+        lambda: engine.m3(True, 1, 1),
+        lambda: engine.m3(1, 1, True),
+        lambda: engine.chern_integral(True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="curve degree must be a positive integer"):
+            call()
+    assert engine.memo == memo
+
+
+def test_insertion_on_an_equal_ring_is_accepted(local_engine):
+    other = localp2_geometry(12).ring
+    assert other is not local_engine.geometry.ring
+    H, H2 = local_engine.geometry.ring.H(1), local_engine.geometry.ring.H(2)
+    assert local_engine.n1E(3, other.H(1)) == local_engine.n1E(3, H)
+    assert local_engine.n1C(4, 2 * other.H(2)) == 2 * local_engine.n1C(4, H2)
+    assert local_engine.n2B(2, 3, other.H(1)) == local_engine.n2B(2, 3, H)
+
+
+def test_insertion_on_a_ring_with_another_top_integral_raises(local_engine):
+    with pytest.raises(RingMismatchError):
+        local_engine.n1E(3, Ring(2, 5).H(1))
 
 
 def test_homogeneity_zero_inputs_zero_outputs(zero_geometry):

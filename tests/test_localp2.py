@@ -1,10 +1,11 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cy5bps import localp2
@@ -215,6 +216,49 @@ def _naive_interior_product(d, x, y, z):
     return prod
 
 
+def _naive_g0(d, w):
+    """localization_g0 as a product of per-factor Fractions, each normalised."""
+    a, b, c = (Fraction(v) for v in (w.a, w.b, w.c))
+    sign = Fraction((-1) ** (d - 1))
+    fact = Fraction(math.factorial(d - 1))
+    scale = fact / Fraction(d) ** (d - 1)
+    interior = _naive_interior_product(d, a, b, c)
+
+    h1_first = sign * scale * (a - b) ** (d - 1)
+    h1_second = sign * scale * (b - a) ** (d - 1)
+    h1_third = sign * interior
+    tangent = sign * scale * scale * (a - b) ** (2 * (d - 1)) * interior
+    return h1_first * h1_second * h1_third / tangent / Fraction(d)
+
+
+def _naive_g1_locus(d, x, y, z):
+    """localization_g1_locus as a product of per-factor Fractions, each
+    normalised."""
+    x, y, z = (Fraction(v) for v in (x, y, z))
+    if x == y or y == z or x == z:
+        raise WeightDegeneracyError("weights must be pairwise distinct")
+    sign = Fraction((-1) ** (d - 1))
+    fact = Fraction(math.factorial(d - 1))
+    scale = fact / Fraction(d) ** (d - 1)
+    interior = _naive_interior_product(d, x, y, z)
+
+    h1_first = -sign * scale * (x - y) ** (d - 1)
+    h1_second = sign * scale * (y - x) ** (d - 1) * (x - y)
+    h1_third = sign * interior * (x - z)
+    obstruction = (y - x) * (z - x)
+    tangent = (
+        Fraction((-1) ** d)
+        * (fact * d) ** 2
+        / Fraction(d) ** (2 * d - 1)
+        * (x - y) ** (2 * d - 1)
+        * (z - x)
+        * (z - y)
+        * interior
+        * ((y - x) / Fraction(d))
+    )
+    return h1_first * h1_second * h1_third * obstruction / tangent / Fraction(24 * d)
+
+
 def _outcome(func, *args):
     try:
         return func(*args)
@@ -240,6 +284,48 @@ def test_interior_product_degenerate_weights_raise(d, r, x, y):
     expected = _outcome(_naive_interior_product, d, x, y, z)
     assert isinstance(expected, str)
     assert _outcome(_interior_product, d, x, y, z) == expected
+
+
+# -- the fraction-free fixed-point formulas against per-factor products ---------
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights)
+def test_g1_locus_matches_per_factor_product(d, x, y, z):
+    expected = _outcome(_naive_g1_locus, d, x, y, z)
+    assert _outcome(localization_g1_locus, d, x, y, z) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights)
+def test_g0_matches_per_factor_product(d, x, y, z):
+    assume(len({x, y, z}) == 3)
+    w = WeightTriple(x, y, z)
+    assert _outcome(localization_g0, d, w) == _outcome(_naive_g0, d, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(2, 30), r=st.integers(1, 29), x=_weights, y=_weights)
+def test_fixed_point_formulas_degenerate_weights_raise(d, r, x, y):
+    assume(x != y)
+    r = min(r, d - 1)
+    z = ((d - r) * x + r * y) / Rat(d)
+    expected = _outcome(_naive_g1_locus, d, x, y, z)
+    assert isinstance(expected, str)
+    assert _outcome(localization_g1_locus, d, x, y, z) == expected
+    w = WeightTriple(x, y, z)
+    expected = _outcome(_naive_g0, d, w)
+    assert isinstance(expected, str)
+    assert _outcome(localization_g0, d, w) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(1, 30), x=_weights, y=_weights,
+       pattern=st.sampled_from([(0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]))
+def test_g1_locus_coincident_weights_raise(d, x, y, pattern):
+    args = [(x, y)[i] for i in pattern]
+    expected = _outcome(_naive_g1_locus, d, *args)
+    assert isinstance(expected, str)
+    assert _outcome(localization_g1_locus, d, *args) == expected
 
 
 # -- pinned verifier output -----------------------------------------------------
