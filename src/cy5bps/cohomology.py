@@ -50,8 +50,8 @@ class Ring:
     top_integral: Rat | None = None
 
     def __post_init__(self):
-        if self.top_power < 1:
-            raise ValueError(f"top_power must be >= 1, got {self.top_power}")
+        if type(self.top_power) is not int or self.top_power < 1:
+            raise ValueError(f"top_power must be an int >= 1, got {self.top_power!r}")
         if self.top_integral is not None:
             object.__setattr__(self, "top_integral", Rat(self.top_integral))
         if self.top_integral == 0:

@@ -1,4 +1,4 @@
-"""Memoized recursion engine for rational-curve configuration counts.
+"""Level-by-level engine for rational-curve configuration counts.
 
 Thirteen count types are computed for a geometry: seven 1-component
 counts (plain insertions, cotangent-class decorations up to the third
@@ -6,10 +6,8 @@ power, and the Chern number gamma1 of the 2-dimensional family of
 embedded rational curves), five 2-component meeting counts (a node
 insertion, a node cotangent class, or decorations on the free
 component), and the 3-component meeting number.  On a rank-1 curve
-cone every class is a positive integer degree, the case tables in the
-degree-reducing recursions are exhaustive, and every recursive call
-either lowers the total degree or moves from a multi-component count
-to strictly smaller 1-component ones, so the recursion terminates.
+cone every class is a positive integer degree and the case tables in
+the degree-reducing recursions are exhaustive.
 
 Three layers of rules drive the computation:
 
@@ -30,19 +28,24 @@ Every count is exact: a Python ``int`` when its denominator is 1 and a
 extend linearly in each cohomology insertion, so the memo stores one
 value per key with unit monomial insertions.
 
+The evaluation order is known in advance, so nothing recurses.  A
+count at total degree T reads counts below T, counts at T of a kind
+filled before it, and gamma2(a, b) and gamma1(d) with a + 2b = T and
+2d = T.  Level T is filled in that order: those gamma2 and gamma1 keys,
+m3, n2A, n2B, the n2C/n2D/n2E triple of each (d1, d2), then n1B, n1C,
+n1D, n1F, n1E, n1G; chern, which nothing reads, only when called.  A
+miss at total degree T first fills every unfilled level up to T, so a
+cold call needs a few frames and the recursion limit is never touched.
+
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
-``int`` arithmetic, so on integral geometries such as local P^2 the
-whole recursion runs on ``int``.  A rational sum is carried as an
-integer numerator over a running common denominator and reduced once,
-when its value is stored: one normalisation per rational miss (two for
-an m3 key on the diagonal d3 = d2, whose C2 is itself a sum).  n2C, n2D
-and n2E all sum the same m3 row m3(d1, d2-p, p); it is read in one pass
-that builds their three numerators over one denominator, and dropped
-after its third use.  The recursion reads memo hits directly and calls
-a public method only on a miss.
+``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
+integer numerator over a running common denominator, reduced once when
+stored (twice for an m3 key on the diagonal d3 = d2, whose C2 is itself
+a sum).  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one
+pass, kept in a one-slot cache since the fill computes them in a row.
 
-Every insertion the recursion uses is a monomial, so the geometry
+Every insertion the formulas use is a monomial, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
 a compact ring's Kunneth diagonal pairs H^2 with H^3/t5, so each
 diagonal term is one product of base-table entries divided by t5, and
@@ -51,7 +54,6 @@ a local ring has no diagonal terms.
 
 from __future__ import annotations
 
-import sys
 from math import gcd
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError
@@ -104,7 +106,7 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
 
 
 class Engine:
-    """Demand-driven evaluator of all count types for one geometry.
+    """Evaluator of all count types for one geometry, filled level by level.
 
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
@@ -115,31 +117,23 @@ class Engine:
 
     ``memo`` maps ``(kind, *degrees)`` to the count with unit
     insertions.  Every public call validates its degrees and insertions,
-    hit or miss; the recursion reads the memo directly and calls the
-    public method only on a miss, so every key is stored by a public
-    call with that key, and each miss stores exactly one key.  The
-    interpreter's recursion limit is raised only while the outermost
-    miss computes, and restored after.
+    hit or miss.  A miss at total degree T first fills every unfilled
+    level up to T, each key by a public call with unit insertions: every
+    value is computed as a miss on a filled level, and each public call
+    stores at most its own key.  An interrupted level stays unfilled.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.memo: dict[tuple, object] = {}
-        # (d1, d2) -> [n2C, n2D, n2E row numerators, their denominator,
-        # uses left] for each m3 row read but not yet used three times
-        self._rows: dict[tuple[int, int], list] = {}
-        # a cold top-level call at degree d nests about 5.5*d Python frames
-        self._recursion_limit = 2000 + 30 * geometry.max_degree
-        self._computing = False
+        # misses at total degree <= _level compute from the memo: the levels
+        # below it are filled, and _level itself is filled or being filled
+        self._level = 0
+        # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
+        self._last_row = (None, None)
         ring = geometry.ring
-        H, H2 = ring.H(1), ring.H(2)
-        # the unit insertion of each H-power, indexed by the power, and the
-        # unit insertions of each kind's public method that takes any
-        self._units = (None, H, H2)
-        self._unit_args = {
-            "n1B": (H2, H2), "n1C": (H2,), "n1D": (H, H2), "n1E": (H,), "n1F": (H2,),
-            "n2A": (H2,), "n2B": (H,), "n2D": (H,),
-        }
+        # the unit insertion of each H-power, indexed by the power
+        self._units = (None, ring.H(1), ring.H(2))
 
         # a zero c2 skips the counts it multiplies, as a zero insertion does
         self._c2 = _norm(geometry.c2)
@@ -156,7 +150,7 @@ class Engine:
             self._n1pt_t5 = [0] + [_norm(self._n1pt[d] / t5) for d in degrees]
             self._n2pt_t5 = [0] + [_norm(self._n2pt[d] / t5) for d in degrees]
 
-    # -- validation and the memo -------------------------------------------
+    # -- validation, the memo and the fill -----------------------------------
 
     def _scale(self, mu: CohClass, power: int):
         """Scalar s with mu = s * H^power; 0 for the zero class."""
@@ -174,7 +168,8 @@ class Engine:
             )
         return _norm(mu.coeff)
 
-    def _degrees(self, *betas) -> tuple[int, ...]:
+    def _degrees(self, *betas) -> int:
+        """Validate the degrees and return their total."""
         for beta in betas:
             if type(beta) is not int or beta < 1:
                 raise ValueError(f"curve degree must be a positive integer, got {beta!r}")
@@ -184,13 +179,13 @@ class Engine:
                 f"total degree {total} exceeds geometry max_degree "
                 f"{self.geometry.max_degree}"
             )
-        return betas
+        return total
 
     def _count(self, kind: str, compute, betas: tuple, *insertions):
         """Answer a public call: validate the degrees and the (mu, power)
         insertions, then scale the unit value, computing and storing it
         on a miss unless an insertion is zero."""
-        self._degrees(*betas)
+        total = self._degrees(*betas)
         s = 1
         for mu, power in insertions:
             s *= self._scale(mu, power)
@@ -198,32 +193,45 @@ class Engine:
             return 0
         key = (kind, *betas)
         value = self.memo.get(key)
+        if value is None and total > self._level:
+            self._fill(total)
+            value = self.memo.get(key)
         if value is None:
-            if self._computing:
-                value = compute(*betas)
-            else:
-                # the outermost miss raises the limit for the whole recursion
-                # and gives the caller back its own
-                limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(limit, self._recursion_limit))
-                self._computing = True
-                try:
-                    value = compute(*betas)
-                finally:
-                    self._computing = False
-                    sys.setrecursionlimit(limit)
-            self.memo[key] = value
+            value = self.memo[key] = compute(*betas)
         return _times(s, value)
 
-    def _get(self, key: tuple):
-        """The unit-insertion value at a memo key the recursion reads: from
-        the memo, or on a miss from the public method with unit insertions,
-        which validates the key and stores the value."""
-        value = self.memo.get(key)
-        if value is None:
-            kind = key[0]
-            value = getattr(self, kind)(*key[1:], *self._unit_args.get(kind, ()))
-        return value
+    def _fill(self, top: int):
+        """Fill every level from the first unfilled one up to ``top``."""
+        H, H2 = self._units[1], self._units[2]
+        for t in range(self._level + 1, top + 1):
+            self._level = t
+            try:
+                # gamma2(t - 2b, b) and gamma1(t/2) are first read at level t
+                for b in range(1, (t + 1) // 2):
+                    self.gamma2(t - 2 * b, b)
+                if t % 2 == 0:
+                    self.gamma1(t // 2)
+                for d1 in range(1, t - 1):
+                    for d2 in range(1, t - d1):
+                        self.m3(d1, d2, t - d1 - d2)
+                pairs = [(d1, t - d1) for d1 in range(1, t)]
+                for d1, d2 in pairs:
+                    self.n2A(d1, d2, H2)
+                for d1, d2 in pairs:
+                    self.n2B(d1, d2, H)
+                for d1, d2 in pairs:
+                    self.n2C(d1, d2)
+                    self.n2D(d1, d2, H)
+                    self.n2E(d1, d2)
+                self.n1B(t, H2, H2)
+                self.n1C(t, H2)
+                self.n1D(t, H, H2)
+                self.n1F(t, H2)
+                self.n1E(t, H)
+                self.n1G(t)
+            except BaseException:
+                self._level = t - 1
+                raise
 
     # -- public counts -----------------------------------------------------
 
@@ -286,15 +294,17 @@ class Engine:
 
     def correction_C2(self, beta1, beta2, mu: CohClass):
         """Excess correction for the node-on-divisor count."""
-        d1, d2 = self._degrees(beta1, beta2)
-        s = self._scale(mu, 1)
-        return _times(s, _weighted_sum(self._corr2(d1, d2), 2)) if s != 0 else 0
+        total, s = self._degrees(beta1, beta2), self._scale(mu, 1)
+        if s == 0:
+            return 0
+        self._fill(total)
+        return _times(s, _weighted_sum(self._corr2(beta1, beta2), 2))
 
     def correction_C3(self, beta1, beta2, beta3):
         """The three excess corrections (C1, C2, C12) for the 3-component
         meeting number, with their defining signs included."""
-        d1, d2, d3 = self._degrees(beta1, beta2, beta3)
-        x1, x2, x3, x4 = self._corr3(d1, d2, d3)
+        self._fill(self._degrees(beta1, beta2, beta3))
+        x1, x2, x3, x4 = self._corr3(beta1, beta2, beta3)
         return x1, _weighted_sum(((-1, x2), (-1, x3))), -x4
 
     def m3(self, beta1, beta2, beta3):
@@ -315,66 +325,63 @@ class Engine:
         return self._n2pt[d]
 
     def _c_n1C(self, d: int):
-        get = self._get
-        terms = [(1, get(("n1B", d))), (-2 * d, self._n1pt[d])]
-        terms += [(a * a, get(("n2A", a, d - a))) for a in range(1, d)]
+        memo = self.memo
+        terms = [(1, memo["n1B", d]), (-2 * d, self._n1pt[d])]
+        terms += [(a * a, memo["n2A", a, d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1D(self, d: int):
-        get = self._get
+        memo = self.memo
         # d * n1B - 2d * n1B: the second term's insertions are H*H and H^2
-        terms = [(-d, get(("n1B", d)))]
-        terms += [
-            (a * (d - a) ** 2 + (d - a) * a * a, get(("n2A", a, d - a)))
-            for a in range(1, d)
-        ]
+        terms = [(-d, memo["n1B", d])]
+        terms += [(a * (d - a) ** 2 + (d - a) * a * a, memo["n2A", a, d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1E(self, d: int):
-        get = self._get
-        terms = [(1, get(("n1D", d))), (-2 * d, get(("n1C", d)))]
+        memo = self.memo
+        terms = [(1, memo["n1D", d]), (-2 * d, memo["n1C", d])]
         for a in range(1, d):
-            terms += ((a * a, get(("n2D", a, d - a))), (a * a, get(("n2B", a, d - a))))
+            terms += ((a * a, memo["n2D", a, d - a]), (a * a, memo["n2B", a, d - a]))
         return _weighted_sum(terms, d * d)
 
     def _c_n1F(self, d: int):
-        return _weighted_sum((-1, self._get(("n2A", a, d - a))) for a in range(1, d))
+        return _weighted_sum((-1, self.memo["n2A", a, d - a]) for a in range(1, d))
 
     def _c_n1G(self, d: int):
-        get = self._get
-        terms = [(1, get(("n1F", d))), (-2 * d, get(("n1E", d)))]
+        memo = self.memo
+        terms = [(1, memo["n1F", d]), (-2 * d, memo["n1E", d])]
         for a in range(1, d):
-            terms += ((a * a, get(("n2E", a, d - a))), (a * a, get(("n2C", a, d - a))))
+            terms += ((a * a, memo["n2E", a, d - a]), (a * a, memo["n2C", a, d - a]))
         return _weighted_sum(terms, d * d)
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        get, c2 = self._get, self._c2
-        terms = [(self._c3, self._n1pt[d]), (1, get(("n1G", d)))]
+        memo, c2 = self.memo, self._c2
+        terms = [(self._c3, self._n1pt[d]), (1, memo["n1G", d])]
         if c2:
-            terms += [(c2, get(("n1C", d))), (c2 * c2, get(("n1B", d))), (4 * c2, get(("n1F", d)))]
+            terms += [(c2, memo["n1C", d]), (c2 * c2, memo["n1B", d]), (4 * c2, memo["n1F", d])]
         for a in range(1, d):
-            terms += ((-4, get(("n2E", a, d - a))), (-5, get(("n2C", a, d - a))))
+            terms += ((-4, memo["n2E", a, d - a]), (-5, memo["n2C", a, d - a]))
         return _weighted_sum(terms, 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        get = self._get
+        memo = self.memo
         terms = [] if self._n2pt_t5 is None else [(self._n1pt[d1], self._n2pt_t5[d2])]
         if d2 > d1:
-            terms += [(1, get(("n2A", d1, d2 - d1))), (1, get(("n2A", d2 - d1, d1)))]
+            terms += [(1, memo["n2A", d1, d2 - d1]), (1, memo["n2A", d2 - d1, d1])]
         elif d2 < d1:
-            terms.append((1, get(("n2A", d1 - d2, d2))))
+            terms.append((1, memo["n2A", d1 - d2, d2]))
         else:
             if self._c2:
-                terms.append((self._c2, get(("n1B", d1))))
-            terms.append((2, get(("n1F", d1))))
+                terms.append((self._c2, memo["n1B", d1]))
+            terms.append((2, memo["n1F", d1]))
         return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
         # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2, since the
         # correction's terms are those of 2 C2
-        get = self._get
-        terms = [(2 * c, get(("m3", d1 - c, c, d2 - c))) for c in range(1, min(d1, d2))]
+        memo = self.memo
+        terms = [(2 * c, memo["m3", d1 - c, c, d2 - c]) for c in range(1, min(d1, d2))]
         terms += self._corr2(d1, d2)
         if self._n1pt_t5 is not None:
             terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
@@ -383,43 +390,39 @@ class Engine:
     def _corr2(self, d1: int, d2: int):
         """The terms of twice the correction C2 with mu = H (linear in mu
         like everything else); C2 is symmetric in its degrees."""
-        get = self._get
+        memo = self.memo
         if d2 < d1:
             d1, d2 = d2, d1
         if d2 > d1:
             gap = d2 - d1
-            terms = [
-                (2, get(("n2D", gap, d1))), (2, get(("n2B", gap, d1))),
-                (2 * d1, get(("gamma2", gap, d1))),
-            ]
-            terms += [(d1, get(("m3", p, d1, gap - p))) for p in range(1, gap)]
+            terms = [(2, memo["n2D", gap, d1]), (2, memo["n2B", gap, d1]),
+                     (2 * d1, memo["gamma2", gap, d1])]
+            terms += [(d1, memo["m3", p, d1, gap - p]) for p in range(1, gap)]
             return terms
         # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
         # n1D(d1, H, c2): both linear in c2
         c2 = self._c2
-        terms = [(2, get(("n1E", d1))), (2 * d1, get(("gamma1", d1)))]
+        terms = [(2, memo["n1E", d1]), (2 * d1, memo["gamma1", d1])]
         if c2:
-            terms += [(2 * c2, self._n1pt[d1]), (2 * c2, get(("n1D", d1)))]
+            terms += [(2 * c2, self._n1pt[d1]), (2 * c2, memo["n1D", d1])]
         for p in range(1, d2):
-            terms += ((-4, get(("n2D", p, d2 - p))), (-5, get(("n2B", p, d2 - p))))
+            terms += ((-4, memo["n2D", p, d2 - p]), (-5, memo["n2B", p, d2 - p]))
         return terms
 
     def _row(self, d1: int, d2: int):
         """The m3 row m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass with
         the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
-        and n2E (1): ``[num_C, num_D, num_E, den, uses left]``, three
-        numerators over one denominator.  Each of n2C, n2D and n2E uses
-        it once; the row is dropped after the third use."""
-        row = self._rows.get((d1, d2))
-        if row is None:
-            memo, m3 = self.memo, self.m3
+        and n2E (1): ``[num_C, num_D, num_E, den]``, three numerators over
+        one denominator.  The fill computes n2C, n2D and n2E of one (d1, d2)
+        back to back, so one cached row serves all three."""
+        key, row = self._last_row
+        if key != (d1, d2):
+            memo = self.memo
             num_c = num_d = num_e = 0
             den = 1
             for p in range(1, d2):
                 q = d2 - p
-                v = memo.get(("m3", d1, q, p))
-                if v is None:
-                    v = m3(d1, q, p)
+                v = memo["m3", d1, q, p]
                 if type(v) is int:
                     if den != 1:
                         v *= den
@@ -435,15 +438,13 @@ class Engine:
                 num_c += p * p * v
                 num_d += p * q * v
                 num_e += v
-            row = self._rows[(d1, d2)] = [num_c, d2 * num_d, num_e, den, 3]
-        row[4] -= 1
-        if not row[4]:
-            del self._rows[(d1, d2)]
+            row = [num_c, d2 * num_d, num_e, den]
+            self._last_row = ((d1, d2), row)
         return row
 
     def _c_n2C(self, d1: int, d2: int):
-        get = self._get
-        terms = ((1, get(("n2A", d1, d2))), (-2 * d2, get(("n2B", d1, d2))))
+        memo = self.memo
+        terms = ((1, memo["n2A", d1, d2]), (-2 * d2, memo["n2B", d1, d2]))
         row = self._row(d1, d2)
         return _weighted_sum(terms, d2 * d2, row[0], row[3])
 
@@ -451,7 +452,7 @@ class Engine:
         # the cotangent reduction on the second component pairs the divisor
         # with that component's class, hence d2 * n2A; the second term,
         # -2 d2 * n2A, has the insertion H*H
-        n2A = self._get(("n2A", d1, d2))
+        n2A = self.memo["n2A", d1, d2]
         row = self._row(d1, d2)
         return _weighted_sum(((-d2, n2A),), d2 * d2, row[1], row[3])
 
@@ -460,52 +461,50 @@ class Engine:
         return _ratio(-row[2], row[3])
 
     def _c_gamma2(self, d1: int, d2: int):
-        get = self._get
-        terms = [(self._c2, get(("n2A", d1, d2)))] if self._c2 else []
-        terms += [(2, get(("n2E", d1, d2))), (1, get(("n2C", d1, d2))), (1, get(("n2C", d2, d1)))]
+        memo = self.memo
+        terms = [(self._c2, memo["n2A", d1, d2])] if self._c2 else []
+        terms += [(2, memo["n2E", d1, d2]), (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])]
         return _weighted_sum(terms)
 
     def _corr3(self, d1: int, d2: int, d3: int):
         """The corrections as ``(x1, x2, x3, x4)``: C1 = x1,
         C2 = -(x2 + x3) and C12 = -x4, where x3 and x4 may be 0."""
-        get = self._get
+        memo = self.memo
         if d3 > d1:
-            x1 = get(("m3", d3 - d1, d1, d2))
+            x1 = memo["m3", d3 - d1, d1, d2]
         elif d3 < d1:
-            x1 = get(("m3", d1 - d3, d3, d2))
+            x1 = memo["m3", d1 - d3, d3, d2]
         else:
-            x1 = get(("gamma2", d2, d1))
+            x1 = memo["gamma2", d2, d1]
 
         x3 = 0
         if d3 > d2:
-            x2 = get(("m3", d1, d2, d3 - d2))
+            x2 = memo["m3", d1, d2, d3 - d2]
         elif d3 < d2:
-            x2, x3 = get(("m3", d1, d3, d2 - d3)), get(("m3", d1, d2 - d3, d3))
+            x2, x3 = memo["m3", d1, d3, d2 - d3], memo["m3", d1, d2 - d3, d3]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2): on this diagonal, one
             # normalisation more than elsewhere
-            terms = [(self._c2, get(("n2A", d1, d2)))] if self._c2 else []
-            x2 = _weighted_sum(terms + [(2, get(("n2E", d1, d2)))])
+            terms = [(self._c2, memo["n2A", d1, d2])] if self._c2 else []
+            x2 = _weighted_sum(terms + [(2, memo["n2E", d1, d2])])
 
         if d3 > d1 + d2:
-            x4 = get(("m3", d3 - d1 - d2, d1, d2))
+            x4 = memo["m3", d3 - d1 - d2, d1, d2]
         elif d2 < d3 < d1 + d2:
-            x4 = get(("m3", d1 + d2 - d3, d3 - d2, d2))
+            x4 = memo["m3", d1 + d2 - d3, d3 - d2, d2]
         elif d3 == d1 + d2:
-            x4 = get(("gamma2", d2, d1))
+            x4 = memo["gamma2", d2, d1]
         else:
             x4 = 0
         return x1, x2, x3, x4
 
     def _c_m3(self, d1: int, d2: int, d3: int):
-        # on a compact ring n2A is evaluated even where n1pt[d3] is zero, so
-        # that the memo holds the same keys whatever the base data; the
-        # base term n2A * n1pt[d3] / t5 enters as a raw numerator and
+        # the base term n2A * n1pt[d3] / t5 enters as a raw numerator and
         # denominator
         if self._n1pt_t5 is None:
             num, den = 0, 1
         else:
-            a, t = self._get(("n2A", d1, d2)), self._n1pt_t5[d3]
+            a, t = self.memo["n2A", d1, d2], self._n1pt_t5[d3]
             num, den = a.numerator * t.numerator, a.denominator * t.denominator
         # base - C1 - C2 - C12
         x1, x2, x3, x4 = self._corr3(d1, d2, d3)
@@ -515,10 +514,10 @@ class Engine:
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        get, c2 = self._get, self._c2
-        terms = [(-2, get(("n1G", d))), (-2 * self._c3, self._n1pt[d])]
+        memo, c2 = self.memo, self._c2
+        terms = [(-2, memo["n1G", d]), (-2 * self._c3, self._n1pt[d])]
         if c2:
-            terms.append((-2 * c2, get(("n1C", d))))
+            terms.append((-2 * c2, memo["n1C", d]))
         for a in range(1, d):
-            terms += ((1, get(("n2C", a, d - a))), (1, get(("n2C", d - a, a))))
+            terms += ((1, memo["n2C", a, d - a]), (1, memo["n2C", d - a, a]))
         return _weighted_sum(terms, 2)

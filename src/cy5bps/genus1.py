@@ -59,7 +59,6 @@ def compute_bps_table(
         engine = Engine(geometry)
     elif engine.geometry is not geometry:
         raise ValueError("engine was built for a different geometry")
-    # evaluating degrees in increasing order keeps the recursion shallow
     chern_values = [engine.chern_integral(d) for d in range(1, max_degree + 1)]
     chern = DegreeSeries(dict(enumerate(chern_values, start=1)), max_degree)
     gw1 = geometry.gw_genus1.truncated(max_degree)

@@ -56,6 +56,12 @@ def test_compact_ring_needs_nonzero_top_integral():
         Ring(5, 0)
 
 
+@pytest.mark.parametrize("top_power", [True, 2.0, "2", 0, -1], ids=repr)
+def test_top_power_must_be_a_positive_int(top_power):
+    with pytest.raises(ValueError, match="top_power must be an int >= 1"):
+        Ring(top_power)
+
+
 def test_direct_construction_is_normalised():
     ring = Ring(2)
     assert CohClass(ring, 2, 0) == ring.zero()

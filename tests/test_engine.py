@@ -29,6 +29,7 @@ def _evaluate(engine, label):
     name, _, rest = label.partition("(")
     args = [int(x) for x in rest.rstrip(")").split(",")]
     table = {
+        "n1B": lambda d: engine.n1B(d, H2, H2),
         "n1C": lambda d: engine.n1C(d, H2),
         "n1D": lambda d: engine.n1D(d, H, H2),
         "n1E": lambda d: engine.n1E(d, H),
@@ -41,6 +42,7 @@ def _evaluate(engine, label):
         "n2D": lambda a, b: engine.n2D(a, b, H),
         "n2E": engine.n2E,
         "C2": lambda a, b: engine.correction_C2(a, b, H),
+        "C3": engine.correction_C3,
         "gamma2": engine.gamma2,
         "m3": engine.m3,
         "chern": engine.chern_integral,
@@ -180,20 +182,97 @@ def test_homogeneity_zero_inputs_zero_outputs(zero_geometry):
     assert engine.m3(2, 1, 1) == 0
 
 
-def test_cold_start_at_geometry_max_degree():
-    # a direct top-level call with nothing memoized must not hit the
-    # interpreter recursion limit, even a low one, and must leave the
-    # caller's limit as it found it
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(250)
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_cold_start_at_geometry_max_degree(monkeypatch):
+    # a direct top-level call with nothing memoized fills level by level:
+    # it never sets the interpreter's recursion limit, runs under a low
+    # one, and needs fewer than 30 frames below its caller
+    set_limit, saved = sys.setrecursionlimit, sys.getrecursionlimit()
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     try:
-        engine = Engine(localp2_geometry(60))
-        assert sys.getrecursionlimit() == 250
+        set_limit(250)
+        geometry = localp2_geometry(60)
+        engine = Engine(geometry)
         cold = engine.chern_integral(60)
         assert sys.getrecursionlimit() == 250
+        set_limit(_stack_depth() + 30)
+        shallow = Engine(geometry).chern_integral(60)
     finally:
-        sys.setrecursionlimit(saved)
-    assert cold == engine.chern_integral(60)
+        set_limit(saved)
+    assert calls == []
+    assert cold == shallow == engine.chern_integral(60)
+
+
+def test_memo_holds_exactly_the_filled_levels(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    for d in range(1, 13):
+        engine.chern_integral(d)
+    r = range(1, 13)
+    expected = {("m3", a, b, c) for a in r for b in r for c in r if a + b + c <= 12}
+    expected |= {(k, a, b) for k in ("n2A", "n2B", "n2C", "n2D", "n2E")
+                 for a in r for b in r if a + b <= 12}
+    expected |= {(k, d) for k in ("n1B", "n1C", "n1D", "n1E", "n1F", "n1G", "chern") for d in r}
+    expected |= {("gamma2", a, b) for a in r for b in r if a + 2 * b <= 12}
+    expected |= {("gamma1", d) for d in r if 2 * d <= 12}
+    assert engine.memo.keys() == expected
+
+
+# every public method; gamma2 and gamma1 both inside and outside the keys
+# the fill stores (gamma2(a, b) with a + 2b > D, gamma1(d) with 2d > D)
+FIRST_CALLS = [
+    ("local_geometry_12", label) for label in (
+        "n1B(12)", "n1C(11)", "n1D(10)", "n1E(12)", "n1F(9)", "n1G(12)",
+        "gamma1(6)", "gamma1(7)", "n2A(5,7)", "n2B(6,6)", "n2C(4,8)", "n2D(3,9)",
+        "n2E(7,5)", "gamma2(4,4)", "gamma2(5,4)", "m3(3,4,5)", "m3(4,4,4)",
+        "chern(12)", "C2(6,6)", "C2(4,7)", "C3(4,4,4)", "C3(2,3,7)", "C3(5,2,5)",
+    )
+] + [
+    ("synthetic_geometry", label) for label in (
+        "n1G(4)", "gamma1(3)", "n2B(2,2)", "gamma2(2,2)", "m3(1,2,1)",
+        "chern(4)", "C2(2,2)", "C2(1,3)", "C3(1,1,2)",
+    )
+]
+
+
+@pytest.mark.parametrize("fixture,label", FIRST_CALLS)
+def test_first_call_on_a_fresh_engine_equals_the_warm_value(request, fixture, label):
+    geometry = request.getfixturevalue(fixture)
+    cold = _evaluate(Engine(geometry), label)
+    warm = Engine(geometry)
+    for d in range(1, geometry.max_degree + 1):
+        warm.chern_integral(d)
+    assert cold == _evaluate(warm, label)
+
+
+def test_interrupted_fill_leaves_its_level_unfilled(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    compute = engine._c_n2B
+
+    def interrupt(d1, d2):
+        if (d1, d2) == (3, 4):
+            raise KeyboardInterrupt
+        return compute(d1, d2)
+
+    engine._c_n2B = interrupt
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    del engine._c_n2B
+    # level 7 was partly filled: the n2B keys before the interrupted one
+    # are stored, it and everything after it are not
+    assert ("n2B", 2, 5) in engine.memo
+    assert ("n2B", 3, 4) not in engine.memo and ("n1G", 7) not in engine.memo
+    fresh = Engine(local_geometry_12)
+    assert engine.n1G(7) == fresh.n1G(7)
+    for d in range(1, 13):
+        assert engine.chern_integral(d) == fresh.chern_integral(d)
+    assert engine.memo == fresh.memo
 
 
 def test_determinism_across_fresh_stores(local_geometry_12):
