@@ -33,9 +33,6 @@ from .series import (
     SeriesError,
     extract_genus1_bps,
     extract_genus1_bps_tilde,
-    forward_genus1_gw,
-    forward_genus1_gw_tilde,
-    forward_multi_cover,
     invert_multi_cover,
     moebius,
     sigma,
@@ -53,11 +50,8 @@ __all__ = [
     "sigma",
     "moebius",
     "invert_multi_cover",
-    "forward_multi_cover",
     "extract_genus1_bps",
-    "forward_genus1_gw",
     "extract_genus1_bps_tilde",
-    "forward_genus1_gw_tilde",
     "Ring",
     "CohClass",
     "RingMismatchError",

@@ -155,6 +155,16 @@ def _write_table(args, columns, rows, head, tail=None, csv_tail="", csv_warning=
         print(f"warning: {csv_warning}", file=sys.stderr)
 
 
+def _integrality_warning(failures, max_degree: int):
+    """The CSV ``warning:`` text for non-integral n_{1,d} values, or None."""
+    if not failures:
+        return None
+    shown = ", ".join(str(d) for d in failures[:5])
+    more = ", ..." if len(failures) > 5 else ""
+    return (f"{len(failures)} of {max_degree} n_{{1,d}} values are "
+            f"not integers, at d = {shown}{more}")
+
+
 def _localp2_rows(args):
     """The local-P2 genus-1 table with the closed-form comparison, one row per degree."""
     max_degree = _check_max_degree(args)
@@ -177,14 +187,16 @@ def _cmd_local_p2(args) -> int:
     max_degree, report, rows = _localp2_rows(args)
     failures = list(report.integrality_failures)
     _write_table(args, _LOCALP2, rows, {"max_degree": max_degree},
-                 {"integrality_failures": failures})
+                 {"integrality_failures": failures},
+                 csv_warning=_integrality_warning(failures, max_degree))
     ok = not failures and all(row["match"] for row in rows)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_verify_martin(args) -> int:
-    max_degree, _, rows = _localp2_rows(args)
-    _write_table(args, (_D, _N1, *_MARTIN), rows, {"max_degree": max_degree})
+    max_degree, report, rows = _localp2_rows(args)
+    _write_table(args, (_D, _N1, *_MARTIN), rows, {"max_degree": max_degree},
+                 csv_warning=_integrality_warning(report.integrality_failures, max_degree))
     return EXIT_OK if all(row["match"] for row in rows) else EXIT_VERIFY
 
 
@@ -224,15 +236,9 @@ def _cmd_hypersurface(args) -> int:
             ([f"d1={i}"] + [cell for cell, _ in row] for i, row in zip(span, cells)),
         )
 
-    warning = None
-    if failures:
-        shown = ", ".join(str(d) for d in failures[:5])
-        more = ", ..." if len(failures) > 5 else ""
-        warning = (f"{len(failures)} of {max_degree} n_{{1,d}} values are "
-                   f"not integers, at d = {shown}{more}")
     rows = [{"d": d, "n1": report.n1[d]} for d in report.n1]
     _write_table(args, (_D, _N1), rows, {"max_degree": max_degree},
-                 tail, csv_tail, warning)
+                 tail, csv_tail, _integrality_warning(failures, max_degree))
     return EXIT_OK
 
 

@@ -37,13 +37,25 @@ n1D, n1F, n1E, n1G; chern, which nothing reads, only when called.  A
 miss at total degree T first fills every unfilled level up to T, so a
 cold call needs a few frames and the recursion limit is never touched.
 
+A public call is a validated lookup: the key is built once, the degrees
+are checked in one pass, the engine's own unit insertions are known by
+identity, and a scale other than 1 costs one product.  m3, most of the
+keys (161,700 of 189,650 at degree 100), answers a valid call at or
+below the filled level in its own frame.  The fill still stores every
+key by one call of its public method, looked up on the class, because
+``perfbench/tracer.py`` counts the entries of each kind by wrapping
+those methods from outside; that per-key call is the price of the
+contract.
+
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
 integer numerator over a running common denominator, reduced once when
 stored (twice for an m3 key on the diagonal d3 = d2, whose C2 is itself
-a sum).  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one
-pass, kept in a one-slot cache since the fill computes them in a row.
+a sum).  The long m3 sums of n2B and C2 add their int values on ints
+before any term is built.  n2C, n2D and n2E sum the same m3 row
+m3(d1, d2-p, p) in one pass, kept in a one-slot cache since the fill
+computes them in a row.
 
 Every insertion the formulas use is a monomial, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -66,11 +78,6 @@ __all__ = ["Engine"]
 def _norm(x):
     """x as an int when its denominator is 1, else x unchanged."""
     return x.numerator if x.denominator == 1 else x
-
-
-def _times(s, value):
-    """The insertion scalar s times a memo value, normalised."""
-    return value if s == 1 else _norm(s * value)
 
 
 def _ratio(num: int, den: int):
@@ -117,10 +124,14 @@ class Engine:
 
     ``memo`` maps ``(kind, *degrees)`` to the count with unit
     insertions.  Every public call validates its degrees and insertions,
-    hit or miss.  A miss at total degree T first fills every unfilled
-    level up to T, each key by a public call with unit insertions: every
-    value is computed as a miss on a filled level, and each public call
-    stores at most its own key.  An interrupted level stays unfilled.
+    hit or miss: a degree ``2.0`` equals the int key 2 in the dict, so
+    no lookup comes first.  A miss at total degree T first fills every
+    unfilled level up to T, each key by a public call with unit
+    insertions: every value is computed as a miss on a filled level, and
+    each public call stores at most its own key, so a wrapper on a
+    public method sees each stored key exactly once.  A fill call costs
+    its validation, one failed lookup, the compute function (looked up
+    on the instance) and the store.  An interrupted level stays unfilled.
     """
 
     def __init__(self, geometry: Geometry):
@@ -154,8 +165,6 @@ class Engine:
 
     def _scale(self, mu: CohClass, power: int):
         """Scalar s with mu = s * H^power; 0 for the zero class."""
-        if mu is self._units[power]:
-            return 1
         if not isinstance(mu, CohClass):
             raise InsertionDegreeError(f"insertion must be a CohClass, got {mu!r}")
         if mu.ring != self.geometry.ring:
@@ -168,12 +177,13 @@ class Engine:
             )
         return _norm(mu.coeff)
 
-    def _degrees(self, *betas) -> int:
+    def _degrees(self, betas: tuple) -> int:
         """Validate the degrees and return their total."""
+        total = 0
         for beta in betas:
             if type(beta) is not int or beta < 1:
                 raise ValueError(f"curve degree must be a positive integer, got {beta!r}")
-        total = sum(betas)
+            total += beta
         if total > self.geometry.max_degree:
             raise ValueError(
                 f"total degree {total} exceeds geometry max_degree "
@@ -181,24 +191,26 @@ class Engine:
             )
         return total
 
-    def _count(self, kind: str, compute, betas: tuple, *insertions):
-        """Answer a public call: validate the degrees and the (mu, power)
-        insertions, then scale the unit value, computing and storing it
-        on a miss unless an insertion is zero."""
-        total = self._degrees(*betas)
+    def _count(self, key: tuple, compute, insertions=()):
+        """Answer a public call for ``key = (kind, *degrees)``: validate the
+        degrees and the (mu, power) insertions, then scale the unit value,
+        computing and storing it on a miss unless an insertion is zero."""
+        betas = key[1:]
+        total = self._degrees(betas)
         s = 1
         for mu, power in insertions:
-            s *= self._scale(mu, power)
+            if mu is not self._units[power]:
+                s *= self._scale(mu, power)
         if s == 0:
             return 0
-        key = (kind, *betas)
         value = self.memo.get(key)
-        if value is None and total > self._level:
-            self._fill(total)
-            value = self.memo.get(key)
         if value is None:
-            value = self.memo[key] = compute(*betas)
-        return _times(s, value)
+            if total > self._level:
+                self._fill(total)
+                value = self.memo.get(key)
+            if value is None:
+                value = self.memo[key] = compute(*betas)
+        return value if s == 1 else _norm(s * value)
 
     def _fill(self, top: int):
         """Fill every level from the first unfilled one up to ``top``."""
@@ -237,85 +249,94 @@ class Engine:
 
     def n1B(self, beta, mu1: CohClass, mu2: CohClass):
         """Curves of class beta through two H^4 insertions (base count)."""
-        return self._count("n1B", self._c_n1B, (beta,), (mu1, 2), (mu2, 2))
+        return self._count(("n1B", beta), self._c_n1B, ((mu1, 2), (mu2, 2)))
 
     def n1C(self, beta, mu: CohClass):
         """1-component count with one cotangent power on an H^4 insertion."""
-        return self._count("n1C", self._c_n1C, (beta,), (mu, 2))
+        return self._count(("n1C", beta), self._c_n1C, ((mu, 2),))
 
     def n1D(self, beta, mu1: CohClass, mu2: CohClass):
         """Cotangent power on an H^2 insertion, plus a free H^4 insertion."""
-        return self._count("n1D", self._c_n1D, (beta,), (mu1, 1), (mu2, 2))
+        return self._count(("n1D", beta), self._c_n1D, ((mu1, 1), (mu2, 2)))
 
     def n1E(self, beta, mu: CohClass):
         """Second cotangent power on an H^2 insertion."""
-        return self._count("n1E", self._c_n1E, (beta,), (mu, 1))
+        return self._count(("n1E", beta), self._c_n1E, ((mu, 1),))
 
     def n1F(self, beta, mu: CohClass):
         """Second cotangent power at one point, H^4 insertion at another."""
-        return self._count("n1F", self._c_n1F, (beta,), (mu, 2))
+        return self._count(("n1F", beta), self._c_n1F, ((mu, 2),))
 
     def n1G(self, beta):
         """Third cotangent power, no insertions."""
-        return self._count("n1G", self._c_n1G, (beta,))
+        return self._count(("n1G", beta), self._c_n1G)
 
     def gamma1(self, beta):
         """Chern number of the 2-dimensional family of beta-curves:
         the integral of c1^2 - c2 of the family."""
-        return self._count("gamma1", self._c_gamma1, (beta,))
+        return self._count(("gamma1", beta), self._c_gamma1)
 
     def n2A(self, beta1, beta2, mu: CohClass):
         """2-component curves with an H^4 insertion on the second component."""
-        return self._count("n2A", self._c_n2A, (beta1, beta2), (mu, 2))
+        return self._count(("n2A", beta1, beta2), self._c_n2A, ((mu, 2),))
 
     def n2B(self, beta1, beta2, mu: CohClass):
         """2-component curves with the node on an H^2 divisor."""
-        return self._count("n2B", self._c_n2B, (beta1, beta2), (mu, 1))
+        return self._count(("n2B", beta1, beta2), self._c_n2B, ((mu, 1),))
 
     def n2C(self, beta1, beta2):
         """2-component curves with a cotangent class at the node, taken on
         the second-component side."""
-        return self._count("n2C", self._c_n2C, (beta1, beta2))
+        return self._count(("n2C", beta1, beta2), self._c_n2C)
 
     def n2D(self, beta1, beta2, mu: CohClass):
         """2-component curves, cotangent power on an H^2 insertion carried
         by the second component."""
-        return self._count("n2D", self._c_n2D, (beta1, beta2), (mu, 1))
+        return self._count(("n2D", beta1, beta2), self._c_n2D, ((mu, 1),))
 
     def n2E(self, beta1, beta2):
         """2-component curves with a second cotangent power on the second
         component."""
-        return self._count("n2E", self._c_n2E, (beta1, beta2))
+        return self._count(("n2E", beta1, beta2), self._c_n2E)
 
     def gamma2(self, beta1, beta2):
         """Chern-type combination for 2-component configurations; appears in
         the excess corrections of the diagonal-splitting recursions."""
-        return self._count("gamma2", self._c_gamma2, (beta1, beta2))
+        return self._count(("gamma2", beta1, beta2), self._c_gamma2)
 
     def correction_C2(self, beta1, beta2, mu: CohClass):
         """Excess correction for the node-on-divisor count."""
-        total, s = self._degrees(beta1, beta2), self._scale(mu, 1)
+        total, s = self._degrees((beta1, beta2)), self._scale(mu, 1)
         if s == 0:
             return 0
         self._fill(total)
-        return _times(s, _weighted_sum(self._corr2(beta1, beta2), 2))
+        return _norm(s * _weighted_sum(self._corr2(beta1, beta2), 2))
 
     def correction_C3(self, beta1, beta2, beta3):
         """The three excess corrections (C1, C2, C12) for the 3-component
         meeting number, with their defining signs included."""
-        self._fill(self._degrees(beta1, beta2, beta3))
+        self._fill(self._degrees((beta1, beta2, beta3)))
         x1, x2, x3, x4 = self._corr3(beta1, beta2, beta3)
         return x1, _weighted_sum(((-1, x2), (-1, x3))), -x4
 
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
         meeting at nodes."""
-        return self._count("m3", self._c_m3, (beta1, beta2, beta3))
+        # most keys are m3: a valid call at or below the filled level (so at
+        # most max_degree) is answered in this frame, anything else by _count
+        key = ("m3", beta1, beta2, beta3)
+        if (type(beta1) is type(beta2) is type(beta3) is int and beta1 > 0 and beta2 > 0
+                and beta3 > 0 and beta1 + beta2 + beta3 <= self._level):
+            value = self.memo.get(key)
+            if value is None:
+                value = self.memo[key] = self._c_m3(beta1, beta2, beta3)
+            return value
+        return self._count(key, self._c_m3)
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
         the genus-1 multiple-cover weight of the family."""
-        return self._count("chern", self._c_chern, (beta,))
+        return self._count(("chern", beta), self._c_chern)
 
     # -- canonical computations (unit monomial insertions) ------------------
     #
@@ -379,13 +400,20 @@ class Engine:
 
     def _c_n2B(self, d1: int, d2: int):
         # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2, since the
-        # correction's terms are those of 2 C2
+        # correction's terms are those of 2 C2; the int m3 values of the sum
+        # are added on ints first, the others become terms
         memo = self.memo
-        terms = [(2 * c, memo["m3", d1 - c, c, d2 - c]) for c in range(1, min(d1, d2))]
-        terms += self._corr2(d1, d2)
+        terms = self._corr2(d1, d2)
+        num = 0
+        for c in range(1, min(d1, d2)):
+            v = memo["m3", d1 - c, c, d2 - c]
+            if type(v) is int:
+                num += c * v
+            else:
+                terms.append((2 * c, v))
         if self._n1pt_t5 is not None:
             terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
-        return _weighted_sum(terms, -2)
+        return _weighted_sum(terms, -2, 2 * num)
 
     def _corr2(self, d1: int, d2: int):
         """The terms of twice the correction C2 with mu = H (linear in mu
@@ -397,7 +425,15 @@ class Engine:
             gap = d2 - d1
             terms = [(2, memo["n2D", gap, d1]), (2, memo["n2B", gap, d1]),
                      (2 * d1, memo["gamma2", gap, d1])]
-            terms += [(d1, memo["m3", p, d1, gap - p]) for p in range(1, gap)]
+            # the m3 sum with weight d1: int values on ints first
+            num = 0
+            for p in range(1, gap):
+                v = memo["m3", p, d1, gap - p]
+                if type(v) is int:
+                    num += v
+                else:
+                    terms.append((d1, v))
+            terms.append((d1, num))
             return terms
         # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
         # n1D(d1, H, c2): both linear in c2
@@ -410,19 +446,18 @@ class Engine:
         return terms
 
     def _row(self, d1: int, d2: int):
-        """The m3 row m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass with
-        the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
+        """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
+        with the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
         and n2E (1): ``[num_C, num_D, num_E, den]``, three numerators over
-        one denominator.  The fill computes n2C, n2D and n2E of one (d1, d2)
+        one denominator, from s_k = sum p^k v_p as s2, d2 (d2 s1 - s2), s0.  The fill computes n2C, n2D and n2E of one (d1, d2)
         back to back, so one cached row serves all three."""
         key, row = self._last_row
         if key != (d1, d2):
             memo = self.memo
-            num_c = num_d = num_e = 0
+            s0 = s1 = s2 = 0
             den = 1
             for p in range(1, d2):
-                q = d2 - p
-                v = memo["m3", d1, q, p]
+                v = memo["m3", d1, d2 - p, p]
                 if type(v) is int:
                     if den != 1:
                         v *= den
@@ -432,13 +467,14 @@ class Engine:
                         g = gcd(den, d)
                         scale = d // g
                         if scale != 1:
-                            num_c, num_d, num_e = num_c * scale, num_d * scale, num_e * scale
+                            s0, s1, s2 = s0 * scale, s1 * scale, s2 * scale
                             den *= scale
                         v *= den // d
-                num_c += p * p * v
-                num_d += p * q * v
-                num_e += v
-            row = [num_c, d2 * num_d, num_e, den]
+                pv = p * v
+                s0 += v
+                s1 += pv
+                s2 += p * pv
+            row = [s2, d2 * (d2 * s1 - s2), s0, den]
             self._last_row = ((d1, d2), row)
         return row
 

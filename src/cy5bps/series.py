@@ -23,8 +23,7 @@ unbranched covers, and a family of rational curves with Chern number
 solved by ``extract_genus1_bps``.  The companion form
 ``extract_genus1_bps_tilde`` folds the sigma-weights into a plain
 ``1/e`` cover sum; integrality of one table is equivalent to
-integrality of the other.  Forward versions of all three sums are
-provided for round-trip checks.
+integrality of the other.
 """
 
 from __future__ import annotations
@@ -40,11 +39,8 @@ __all__ = [
     "moebius",
     "divisors",
     "invert_multi_cover",
-    "forward_multi_cover",
     "extract_genus1_bps",
-    "forward_genus1_gw",
     "extract_genus1_bps_tilde",
-    "forward_genus1_gw_tilde",
 ]
 
 
@@ -198,15 +194,6 @@ def invert_multi_cover(gw: DegreeSeries, k: int) -> DegreeSeries:
     return _solve_cover_sum(gw, lambda e: Rat(1, e**power))
 
 
-def forward_multi_cover(n: DegreeSeries, k: int) -> DegreeSeries:
-    """The cover sum N_D = sum_{e|D} n_{D/e} / e^(3-k)."""
-    power = _check_pointed(k)
-    return DegreeSeries.from_function(
-        lambda D: sum((n[D // e] / Rat(e**power) for e in divisors(D)), Rat(0)),
-        n.max_degree,
-    )
-
-
 def _check_same_range(a: DegreeSeries, b: DegreeSeries) -> None:
     if a.max_degree != b.max_degree:
         raise SeriesError(
@@ -228,32 +215,6 @@ def extract_genus1_bps(n1_gw: DegreeSeries, chern: DegreeSeries) -> DegreeSeries
     return _solve_cover_sum(_without_chern_term(n1_gw, chern), lambda e: Rat(sigma(e), e))
 
 
-def forward_genus1_gw(n1: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
-    """The genus-1 cover sum inverted by :func:`extract_genus1_bps`."""
-    _check_same_range(n1, chern)
-    return DegreeSeries.from_function(
-        lambda D: sum(
-            (
-                Rat(sigma(e), e) * n1[D // e] + chern[D // e] / Rat(24 * e)
-                for e in divisors(D)
-            ),
-            Rat(0),
-        ),
-        n1.max_degree,
-    )
-
-
 def extract_genus1_bps_tilde(n1_gw: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
     """Solve N1_D = sum_{e|D} (nt_{D/e} + C_{D/e}/24) / e for nt."""
     return _solve_cover_sum(_without_chern_term(n1_gw, chern), lambda e: Rat(1, e))
-
-
-def forward_genus1_gw_tilde(nt: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
-    _check_same_range(nt, chern)
-    return DegreeSeries.from_function(
-        lambda D: sum(
-            ((nt[D // e] + chern[D // e] / Rat(24)) / Rat(e) for e in divisors(D)),
-            Rat(0),
-        ),
-        nt.max_degree,
-    )

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 
 import pytest
 
+from cy5bps import cli
 from cy5bps.cli import main
 from cy5bps.rational import Rat, parse_rational
+from cy5bps.series import DegreeSeries
 
 from conftest import gw_file_text, random_gw_text
 from golden import GENUS1_LOCAL_P2
@@ -230,6 +233,35 @@ def test_verify_martin(capsys):
     assert len(rows) == 20
     assert all(r[3] == "true" for r in rows)
     assert [parse_rational(r[1]) for r in rows] == GENUS1_LOCAL_P2[:20]
+
+
+@pytest.mark.parametrize("command", ["local-p2", "verify-martin"])
+def test_local_p2_csv_warns_of_non_integral_values(monkeypatch, capsys, command):
+    clean_code, clean_out, clean_err = run_cli(capsys, command, "--max-degree", "4")
+    assert (clean_code, clean_err) == (0, "")
+    compute = cli.compute_bps_table
+
+    def non_integral(geometry, max_degree):
+        # the real table with n_{1,2} moved off the integers
+        report = compute(geometry, max_degree)
+        n1 = dict(report.n1.items())
+        n1[2] += Rat(1, 2)
+        return dataclasses.replace(report, n1=DegreeSeries(n1, max_degree),
+                                   integrality_failures=(2,))
+
+    monkeypatch.setattr(cli, "compute_bps_table", non_integral)
+    code, out, err = run_cli(capsys, command, "--max-degree", "4")
+    assert code == 2
+    assert err == "warning: 1 of 4 n_{1,d} values are not integers, at d = 2\n"
+    # stdout is the table alone, differing from the clean one in the d = 2 row
+    clean_lines, lines = clean_out.splitlines(), out.splitlines()
+    assert len(lines) == len(clean_lines) == 5
+    assert [line for line in lines if line not in clean_lines] == [lines[2]]
+    assert parse_rational(lines[2].split(",")[1]) == GENUS1_LOCAL_P2[1] + Rat(1, 2)
+    assert lines[2].endswith(",false")
+    # JSON carries the failure in its own fields and prints no warning
+    code, _, err = run_cli(capsys, command, "--max-degree", "4", "--format", "json")
+    assert (code, err) == (2, "")
 
 
 # -- pinned local-p2 and verify-martin output -----------------------------------

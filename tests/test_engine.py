@@ -13,7 +13,7 @@ from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
-from conftest import gw_file_text
+from conftest import gw_file_text, random_gw_text
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -355,6 +355,83 @@ def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
         engine.n1C(1, zero_geometry.ring.H(2))
     with pytest.raises(RingMismatchError):
         engine.n2B(2, 3, zero_geometry.ring.H(1))
+
+
+# public count method -> (memo kind, number of degrees, H-powers of its
+# insertions); the corrections store nothing
+COUNT_METHODS = {
+    "n1B": ("n1B", 1, (2, 2)), "n1C": ("n1C", 1, (2,)), "n1D": ("n1D", 1, (1, 2)),
+    "n1E": ("n1E", 1, (1,)), "n1F": ("n1F", 1, (2,)), "n1G": ("n1G", 1, ()),
+    "gamma1": ("gamma1", 1, ()), "n2A": ("n2A", 2, (2,)), "n2B": ("n2B", 2, (1,)),
+    "n2C": ("n2C", 2, ()), "n2D": ("n2D", 2, (1,)), "n2E": ("n2E", 2, ()),
+    "gamma2": ("gamma2", 2, ()), "m3": ("m3", 3, ()), "chern_integral": ("chern", 1, ()),
+}
+CORRECTIONS = {"correction_C2": (None, 2, (1,)), "correction_C3": (None, 3, ())}
+
+
+@pytest.fixture
+def rational_geometry_12(write_gw_file):
+    """A compact geometry on the rational path, with diagonal terms."""
+    return load_hypersurface_geometry(write_gw_file(random_gw_text(5, 12)), 12)
+
+
+@pytest.mark.parametrize("fixture", ["local_geometry_12", "synthetic_geometry",
+                                     "rational_geometry_12"])
+def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
+    # every public count method wrapped on the class, recording its key when
+    # the memo grows during the call: what a tracer counting the stored
+    # entries of each kind by wrapping the public names relies on
+    geometry = request.getfixturevalue(fixture)
+    recorded = []
+    for method, (kind, ndeg, _) in COUNT_METHODS.items():
+        def traced(engine, *args, _fn=getattr(Engine, method), _kind=kind, _ndeg=ndeg):
+            before = len(engine.memo)
+            try:
+                return _fn(engine, *args)
+            finally:
+                if len(engine.memo) > before:
+                    recorded.append((_kind, *args[:_ndeg]))
+        monkeypatch.setattr(Engine, method, traced)
+    engine = Engine(geometry)
+    for d in range(1, geometry.max_degree + 1):
+        engine.chern_integral(d)
+    assert len(set(recorded)) == len(recorded)
+    assert recorded == list(engine.memo)
+
+
+def _call(engine, method, degrees):
+    _, _, powers = {**COUNT_METHODS, **CORRECTIONS}[method]
+    units = [engine.geometry.ring.H(p) for p in powers]
+    return getattr(engine, method)(*degrees, *units)
+
+
+# each refused degree with the text the message ends in
+BAD_DEGREES = [(2.0, "2.0"), (True, "True"), (Fraction(2), "Fraction(2, 1)"), (0, "0"), (-1, "-1")]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("method", sorted({**COUNT_METHODS, **CORRECTIONS}))
+def test_every_public_call_validates_its_degrees(local_geometry_12, method, warm):
+    # a non-int degree equal to a stored key must not alias it, and a refused
+    # call fills nothing
+    engine = Engine(local_geometry_12)
+    if warm:
+        for d in range(1, 13):
+            engine.chern_integral(d)
+    memo = dict(engine.memo)
+    ndeg = {**COUNT_METHODS, **CORRECTIONS}[method][1]
+    cases = []
+    for position in range(ndeg):
+        for bad, text in BAD_DEGREES:
+            degrees = [1] * ndeg
+            degrees[position] = bad
+            cases.append((degrees, f"curve degree must be a positive integer, got {text}"))
+    cases.append(([1] * (ndeg - 1) + [14 - ndeg], "total degree 13 exceeds geometry max_degree 12"))
+    for degrees, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            _call(engine, method, degrees)
+        assert str(excinfo.value) == message
+        assert engine.memo == memo
 
 
 _rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))

@@ -3,9 +3,10 @@ import pytest
 from cy5bps.genus1 import BpsReport, compute_bps_table, martin_S, martin_V, martin_check
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, is_integer
-from cy5bps.series import DegreeSeries, forward_genus1_gw, forward_genus1_gw_tilde
+from cy5bps.series import DegreeSeries
 
 from golden import GENUS1_LOCAL_P2
+from test_series import forward_genus1_gw, forward_genus1_gw_tilde
 
 
 @pytest.fixture(scope="module")

@@ -11,15 +11,43 @@ from cy5bps.series import (
     divisors,
     extract_genus1_bps,
     extract_genus1_bps_tilde,
-    forward_genus1_gw,
-    forward_genus1_gw_tilde,
-    forward_multi_cover,
     invert_multi_cover,
     moebius,
     sigma,
 )
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+# -- forward cover sums: the round-trip oracles of the inversions -------------
+
+def forward_multi_cover(n: DegreeSeries, k: int) -> DegreeSeries:
+    """The cover sum N_D = sum_{e|D} n_{D/e} / e^(3-k)."""
+    return DegreeSeries.from_function(
+        lambda D: sum((n[D // e] / Rat(e ** (3 - k)) for e in divisors(D)), Rat(0)),
+        n.max_degree,
+    )
+
+
+def forward_genus1_gw(n1: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
+    """The genus-1 cover sum inverted by ``extract_genus1_bps``."""
+    assert n1.max_degree == chern.max_degree
+    return DegreeSeries.from_function(
+        lambda D: sum(
+            (Rat(sigma(e), e) * n1[D // e] + chern[D // e] / Rat(24 * e) for e in divisors(D)),
+            Rat(0),
+        ),
+        n1.max_degree,
+    )
+
+
+def forward_genus1_gw_tilde(nt: DegreeSeries, chern: DegreeSeries) -> DegreeSeries:
+    """The cover sum inverted by ``extract_genus1_bps_tilde``."""
+    assert nt.max_degree == chern.max_degree
+    return DegreeSeries.from_function(
+        lambda D: sum(((nt[D // e] + chern[D // e] / Rat(24)) / Rat(e) for e in divisors(D)), Rat(0)),
+        nt.max_degree,
+    )
 
 
 # -- sigma / moebius -------------------------------------------------------
