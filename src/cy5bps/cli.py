@@ -183,21 +183,24 @@ def _localp2_rows(args):
     return max_degree, report, rows
 
 
-def _cmd_local_p2(args) -> int:
+def _write_localp2_table(args, columns) -> int:
+    """The local-P2 table in ``columns``; non-integral n_{1,d} degrees go to
+    the JSON's ``integrality_failures`` and the CSV ``warning:`` line."""
     max_degree, report, rows = _localp2_rows(args)
     failures = list(report.integrality_failures)
-    _write_table(args, _LOCALP2, rows, {"max_degree": max_degree},
+    _write_table(args, columns, rows, {"max_degree": max_degree},
                  {"integrality_failures": failures},
                  csv_warning=_integrality_warning(failures, max_degree))
     ok = not failures and all(row["match"] for row in rows)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def _cmd_local_p2(args) -> int:
+    return _write_localp2_table(args, _LOCALP2)
+
+
 def _cmd_verify_martin(args) -> int:
-    max_degree, report, rows = _localp2_rows(args)
-    _write_table(args, (_D, _N1, *_MARTIN), rows, {"max_degree": max_degree},
-                 csv_warning=_integrality_warning(report.integrality_failures, max_degree))
-    return EXIT_OK if all(row["match"] for row in rows) else EXIT_VERIFY
+    return _write_localp2_table(args, (_D, _N1, *_MARTIN))
 
 
 def _cmd_hypersurface(args) -> int:

@@ -47,6 +47,17 @@ key by one call of its public method, looked up on the class, because
 those methods from outside; that per-key call is the price of the
 contract.
 
+The memo stays the store of record, with every key: the public methods
+answer from it and the tracer's entry counts rest on its keys.  But
+every m3 value the formulas read comes from a per-level table:
+``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2).  The fill rebuilds
+level t's lists each time it fills that level and puts in each slot the
+object the public m3 call returned, so the table holds exactly the
+memo's m3 values and an interrupted level leaves no stale entry.  An
+index read needs no key tuple, hash or key comparison, and m3 is read
+O(D^3) times: by C1, C2 and C12 of every m3 key, by the n2C/n2D/n2E row
+sums, and by the m3 sums of n2B and C2.
+
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
@@ -140,6 +151,9 @@ class Engine:
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
+        # _m3[t][d1][d2] = m3(d1, d2, t - d1 - d2): the memo's m3 values of
+        # each filled level, by index (slot 0 of each list unused)
+        self._m3 = [None]
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
         self._last_row = (None, None)
         ring = geometry.ring
@@ -223,9 +237,16 @@ class Engine:
                     self.gamma2(t - 2 * b, b)
                 if t % 2 == 0:
                     self.gamma1(t // 2)
+                # level t's m3 lists are rebuilt on every fill of it, so an
+                # interrupted fill leaves nothing stale behind
+                del self._m3[t:]
+                level = [None] + [[None] * (t - d1) for d1 in range(1, t - 1)]
+                self._m3.append(level)
+                m3 = self.m3
                 for d1 in range(1, t - 1):
+                    row = level[d1]
                     for d2 in range(1, t - d1):
-                        self.m3(d1, d2, t - d1 - d2)
+                        row[d2] = m3(d1, d2, t - d1 - d2)
                 pairs = [(d1, t - d1) for d1 in range(1, t)]
                 for d1, d2 in pairs:
                     self.n2A(d1, d2, H2)
@@ -402,11 +423,11 @@ class Engine:
         # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2, since the
         # correction's terms are those of 2 C2; the int m3 values of the sum
         # are added on ints first, the others become terms
-        memo = self.memo
+        m3 = self._m3
         terms = self._corr2(d1, d2)
         num = 0
         for c in range(1, min(d1, d2)):
-            v = memo["m3", d1 - c, c, d2 - c]
+            v = m3[d1 + d2 - c][d1 - c][c]
             if type(v) is int:
                 num += c * v
             else:
@@ -426,9 +447,9 @@ class Engine:
             terms = [(2, memo["n2D", gap, d1]), (2, memo["n2B", gap, d1]),
                      (2 * d1, memo["gamma2", gap, d1])]
             # the m3 sum with weight d1: int values on ints first
-            num = 0
+            level, num = self._m3[d2], 0
             for p in range(1, gap):
-                v = memo["m3", p, d1, gap - p]
+                v = level[p][d1]
                 if type(v) is int:
                     num += v
                 else:
@@ -448,16 +469,21 @@ class Engine:
     def _row(self, d1: int, d2: int):
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
         with the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
-        and n2E (1): ``[num_C, num_D, num_E, den]``, three numerators over
-        one denominator, from s_k = sum p^k v_p as s2, d2 (d2 s1 - s2), s0.  The fill computes n2C, n2D and n2E of one (d1, d2)
-        back to back, so one cached row serves all three."""
+        and n2E (1).
+
+        Returns ``[num_C, num_D, num_E, den]``, three numerators over one
+        denominator, from s_k = sum p^k v_p as s2, d2 (d2 s1 - s2), s0.
+        The fill computes n2C, n2D and n2E of one (d1, d2) back to back,
+        so one cached row serves all three."""
         key, row = self._last_row
         if key != (d1, d2):
-            memo = self.memo
             s0 = s1 = s2 = 0
             den = 1
+            # v_p is m3_row[d2 - p]; for d2 = 1 the row is empty and level
+            # d1 + 1 has no list d1
+            m3_row = self._m3[d1 + d2][d1] if d2 > 1 else None
             for p in range(1, d2):
-                v = memo["m3", d1, d2 - p, p]
+                v = m3_row[d2 - p]
                 if type(v) is int:
                     if den != 1:
                         v *= den
@@ -505,19 +531,21 @@ class Engine:
     def _corr3(self, d1: int, d2: int, d3: int):
         """The corrections as ``(x1, x2, x3, x4)``: C1 = x1,
         C2 = -(x2 + x3) and C12 = -x4, where x3 and x4 may be 0."""
-        memo = self.memo
+        memo, m3 = self.memo, self._m3
+        # m3(a, b, c) is m3[a + b + c][a][b]
         if d3 > d1:
-            x1 = memo["m3", d3 - d1, d1, d2]
+            x1 = m3[d3 + d2][d3 - d1][d1]
         elif d3 < d1:
-            x1 = memo["m3", d1 - d3, d3, d2]
+            x1 = m3[d1 + d2][d1 - d3][d3]
         else:
             x1 = memo["gamma2", d2, d1]
 
         x3 = 0
         if d3 > d2:
-            x2 = memo["m3", d1, d2, d3 - d2]
+            x2 = m3[d1 + d3][d1][d2]
         elif d3 < d2:
-            x2, x3 = memo["m3", d1, d3, d2 - d3], memo["m3", d1, d2 - d3, d3]
+            row = m3[d1 + d2][d1]
+            x2, x3 = row[d3], row[d2 - d3]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2): on this diagonal, one
             # normalisation more than elsewhere
@@ -525,9 +553,9 @@ class Engine:
             x2 = _weighted_sum(terms + [(2, memo["n2E", d1, d2])])
 
         if d3 > d1 + d2:
-            x4 = memo["m3", d3 - d1 - d2, d1, d2]
+            x4 = m3[d3][d3 - d1 - d2][d1]
         elif d2 < d3 < d1 + d2:
-            x4 = memo["m3", d1 + d2 - d3, d3 - d2, d2]
+            x4 = m3[d1 + d2][d1 + d2 - d3][d3 - d2]
         elif d3 == d1 + d2:
             x4 = memo["gamma2", d2, d1]
         else:

@@ -260,19 +260,22 @@ def test_local_p2_csv_warns_of_non_integral_values(monkeypatch, capsys, command)
     assert parse_rational(lines[2].split(",")[1]) == GENUS1_LOCAL_P2[1] + Rat(1, 2)
     assert lines[2].endswith(",false")
     # JSON carries the failure in its own fields and prints no warning
-    code, _, err = run_cli(capsys, command, "--max-degree", "4", "--format", "json")
+    code, out, err = run_cli(capsys, command, "--max-degree", "4", "--format", "json")
     assert (code, err) == (2, "")
+    assert json.loads(out)["integrality_failures"] == [2]
 
 
 # -- pinned local-p2 and verify-martin output -----------------------------------
 
 # SHA-256 of the stdout of ``<command> --max-degree 30``, recorded while
-# each command still wrote its own CSV and JSON text.
+# each command still wrote its own CSV and JSON text; verify-martin's JSON
+# since it gained the ``integrality_failures`` field (without that field
+# the text is the one first recorded).
 TABLE_DIGESTS = {
     ("local-p2", "csv"): "02588e342370784c8b0d08897646f825bff04d1333f62cd74b164b4907aacba3",
     ("local-p2", "json"): "73130ad9ae6d760bd6b81365bb12ed9b12d3ef48c97c7f59dc3a45fb5256b6be",
     ("verify-martin", "csv"): "5e6f21b194519dce594ed49b5174f7278f1d881af7ecf2ddb349bf7aee3ae646",
-    ("verify-martin", "json"): "4b1a22789045d1fca3ae395b4bc4f4c563e19e3192ce0b43d48c9d89ddffd7b6",
+    ("verify-martin", "json"): "ce1dc215a1597524d4c603610eb4d2362cdd77a41a4cb893b44444d9fa138385",
 }
 
 

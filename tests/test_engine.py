@@ -399,6 +399,57 @@ def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
     assert recorded == list(engine.memo)
 
 
+def _assert_m3_table_is_the_memo(engine):
+    # the level table holds each m3 memo value, the same object, at
+    # _m3[a + b + c][a][b], one level per filled level and nothing else
+    table = {}
+    for t, level in enumerate(engine._m3):
+        for a, row in enumerate(level or ()):
+            for b, value in enumerate(row or ()):
+                if value is not None:
+                    table[a, b, t - a - b] = value
+    m3 = {key[1:]: value for key, value in engine.memo.items() if key[0] == "m3"}
+    assert table.keys() == m3.keys()
+    assert all(table[key] is value for key, value in m3.items())
+    assert len(engine._m3) == engine._level + 1
+
+
+@pytest.mark.parametrize("fixture", ["local_geometry_12", "synthetic_geometry",
+                                     "rational_geometry_12"])
+def test_m3_table_holds_exactly_the_memo_values(request, fixture):
+    geometry = request.getfixturevalue(fixture)
+    engine = Engine(geometry)
+    for d in range(1, geometry.max_degree + 1):
+        engine.chern_integral(d)
+    assert engine._level == geometry.max_degree
+    _assert_m3_table_is_the_memo(engine)
+
+
+def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    compute = engine._c_m3
+
+    def interrupt(d1, d2, d3):
+        if (d1, d2, d3) == (2, 3, 2):
+            raise KeyboardInterrupt
+        return compute(d1, d2, d3)
+
+    engine._c_m3 = interrupt
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    del engine._c_m3
+    # the m3 loop of level 7 stopped partway: the keys before m3(2, 3, 2)
+    # are stored, it and everything after it are not
+    assert ("m3", 1, 5, 1) in engine.memo and ("m3", 2, 2, 3) in engine.memo
+    assert ("m3", 2, 3, 2) not in engine.memo and ("n2A", 1, 6) not in engine.memo
+    engine.chern_integral(12)
+    _assert_m3_table_is_the_memo(engine)
+    fresh = Engine(local_geometry_12)
+    for d in range(1, 13):
+        assert engine.chern_integral(d) == fresh.chern_integral(d)
+    assert engine.memo == fresh.memo
+
+
 def _call(engine, method, degrees):
     _, _, powers = {**COUNT_METHODS, **CORRECTIONS}[method]
     units = [engine.geometry.ring.H(p) for p in powers]
