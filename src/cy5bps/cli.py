@@ -165,8 +165,10 @@ def _integrality_warning(failures, max_degree: int):
             f"not integers, at d = {shown}{more}")
 
 
-def _localp2_rows(args):
-    """The local-P2 genus-1 table with the closed-form comparison, one row per degree."""
+def _write_localp2_table(args, columns) -> int:
+    """The local-P2 genus-1 table with the closed-form comparison, one row
+    per degree, in ``columns``; non-integral n_{1,d} degrees go to the
+    JSON's ``integrality_failures`` and the CSV ``warning:`` line."""
     max_degree = _check_max_degree(args)
     report = compute_bps_table(localp2_geometry(max_degree), max_degree)
     rows = [
@@ -180,13 +182,6 @@ def _localp2_rows(args):
         }
         for row in martin_check(report)
     ]
-    return max_degree, report, rows
-
-
-def _write_localp2_table(args, columns) -> int:
-    """The local-P2 table in ``columns``; non-integral n_{1,d} degrees go to
-    the JSON's ``integrality_failures`` and the CSV ``warning:`` line."""
-    max_degree, report, rows = _localp2_rows(args)
     failures = list(report.integrality_failures)
     _write_table(args, columns, rows, {"max_degree": max_degree},
                  {"integrality_failures": failures},
