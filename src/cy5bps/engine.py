@@ -23,6 +23,11 @@ Three layers of rules drive the computation:
   multiple-cover extraction, expands into the 1-component counts of
   c3, psi*c2 and psi^3 plus a symmetrized node-cotangent sum.
 
+The public API is the fifteen count methods: n1B, n1C, n1D, n1E, n1F,
+n1G, gamma1, n2A-n2E, gamma2, m3 and chern_integral.  No correction is
+public: each is written once, inside the one formula that subtracts it,
+C2 in n2B's and C1, C2 and C12 in m3's.
+
 Every count is exact: a Python ``int`` when its denominator is 1 and a
 :data:`Rat` otherwise.  Each (kind, degrees) key is memoized; results
 extend linearly in each cohomology insertion, so the memo stores one
@@ -56,15 +61,15 @@ object the public m3 call returned, so the table holds exactly the
 memo's m3 values and an interrupted level leaves no stale entry.  An
 index read needs no key tuple, hash or key comparison, and m3 is read
 O(D^3) times: by C1, C2 and C12 of every m3 key, by the n2C/n2D/n2E row
-sums, and by the m3 sums of n2B and C2.
+sums, and by n2B's two m3 sums (its own and its C2's).
 
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
 integer numerator over a running common denominator, reduced once when
 stored (twice for an m3 key on the diagonal d3 = d2, whose C2 is itself
-a sum).  The long m3 sums of n2B and C2 add their int values on ints
-before any term is built.  n2C, n2D and n2E sum the same m3 row
+a sum).  The long m3 sums of n2B add their int values on ints before
+any term is built.  n2C, n2D and n2E sum the same m3 row
 m3(d1, d2-p, p) in one pass, kept in a one-slot cache since the fill
 computes them in a row.
 
@@ -125,6 +130,9 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
 
 class Engine:
     """Evaluator of all count types for one geometry, filled level by level.
+
+    The fifteen public count methods are the whole API; the excess
+    corrections live inside the n2B and m3 formulas that subtract them.
 
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
@@ -325,21 +333,6 @@ class Engine:
         the excess corrections of the diagonal-splitting recursions."""
         return self._count(("gamma2", beta1, beta2), self._c_gamma2)
 
-    def correction_C2(self, beta1, beta2, mu: CohClass):
-        """Excess correction for the node-on-divisor count."""
-        total, s = self._degrees((beta1, beta2)), self._scale(mu, 1)
-        if s == 0:
-            return 0
-        self._fill(total)
-        return _norm(s * _weighted_sum(self._corr2(beta1, beta2), 2))
-
-    def correction_C3(self, beta1, beta2, beta3):
-        """The three excess corrections (C1, C2, C12) for the 3-component
-        meeting number, with their defining signs included."""
-        self._fill(self._degrees((beta1, beta2, beta3)))
-        x1, x2, x3, x4 = self._corr3(beta1, beta2, beta3)
-        return x1, _weighted_sum(((-1, x2), (-1, x3))), -x4
-
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
         meeting at nodes."""
@@ -420,51 +413,42 @@ class Engine:
         return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
-        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2, since the
-        # correction's terms are those of 2 C2; the int m3 values of the sum
-        # are added on ints first, the others become terms
-        m3 = self._m3
-        terms = self._corr2(d1, d2)
-        num = 0
-        for c in range(1, min(d1, d2)):
+        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; the int m3 values
+        # of both m3 sums are added on ints first, the others become terms
+        memo, m3 = self.memo, self._m3
+        terms, num = [], 0
+        # the excess correction C2 with mu = H (linear in mu like everything
+        # else), symmetric in its degrees, as the terms of 2 C2
+        lo, hi = min(d1, d2), max(d1, d2)
+        if hi > lo:
+            gap = hi - lo
+            terms += ((2, memo["n2D", gap, lo]), (2, memo["n2B", gap, lo]),
+                      (2 * lo, memo["gamma2", gap, lo]))
+            level = m3[hi]
+            for p in range(1, gap):
+                v = level[p][lo]
+                if type(v) is int:
+                    num += lo * v
+                else:
+                    terms.append((lo, v))
+        else:
+            # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
+            # n1D(d1, H, c2): both linear in c2
+            c2 = self._c2
+            terms += ((2, memo["n1E", lo]), (2 * lo, memo["gamma1", lo]))
+            if c2:
+                terms += ((2 * c2, self._n1pt[lo]), (2 * c2, memo["n1D", lo]))
+            for p in range(1, hi):
+                terms += ((-4, memo["n2D", p, hi - p]), (-5, memo["n2B", p, hi - p]))
+        for c in range(1, lo):
             v = m3[d1 + d2 - c][d1 - c][c]
             if type(v) is int:
-                num += c * v
+                num += 2 * c * v
             else:
                 terms.append((2 * c, v))
         if self._n1pt_t5 is not None:
             terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
-        return _weighted_sum(terms, -2, 2 * num)
-
-    def _corr2(self, d1: int, d2: int):
-        """The terms of twice the correction C2 with mu = H (linear in mu
-        like everything else); C2 is symmetric in its degrees."""
-        memo = self.memo
-        if d2 < d1:
-            d1, d2 = d2, d1
-        if d2 > d1:
-            gap = d2 - d1
-            terms = [(2, memo["n2D", gap, d1]), (2, memo["n2B", gap, d1]),
-                     (2 * d1, memo["gamma2", gap, d1])]
-            # the m3 sum with weight d1: int values on ints first
-            level, num = self._m3[d2], 0
-            for p in range(1, gap):
-                v = level[p][d1]
-                if type(v) is int:
-                    num += v
-                else:
-                    terms.append((d1, v))
-            terms.append((d1, num))
-            return terms
-        # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
-        # n1D(d1, H, c2): both linear in c2
-        c2 = self._c2
-        terms = [(2, memo["n1E", d1]), (2 * d1, memo["gamma1", d1])]
-        if c2:
-            terms += [(2 * c2, self._n1pt[d1]), (2 * c2, memo["n1D", d1])]
-        for p in range(1, d2):
-            terms += ((-4, memo["n2D", p, d2 - p]), (-5, memo["n2B", p, d2 - p]))
-        return terms
+        return _weighted_sum(terms, -2, num)
 
     def _row(self, d1: int, d2: int):
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
@@ -528,11 +512,19 @@ class Engine:
         terms += [(2, memo["n2E", d1, d2]), (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])]
         return _weighted_sum(terms)
 
-    def _corr3(self, d1: int, d2: int, d3: int):
-        """The corrections as ``(x1, x2, x3, x4)``: C1 = x1,
-        C2 = -(x2 + x3) and C12 = -x4, where x3 and x4 may be 0."""
+    def _c_m3(self, d1: int, d2: int, d3: int):
+        # base - C1 - C2 - C12, with the excess corrections C1 = x1,
+        # C2 = -(x2 + x3) and C12 = -x4 read from the level table
+        # (m3(a, b, c) is m3[a + b + c][a][b]) or the memo
         memo, m3 = self.memo, self._m3
-        # m3(a, b, c) is m3[a + b + c][a][b]
+        # the base term n2A * n1pt[d3] / t5 enters as a raw numerator and
+        # denominator
+        if self._n1pt_t5 is None:
+            num, den = 0, 1
+        else:
+            a, t = memo["n2A", d1, d2], self._n1pt_t5[d3]
+            num, den = a.numerator * t.numerator, a.denominator * t.denominator
+
         if d3 > d1:
             x1 = m3[d3 + d2][d3 - d1][d1]
         elif d3 < d1:
@@ -560,18 +552,7 @@ class Engine:
             x4 = memo["gamma2", d2, d1]
         else:
             x4 = 0
-        return x1, x2, x3, x4
 
-    def _c_m3(self, d1: int, d2: int, d3: int):
-        # the base term n2A * n1pt[d3] / t5 enters as a raw numerator and
-        # denominator
-        if self._n1pt_t5 is None:
-            num, den = 0, 1
-        else:
-            a, t = self.memo["n2A", d1, d2], self._n1pt_t5[d3]
-            num, den = a.numerator * t.numerator, a.denominator * t.denominator
-        # base - C1 - C2 - C12
-        x1, x2, x3, x4 = self._corr3(d1, d2, d3)
         if den == 1 and type(x1) is type(x2) is type(x3) is type(x4) is int:
             return num - x1 + x2 + x3 + x4
         return _weighted_sum(((-1, x1), (1, x2), (1, x3), (1, x4)), 1, num, den)

@@ -23,6 +23,7 @@ from .geometry import Geometry
 from .rational import Rat, is_integer
 from .series import (
     DegreeSeries,
+    check_max_degree,
     extract_genus1_bps,
     extract_genus1_bps_tilde,
     moebius,
@@ -49,8 +50,7 @@ def compute_bps_table(
     tables.  ``engine`` (default: a fresh ``Engine(geometry)``) lets a
     caller reuse its memo for further counts.
     """
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    check_max_degree(max_degree)
     if max_degree > geometry.max_degree:
         raise ValueError(
             f"max_degree {max_degree} exceeds geometry max_degree {geometry.max_degree}"

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .cohomology import Ring
 from .geometry import Geometry
 from .rational import Rat
-from .series import DegreeSeries, invert_multi_cover
+from .series import DegreeSeries, check_max_degree, invert_multi_cover
 
 __all__ = [
     "WeightDegeneracyError",
@@ -74,8 +74,7 @@ class WeightTriple:
 
 def localp2_geometry(max_degree: int) -> Geometry:
     """Geometry for O(-1)^3 over P^2 with closed-form base data."""
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    check_max_degree(max_degree)
     gw_2pt = DegreeSeries.from_function(lambda d: Rat((-1) ** (d - 1), d), max_degree)
     return Geometry(
         ring=Ring(top_power=2),
@@ -114,11 +113,6 @@ def _interior_parts(d: int, x, y, z) -> tuple[int, int]:
             )
         num *= factor
     return num, (d * L) ** (d - 1)
-
-
-def _interior_product(d: int, x, y, z):
-    """The interior cover-weight product as one :data:`Rat`, normalised once."""
-    return Rat(*_interior_parts(d, x, y, z))
 
 
 def _quotient(factors, divisor) -> Rat:
@@ -252,8 +246,7 @@ def verify_localization(max_degree: int, seed: int = 0):
     checked to be weight independent).  ``max_degree`` must be at
     least 1, so that a run checks something.
     """
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
+    check_max_degree(max_degree)
     rng = random.Random(seed)
     results = []
     for d in range(1, max_degree + 1):

@@ -48,6 +48,15 @@ class SeriesError(ValueError):
     """A DegreeSeries was built with gaps or read outside its range."""
 
 
+def check_max_degree(max_degree, error=ValueError) -> None:
+    """Raise ``error`` unless the degree bound is a plain ``int`` >= 1;
+    a bool or a float such as 2.0 is refused like a non-positive int."""
+    if type(max_degree) is not int:
+        raise error(f"max_degree must be a positive integer, got {max_degree!r}")
+    if max_degree < 1:
+        raise error(f"max_degree must be >= 1, got {max_degree}")
+
+
 def _factorize(d: int) -> list[tuple[int, int]]:
     """Prime factorization by trial division, as (prime, exponent) pairs."""
     factors = []
@@ -109,8 +118,7 @@ class DegreeSeries:
     __slots__ = ("_values", "max_degree")
 
     def __init__(self, values: Mapping[int, object], max_degree: int):
-        if max_degree < 1:
-            raise SeriesError(f"max_degree must be >= 1, got {max_degree}")
+        check_max_degree(max_degree, SeriesError)
         table = {}
         for d, v in values.items():
             if not 1 <= d <= max_degree:

@@ -14,6 +14,7 @@ from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
 from conftest import gw_file_text, random_gw_text
+from corrections import correction_C2, corrections_C3
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -41,8 +42,8 @@ def _evaluate(engine, label):
         "n2C": engine.n2C,
         "n2D": lambda a, b: engine.n2D(a, b, H),
         "n2E": engine.n2E,
-        "C2": lambda a, b: engine.correction_C2(a, b, H),
-        "C3": engine.correction_C3,
+        "C2": lambda a, b: correction_C2(engine, a, b),
+        "C3": lambda a, b, c: corrections_C3(engine, a, b, c),
         "gamma2": engine.gamma2,
         "m3": engine.m3,
         "chern": engine.chern_integral,
@@ -67,21 +68,6 @@ def test_n1B_delegates_to_base(local_engine):
     assert local_engine.n1B(1, H2, H2) == 1
     assert local_engine.n1B(2, H2, H2) == -1
     assert local_engine.n1B(3, H2, H2) == 0
-
-
-def test_correction_C2_symmetry_branch(local_engine):
-    H = local_engine.geometry.ring.H(1)
-    assert local_engine.correction_C2(2, 1, H) == local_engine.correction_C2(1, 2, H)
-
-
-def test_correction_C3_cases(local_engine):
-    # degree triple (1,1,3): the third correction takes the branch whose
-    # chain count has strictly smaller total degree
-    c1, c2, c12 = local_engine.correction_C3(1, 1, 3)
-    assert c12 == -local_engine.m3(1, 1, 1)
-    # (2,3,1): the third correction falls through to the zero branch
-    _, _, c12 = local_engine.correction_C3(2, 3, 1)
-    assert c12 == 0
 
 
 def test_zero_insertions_give_zero(local_engine):
@@ -225,18 +211,21 @@ def test_memo_holds_exactly_the_filled_levels(local_geometry_12):
 
 
 # every public method; gamma2 and gamma1 both inside and outside the keys
-# the fill stores (gamma2(a, b) with a + 2b > D, gamma1(d) with 2d > D)
+# the fill stores (gamma2(a, b) with a + 2b > D, gamma1(d) with 2d > D);
+# n2B and m3 at the degrees of the C2 and C3 labels, whose corrections the
+# test oracle evaluates cold from the public counts they are made of
 FIRST_CALLS = [
     ("local_geometry_12", label) for label in (
         "n1B(12)", "n1C(11)", "n1D(10)", "n1E(12)", "n1F(9)", "n1G(12)",
         "gamma1(6)", "gamma1(7)", "n2A(5,7)", "n2B(6,6)", "n2C(4,8)", "n2D(3,9)",
         "n2E(7,5)", "gamma2(4,4)", "gamma2(5,4)", "m3(3,4,5)", "m3(4,4,4)",
-        "chern(12)", "C2(6,6)", "C2(4,7)", "C3(4,4,4)", "C3(2,3,7)", "C3(5,2,5)",
+        "chern(12)", "n2B(4,7)", "m3(2,3,7)", "m3(5,2,5)",
+        "C2(6,6)", "C2(4,7)", "C3(4,4,4)", "C3(2,3,7)", "C3(5,2,5)",
     )
 ] + [
     ("synthetic_geometry", label) for label in (
         "n1G(4)", "gamma1(3)", "n2B(2,2)", "gamma2(2,2)", "m3(1,2,1)",
-        "chern(4)", "C2(2,2)", "C2(1,3)", "C3(1,1,2)",
+        "chern(4)", "n2B(1,3)", "m3(1,1,2)", "C2(2,2)", "C2(1,3)", "C3(1,1,2)",
     )
 ]
 
@@ -358,7 +347,7 @@ def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
 
 
 # public count method -> (memo kind, number of degrees, H-powers of its
-# insertions); the corrections store nothing
+# insertions)
 COUNT_METHODS = {
     "n1B": ("n1B", 1, (2, 2)), "n1C": ("n1C", 1, (2,)), "n1D": ("n1D", 1, (1, 2)),
     "n1E": ("n1E", 1, (1,)), "n1F": ("n1F", 1, (2,)), "n1G": ("n1G", 1, ()),
@@ -366,7 +355,11 @@ COUNT_METHODS = {
     "n2C": ("n2C", 2, ()), "n2D": ("n2D", 2, (1,)), "n2E": ("n2E", 2, ()),
     "gamma2": ("gamma2", 2, ()), "m3": ("m3", 3, ()), "chern_integral": ("chern", 1, ()),
 }
-CORRECTIONS = {"correction_C2": (None, 2, (1,)), "correction_C3": (None, 3, ())}
+
+
+def test_the_count_methods_are_the_whole_public_api():
+    # no excess correction is exposed: each lives in the formula subtracting it
+    assert {name for name in vars(Engine) if not name.startswith("_")} == set(COUNT_METHODS)
 
 
 @pytest.fixture
@@ -451,7 +444,7 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
 
 
 def _call(engine, method, degrees):
-    _, _, powers = {**COUNT_METHODS, **CORRECTIONS}[method]
+    _, _, powers = COUNT_METHODS[method]
     units = [engine.geometry.ring.H(p) for p in powers]
     return getattr(engine, method)(*degrees, *units)
 
@@ -461,7 +454,7 @@ BAD_DEGREES = [(2.0, "2.0"), (True, "True"), (Fraction(2), "Fraction(2, 1)"), (0
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("method", sorted({**COUNT_METHODS, **CORRECTIONS}))
+@pytest.mark.parametrize("method", sorted(COUNT_METHODS))
 def test_every_public_call_validates_its_degrees(local_geometry_12, method, warm):
     # a non-int degree equal to a stored key must not alias it, and a refused
     # call fills nothing
@@ -470,7 +463,7 @@ def test_every_public_call_validates_its_degrees(local_geometry_12, method, warm
         for d in range(1, 13):
             engine.chern_integral(d)
     memo = dict(engine.memo)
-    ndeg = {**COUNT_METHODS, **CORRECTIONS}[method][1]
+    ndeg = COUNT_METHODS[method][1]
     cases = []
     for position in range(ndeg):
         for bad, text in BAD_DEGREES:

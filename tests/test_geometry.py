@@ -2,12 +2,15 @@ import pytest
 import sympy
 
 from cy5bps.engine import Engine
+from cy5bps.genus1 import compute_bps_table
 from cy5bps.geometry import (
     GeometryFileError,
     hypersurface_chern,
     load_hypersurface_geometry,
 )
+from cy5bps.localp2 import localp2_geometry, verify_localization
 from cy5bps.rational import Rat
+from cy5bps.series import DegreeSeries, SeriesError
 
 from conftest import SYNTHETIC_ROWS, gw_file_text
 
@@ -135,3 +138,30 @@ def test_inversion_happens_at_load(write_gw_file):
     g = load_hypersurface_geometry(path, 2)
     assert [g.n1pt[d] for d in (1, 2)] == [1, 1]
     assert [g.n2pt[d] for d in (1, 2)] == [1, 1]
+
+
+# -- the degree bound of every entry point ------------------------------------
+
+MAX_DEGREE_ENTRY_POINTS = {
+    "DegreeSeries": lambda path, bound: DegreeSeries({1: 3}, bound),
+    "localp2_geometry": lambda path, bound: localp2_geometry(bound),
+    "load_hypersurface_geometry": lambda path, bound: load_hypersurface_geometry(path, bound),
+    "compute_bps_table": lambda path, bound: compute_bps_table(localp2_geometry(5), bound),
+    "verify_localization": lambda path, bound: verify_localization(bound),
+}
+
+
+@pytest.mark.parametrize("bound,message", [
+    (True, "max_degree must be a positive integer, got True"),
+    (2.0, "max_degree must be a positive integer, got 2.0"),
+    (0, "max_degree must be >= 1, got 0"),
+], ids=["True", "2.0", "0"])
+@pytest.mark.parametrize("entry", sorted(MAX_DEGREE_ENTRY_POINTS))
+def test_max_degree_must_be_a_positive_int(write_gw_file, entry, bound, message):
+    # a bool or a float bound is refused like a non-positive one, not run
+    # as the int it equals or left to fail inside range()
+    path = write_gw_file(gw_file_text(maxdeg=6))
+    with pytest.raises(ValueError) as excinfo:
+        MAX_DEGREE_ENTRY_POINTS[entry](path, bound)
+    assert type(excinfo.value) is (SeriesError if entry == "DegreeSeries" else ValueError)
+    assert str(excinfo.value) == message

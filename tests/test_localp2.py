@@ -13,7 +13,7 @@ from cy5bps.cli import main
 from cy5bps.localp2 import (
     WeightDegeneracyError,
     WeightTriple,
-    _interior_product,
+    _interior_parts,
     cover_factor,
     localization_g0,
     localization_g1,
@@ -257,6 +257,10 @@ def _naive_g1_locus(d, x, y, z):
         * ((y - x) / Fraction(d))
     )
     return h1_first * h1_second * h1_third * obstruction / tangent / Fraction(24 * d)
+
+
+def _interior_product(d, x, y, z):
+    return Rat(*_interior_parts(d, x, y, z))
 
 
 def _outcome(func, *args):

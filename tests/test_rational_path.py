@@ -7,8 +7,10 @@ almost no count is an integer and every branch of the recursion runs on
 the rational path well above the hand-computed degrees.  The digests
 were recorded from the engine before its geometry tables and exact-sum
 helper existed, so they do not depend on the code they check.  The
-formula checks evaluate each m3, n2C, n2D and n2E from the public counts
-it is defined by, with plain Fraction arithmetic and builtin sum.
+formula checks evaluate each m3, n2B, n2C, n2D and n2E from the public
+counts it is defined by, with plain Fraction arithmetic and builtin sum;
+the excess corrections come from the test-side oracle in
+``corrections.py``.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from cy5bps.engine import Engine
 from cy5bps.geometry import load_hypersurface_geometry
 
 from conftest import random_gw_text
+from corrections import correction_C2, corrections_C3
 
 SEED = 2
 MAX_DEGREE = 24
@@ -74,7 +77,7 @@ def test_m3_and_row_counts_match_their_formulas(oracle_engine):
     ]
     for a, b, c in triples:
         base = 0 if t5 is None else Fraction(engine.n2A(a, b, H2)) * g.n1pt[c] / t5
-        c1, c2, c12 = (Fraction(x) for x in engine.correction_C3(a, b, c))
+        c1, c2, c12 = corrections_C3(engine, a, b, c)
         value = engine.m3(a, b, c)
         assert value == base - c1 - c2 - c12, (a, b, c)
         assert _is_normalised(value)
@@ -99,3 +102,19 @@ def test_m3_and_row_counts_match_their_formulas(oracle_engine):
             for kind, value in values.items():
                 assert value == expected[kind], (kind, d1, d2)
                 assert _is_normalised(value)
+
+
+def test_n2B_matches_its_formula(oracle_engine):
+    """Every n2B to total degree 12 against its defining formula: the
+    base term, the m3 sum over the shared degree, and the correction C2."""
+    engine = oracle_engine
+    g = engine.geometry
+    H = g.ring.H(1)
+    t5 = g.ring.top_integral
+    for d1 in range(1, ORACLE_DEGREE):
+        for d2 in range(1, ORACLE_DEGREE + 1 - d1):
+            base = 0 if t5 is None else Fraction(g.n1pt[d1]) * g.n1pt[d2] / t5
+            chains = sum(c * Fraction(engine.m3(d1 - c, c, d2 - c)) for c in range(1, min(d1, d2)))
+            value = engine.n2B(d1, d2, H)
+            assert value == base - chains - correction_C2(engine, d1, d2), (d1, d2)
+            assert _is_normalised(value)
