@@ -15,9 +15,8 @@ positive integer degrees, under the normalization ``(H, line) = 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Rational
 
-from .rational import Rat, format_rational
+from .rational import Rat, exact, format_rational
 
 __all__ = [
     "RingMismatchError",
@@ -53,7 +52,7 @@ class Ring:
         if type(self.top_power) is not int or self.top_power < 1:
             raise ValueError(f"top_power must be an int >= 1, got {self.top_power!r}")
         if self.top_integral is not None:
-            object.__setattr__(self, "top_integral", Rat(self.top_integral))
+            object.__setattr__(self, "top_integral", exact(self.top_integral))
         if self.top_integral == 0:
             raise ValueError("top_integral must be nonzero (None for a local model)")
 
@@ -93,9 +92,7 @@ class CohClass:
             raise ValueError(f"power must be an int, got {self.power!r}")
         if self.power < 0:
             raise ValueError(f"power must be >= 0, got {self.power}")
-        if not isinstance(self.coeff, Rational):
-            raise ValueError(f"coefficient must be an exact rational, got {self.coeff!r}")
-        coeff = Rat(self.coeff)
+        coeff = exact(self.coeff)
         if self.power > self.ring.top_power or coeff == 0:
             object.__setattr__(self, "power", 0)
             coeff = Rat(0)

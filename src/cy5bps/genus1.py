@@ -23,7 +23,7 @@ from .geometry import Geometry
 from .rational import Rat, is_integer
 from .series import (
     DegreeSeries,
-    check_max_degree,
+    check_degree,
     extract_genus1_bps,
     extract_genus1_bps_tilde,
     moebius,
@@ -50,7 +50,7 @@ def compute_bps_table(
     tables.  ``engine`` (default: a fresh ``Engine(geometry)``) lets a
     caller reuse its memo for further counts.
     """
-    check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     if max_degree > geometry.max_degree:
         raise ValueError(
             f"max_degree {max_degree} exceeds geometry max_degree {geometry.max_degree}"
@@ -76,8 +76,7 @@ def compute_bps_table(
 
 def martin_S(d: int) -> int:
     """Sign factor: moebius(d), except moebius(d/4) when d = 4 mod 8."""
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    check_degree(d)
     if d % 8 == 4:
         return moebius(d // 4)
     return moebius(d)
@@ -91,8 +90,7 @@ def martin_V(d: int):
     the sign factor vanishes and V returns 0 by convention so that the
     product S*V is total.
     """
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
+    check_degree(d)
     k = d
     twos = 0
     while k % 2 == 0:

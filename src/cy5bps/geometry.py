@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cohomology import Ring
 from .rational import Rat, parse_rational
-from .series import DegreeSeries, check_max_degree, invert_multi_cover
+from .series import DegreeSeries, check_degree, invert_multi_cover
 
 __all__ = [
     "Geometry",
@@ -171,7 +171,7 @@ def load_hypersurface_geometry(path, max_degree: int) -> Geometry:
     (1-pointed with k=1, 2-pointed with k=2), so the engine sees
     integer-type base counts.
     """
-    check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     t5, c2, c3, maxdeg, header_line, rows = _parse_gw_file(path)
     if max_degree > maxdeg:
         raise GeometryFileError(

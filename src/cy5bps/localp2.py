@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from .cohomology import Ring
 from .geometry import Geometry
-from .rational import Rat
-from .series import DegreeSeries, check_max_degree, invert_multi_cover
+from .rational import Rat, exact
+from .series import DegreeSeries, check_degree, invert_multi_cover
 
 __all__ = [
     "WeightDegeneracyError",
@@ -56,6 +56,14 @@ class WeightDegeneracyError(ValueError):
     """A fixed-point denominator vanished for this weight triple."""
 
 
+def _distinct_weights(x, y, z):
+    """x, y, z as exact rationals; coincident weights leave no isolated fixed locus."""
+    x, y, z = exact(x), exact(y), exact(z)
+    if x == y or y == z or x == z:
+        raise WeightDegeneracyError("weights must be pairwise distinct")
+    return x, y, z
+
+
 @dataclass(frozen=True)
 class WeightTriple:
     """Torus weights (a, b, c) on C^3; must be pairwise distinct."""
@@ -65,16 +73,13 @@ class WeightTriple:
     c: object
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Rat(self.a))
-        object.__setattr__(self, "b", Rat(self.b))
-        object.__setattr__(self, "c", Rat(self.c))
-        if self.a == self.b or self.b == self.c or self.a == self.c:
-            raise WeightDegeneracyError(f"weights must be pairwise distinct: {self}")
+        for name, value in zip("abc", _distinct_weights(self.a, self.b, self.c)):
+            object.__setattr__(self, name, value)
 
 
 def localp2_geometry(max_degree: int) -> Geometry:
     """Geometry for O(-1)^3 over P^2 with closed-form base data."""
-    check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     gw_2pt = DegreeSeries.from_function(lambda d: Rat((-1) ** (d - 1), d), max_degree)
     return Geometry(
         ring=Ring(top_power=2),
@@ -85,11 +90,6 @@ def localp2_geometry(max_degree: int) -> Geometry:
         gw_genus1=DegreeSeries.from_function(lambda d: Rat((-1) ** d, 8 * d), max_degree),
         max_degree=max_degree,
     )
-
-
-def _check_degree(d: int) -> None:
-    if d < 1:
-        raise ValueError(f"degree must be >= 1, got {d}")
 
 
 def _interior_parts(d: int, x, y, z) -> tuple[int, int]:
@@ -135,7 +135,7 @@ def localization_g0(d: int, w: WeightTriple):
     bundle weights divided by the automorphism factor d; the value
     must equal (-1)^(d-1)/d independently of the weights.
     """
-    _check_degree(d)
+    check_degree(d)
     a, b, c = w.a, w.b, w.c
     sign = (-1) ** (d - 1)
     fact = math.factorial(d - 1)
@@ -154,14 +154,6 @@ def localization_g0(d: int, w: WeightTriple):
     return _quotient((h1_first, h1_second, h1_third, (1, d)), tangent)
 
 
-def _distinct_weights(x, y, z):
-    """x, y, z as rationals; coincident weights leave no isolated fixed locus."""
-    x, y, z = Rat(x), Rat(y), Rat(z)
-    if x == y or y == z or x == z:
-        raise WeightDegeneracyError("weights must be pairwise distinct")
-    return x, y, z
-
-
 def localization_g1_locus(d: int, x, y, z):
     """Contribution of one genus-1 fixed locus: the d-fold cover of the
     line through the fixed points with weights x and y, carrying a
@@ -175,7 +167,7 @@ def localization_g1_locus(d: int, x, y, z):
     the automorphism factor d and integrated (lam integrates to 1/24),
     the result must equal (-1)^d/(24d) * (z-x)/(z-y).
     """
-    _check_degree(d)
+    check_degree(d)
     x, y, z = _distinct_weights(x, y, z)
     sign = (-1) ** (d - 1)
     fact = math.factorial(d - 1)
@@ -200,34 +192,33 @@ def localization_g1_locus(d: int, x, y, z):
 
 def cover_factor(d: int, x, y, z):
     """The closed-form single-locus value (-1)^d/(24d) * (z-x)/(z-y)."""
-    _check_degree(d)
+    check_degree(d)
     x, y, z = _distinct_weights(x, y, z)
     return Rat((-1) ** d, 24 * d) * (z - x) / (z - y)
 
 
-_LOCUS_ORDER = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 1, 0))
+def _loci(w: WeightTriple):
+    """The six genus-1 fixed loci of w, one per ordered pair of fixed
+    points, as the (x, y, z) arguments of localization_g1_locus."""
+    a, b, c = w.a, w.b, w.c
+    return ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a))
 
 
 def localization_g1(d: int, w: WeightTriple):
     """Genus-1 fixed-point sum: six loci (ordered pairs of fixed points,
     vertex at the first).  Must equal (-1)^d/(8d) for any admissible
     weights."""
-    _check_degree(d)
-    weights = (w.a, w.b, w.c)
-    total = Rat(0)
-    for i, j, k in _LOCUS_ORDER:
-        total += localization_g1_locus(d, weights[i], weights[j], weights[k])
-    return total
+    check_degree(d)
+    return sum((localization_g1_locus(d, x, y, z) for x, y, z in _loci(w)), Rat(0))
 
 
 def random_weight_triple(rng: random.Random) -> WeightTriple:
-    """Draw a random rational weight triple; retried by callers on degeneracy."""
+    """Draw a random weight triple of distinct rationals; retried by callers on degeneracy."""
     while True:
-        values = [
-            Rat(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)
-        ]
-        if len({values[0], values[1], values[2]}) == 3:
-            return WeightTriple(*values)
+        try:
+            return WeightTriple(*(Rat(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3)))
+        except WeightDegeneracyError:
+            pass
 
 
 # weight triples drawn per degree, and draws allowed per triple before giving up
@@ -246,7 +237,7 @@ def verify_localization(max_degree: int, seed: int = 0):
     checked to be weight independent).  ``max_degree`` must be at
     least 1, so that a run checks something.
     """
-    check_max_degree(max_degree)
+    check_degree(max_degree, "max_degree")
     rng = random.Random(seed)
     results = []
     for d in range(1, max_degree + 1):
@@ -259,11 +250,9 @@ def verify_localization(max_degree: int, seed: int = 0):
                 w = random_weight_triple(rng)
                 try:
                     g0 = localization_g0(d, w)
-                    weights = (w.a, w.b, w.c)
                     g1 = Rat(0)
                     factor_sum = Rat(0)
-                    for i, j, k in _LOCUS_ORDER:
-                        x, y, z = weights[i], weights[j], weights[k]
+                    for x, y, z in _loci(w):
                         locus = localization_g1_locus(d, x, y, z)
                         if locus != cover_factor(d, x, y, z):
                             ok = False

@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Rat
+from numbers import Rational
 
-__all__ = ["Rat", "parse_rational", "format_rational", "rational_pair", "is_integer"]
+__all__ = ["Rat", "exact", "parse_rational", "format_rational", "rational_pair", "is_integer"]
 
 # ASCII digits only: no underscores, no other Unicode digits, no signed denominator
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def exact(value) -> Rat:
+    """``value`` as a :data:`Rat`, unchanged if it is one; ValueError unless it
+    is a ``numbers.Rational``, so a float or a string such as "1/2" is refused."""
+    if not isinstance(value, Rational):
+        raise ValueError(f"expected an exact rational, got {value!r}")
+    return value if isinstance(value, Rat) else Rat(value)
 
 
 def parse_rational(text: str):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .rational import Rat
+from .rational import Rat, exact
 
 __all__ = [
     "SeriesError",
@@ -48,13 +48,13 @@ class SeriesError(ValueError):
     """A DegreeSeries was built with gaps or read outside its range."""
 
 
-def check_max_degree(max_degree, error=ValueError) -> None:
-    """Raise ``error`` unless the degree bound is a plain ``int`` >= 1;
-    a bool or a float such as 2.0 is refused like a non-positive int."""
-    if type(max_degree) is not int:
-        raise error(f"max_degree must be a positive integer, got {max_degree!r}")
-    if max_degree < 1:
-        raise error(f"max_degree must be >= 1, got {max_degree}")
+def check_degree(d, name="degree", error=ValueError) -> None:
+    """Raise ``error`` unless the degree (or degree bound) ``name`` is a plain
+    ``int`` >= 1; a bool or a float such as 2.0 is refused like a non-positive int."""
+    if type(d) is not int:
+        raise error(f"{name} must be a positive integer, got {d!r}")
+    if d < 1:
+        raise error(f"{name} must be >= 1, got {d}")
 
 
 def _factorize(d: int) -> list[tuple[int, int]]:
@@ -77,8 +77,7 @@ def _factorize(d: int) -> list[tuple[int, int]]:
 
 def sigma(d: int) -> int:
     """Sum of divisors, sigma(d) = sum of i over i | d."""
-    if d <= 0:
-        raise ValueError(f"sigma is defined for positive integers, got {d}")
+    check_degree(d)
     result = 1
     for p, k in _factorize(d):
         result *= (p ** (k + 1) - 1) // (p - 1)
@@ -87,8 +86,7 @@ def sigma(d: int) -> int:
 
 def moebius(d: int) -> int:
     """Moebius function: (-1)^r on a product of r distinct primes, else 0."""
-    if d <= 0:
-        raise ValueError(f"moebius is defined for positive integers, got {d}")
+    check_degree(d)
     result = 1
     for _, k in _factorize(d):
         if k > 1:
@@ -99,8 +97,7 @@ def moebius(d: int) -> int:
 
 def divisors(d: int) -> list[int]:
     """All positive divisors of d, ascending."""
-    if d <= 0:
-        raise ValueError(f"divisors is defined for positive integers, got {d}")
+    check_degree(d)
     small, large = [], []
     i = 1
     while i * i <= d:
@@ -118,12 +115,13 @@ class DegreeSeries:
     __slots__ = ("_values", "max_degree")
 
     def __init__(self, values: Mapping[int, object], max_degree: int):
-        check_max_degree(max_degree, SeriesError)
+        check_degree(max_degree, "max_degree", SeriesError)
         table = {}
         for d, v in values.items():
-            if not 1 <= d <= max_degree:
+            check_degree(d, error=SeriesError)
+            if d > max_degree:
                 raise SeriesError(f"degree {d} outside 1..{max_degree}")
-            table[d] = Rat(v)
+            table[d] = exact(v)
         missing = [d for d in range(1, max_degree + 1) if d not in table]
         if missing:
             raise SeriesError(f"series is missing degree {missing[0]} of 1..{max_degree}")

@@ -1,16 +1,25 @@
 import pytest
 import sympy
 
+from cy5bps.cohomology import Ring
 from cy5bps.engine import Engine
-from cy5bps.genus1 import compute_bps_table
+from cy5bps.genus1 import compute_bps_table, martin_S, martin_V
 from cy5bps.geometry import (
     GeometryFileError,
     hypersurface_chern,
     load_hypersurface_geometry,
 )
-from cy5bps.localp2 import localp2_geometry, verify_localization
+from cy5bps.localp2 import (
+    WeightTriple,
+    cover_factor,
+    localization_g0,
+    localization_g1,
+    localization_g1_locus,
+    localp2_geometry,
+    verify_localization,
+)
 from cy5bps.rational import Rat
-from cy5bps.series import DegreeSeries, SeriesError
+from cy5bps.series import DegreeSeries, SeriesError, divisors, moebius, sigma
 
 from conftest import SYNTHETIC_ROWS, gw_file_text
 
@@ -165,3 +174,57 @@ def test_max_degree_must_be_a_positive_int(write_gw_file, entry, bound, message)
         MAX_DEGREE_ENTRY_POINTS[entry](path, bound)
     assert type(excinfo.value) is (SeriesError if entry == "DegreeSeries" else ValueError)
     assert str(excinfo.value) == message
+
+
+# -- the degree of every per-degree function ----------------------------------
+
+W = WeightTriple(0, 1, 3)
+
+PER_DEGREE_FUNCTIONS = {
+    "localization_g0": lambda d: localization_g0(d, W),
+    "localization_g1": lambda d: localization_g1(d, W),
+    "localization_g1_locus": lambda d: localization_g1_locus(d, 0, 1, 3),
+    "cover_factor": lambda d: cover_factor(d, 0, 1, 3),
+    "martin_S": martin_S,
+    "martin_V": martin_V,
+    "sigma": sigma,
+    "moebius": moebius,
+    "divisors": divisors,
+    "DegreeSeries key": lambda d: DegreeSeries({d: 1}, 1),
+}
+
+
+@pytest.mark.parametrize("d,message", [
+    (True, "degree must be a positive integer, got True"),
+    (2.0, "degree must be a positive integer, got 2.0"),
+    (0, "degree must be >= 1, got 0"),
+], ids=["True", "2.0", "0"])
+@pytest.mark.parametrize("function", sorted(PER_DEGREE_FUNCTIONS))
+def test_degree_must_be_a_positive_int(function, d, message):
+    # the rule of the degree bound above, for a single degree: True is not
+    # degree 1, and 2.0 is refused rather than left to fail inside range()
+    with pytest.raises(ValueError) as excinfo:
+        PER_DEGREE_FUNCTIONS[function](d)
+    assert type(excinfo.value) is (SeriesError if function == "DegreeSeries key" else ValueError)
+    assert str(excinfo.value) == message
+
+
+# -- exact numbers at every entry that takes a caller's number ----------------
+
+EXACT_INPUTS = {
+    "WeightTriple": lambda v: WeightTriple(v, 1, 3),
+    "localization_g1_locus": lambda v: localization_g1_locus(2, v, 1, 3),
+    "cover_factor": lambda v: cover_factor(2, v, 1, 3),
+    "DegreeSeries value": lambda v: DegreeSeries({1: v}, 1),
+    "Ring top_integral": lambda v: Ring(5, top_integral=v),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"], ids=["float", "str"])
+@pytest.mark.parametrize("entry", sorted(EXACT_INPUTS))
+def test_numbers_must_be_exact_rationals(entry, value):
+    # a float or a string is refused, not converted by Fraction()
+    with pytest.raises(ValueError) as excinfo:
+        EXACT_INPUTS[entry](value)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"expected an exact rational, got {value!r}"

@@ -72,6 +72,19 @@ def test_g0_weight_independence():
     assert localization_g0(5, w1) == localization_g0(5, w2) == Rat(1, 5)
 
 
+def test_weight_draws_are_pinned():
+    # the stream's raw draw 10, (-16/3, 17/4, 17/4), repeats a weight and is
+    # skipped, so the eleventh triple is raw draw 11
+    rng = random.Random(8)
+    draws = [random_weight_triple(rng) for _ in range(12)]
+    assert [(str(w.a), str(w.b), str(w.c)) for w in draws] == [
+        ("-11/6", "8/3", "-4/3"), ("-35/2", "-23/4", "6"), ("1", "-37/8", "11/4"),
+        ("9/8", "33/4", "11/2"), ("11/2", "-19/6", "-2/3"), ("3/2", "2/3", "-26/11"),
+        ("-7/2", "-32/7", "39/7"), ("-27/11", "-11/2", "-5/6"), ("-29/8", "13/2", "34/3"),
+        ("37/2", "29", "11/6"), ("-4/9", "5/7", "-23/3"), ("18", "7/3", "0"),
+    ]
+
+
 def test_g1_degree_one():
     assert localization_g1(1, W) == Rat(-1, 8)
 
