@@ -37,41 +37,40 @@ The evaluation order is known in advance, so nothing recurses.  A
 count at total degree T reads counts below T, counts at T of a kind
 filled before it, and gamma2(a, b) and gamma1(d) with a + 2b = T and
 2d = T.  Level T is filled in that order: those gamma2 and gamma1 keys,
-m3, n2A, n2B, the n2C/n2D/n2E triple of each (d1, d2), then n1B, n1C,
-n1D, n1F, n1E, n1G; chern, which nothing reads, only when called.  A
-miss at total degree T first fills every unfilled level up to T, so a
-cold call needs a few frames and the recursion limit is never touched.
+m3 by ascending d1 then d2, n2A, n2B, the n2C/n2D/n2E triple of each
+(d1, d2), then n1B, n1C, n1D, n1F, n1E, n1G; chern, which nothing
+reads, only when called.  A miss at total degree T first fills every
+unfilled level up to T, so a cold call needs a few frames and the
+recursion limit is never touched.
+
+m3 is symmetric under reversing the chain, so m3(d1, d2, d3) with
+d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
+earlier in the same level: the formula runs for d1 <= d3 only.
 
 A public call is a validated lookup: the key is built once, the degrees
 are checked in one pass, the engine's own unit insertions are known by
 identity, and a scale other than 1 costs one product.  m3, most of the
 keys (161,700 of 189,650 at degree 100), answers a valid call at or
-below the filled level in its own frame.  The fill still stores every
-key by one call of its public method, looked up on the class, because
-``perfbench/tracer.py`` counts the entries of each kind by wrapping
-those methods from outside; that per-key call is the price of the
-contract.
-
-The memo stays the store of record, with every key: the public methods
-answer from it and the tracer's entry counts rest on its keys.  But
-every m3 value the formulas read comes from a per-level table:
-``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2).  The fill rebuilds
-level t's lists each time it fills that level and puts in each slot the
-object the public m3 call returned, so the table holds exactly the
-memo's m3 values and an interrupted level leaves no stale entry.  An
-index read needs no key tuple, hash or key comparison, and m3 is read
-O(D^3) times: by C1, C2 and C12 of every m3 key, by the n2C/n2D/n2E row
-sums, and by n2B's two m3 sums (its own and its C2's).
+below the filled level in its own frame.  The fill stores every key,
+reversed m3 chains too, by one call of its public method, looked up on
+the class: ``perfbench/tracer.py`` counts the entries of each kind by
+wrapping those methods, and the public methods answer from the memo.
+Every m3 value the formulas read comes from a per-level table:
+``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2), the object the public m3
+call returned.  The fill rebuilds level t's lists each time it fills
+that level, so an interrupted level leaves no stale entry.  An index
+read needs no key tuple or hash, and m3 is read O(D^3) times: by the
+corrections of every computed m3 key, the n2C/n2D/n2E row sums, and
+n2B's two m3 sums (its own and its C2's).
 
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
 integer numerator over a running common denominator, reduced once when
-stored (twice for an m3 key on the diagonal d3 = d2, whose C2 is itself
-a sum).  The long m3 sums of n2B add their int values on ints before
-any term is built.  n2C, n2D and n2E sum the same m3 row
-m3(d1, d2-p, p) in one pass, kept in a one-slot cache since the fill
-computes them in a row.
+stored (twice for an m3 key with d3 = d2, whose C2 is itself a sum).
+n2B adds the int values of its m3 sums on ints first.  n2C, n2D and
+n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a
+one-slot cache since the fill computes them in a row.
 
 Every insertion the formulas use is a monomial, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -130,9 +129,6 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
 
 class Engine:
     """Evaluator of all count types for one geometry, filled level by level.
-
-    The fifteen public count methods are the whole API; the excess
-    corrections live inside the n2B and m3 formulas that subtract them.
 
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
@@ -517,6 +513,9 @@ class Engine:
         # C2 = -(x2 + x3) and C12 = -x4 read from the level table
         # (m3(a, b, c) is m3[a + b + c][a][b]) or the memo
         memo, m3 = self.memo, self._m3
+        if d1 > d3:
+            # the reversed chain, stored earlier in this level's ascending rows
+            return m3[d1 + d2 + d3][d3][d2]
         # the base term n2A * n1pt[d3] / t5 enters as a raw numerator and
         # denominator
         if self._n1pt_t5 is None:
@@ -525,12 +524,7 @@ class Engine:
             a, t = memo["n2A", d1, d2], self._n1pt_t5[d3]
             num, den = a.numerator * t.numerator, a.denominator * t.denominator
 
-        if d3 > d1:
-            x1 = m3[d3 + d2][d3 - d1][d1]
-        elif d3 < d1:
-            x1 = m3[d1 + d2][d1 - d3][d3]
-        else:
-            x1 = memo["gamma2", d2, d1]
+        x1 = m3[d3 + d2][d3 - d1][d1] if d3 > d1 else memo["gamma2", d2, d1]
 
         x3 = 0
         if d3 > d2:

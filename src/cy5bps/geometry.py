@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .cohomology import Ring
-from .rational import Rat, parse_rational
+from .rational import Rat, exact, parse_rational
 from .series import DegreeSeries, check_degree, invert_multi_cover
 
 __all__ = [
@@ -62,6 +62,11 @@ class Geometry:
     n2pt: DegreeSeries
     gw_genus1: DegreeSeries
     max_degree: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "c2", exact(self.c2))
+        object.__setattr__(self, "c3", exact(self.c3))
+        check_degree(self.max_degree, "max_degree")
 
 
 def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[object, object]:

@@ -62,3 +62,12 @@ def corrections_C3(engine, d1, d2, d3):
     else:
         c12 = 0
     return Fraction(c1), Fraction(c2), Fraction(c12)
+
+
+def m3_formula(engine, d1, d2, d3):
+    """m3(d1, d2, d3) as base - C1 - C2 - C12, from the full case table."""
+    g = engine.geometry
+    t5 = g.ring.top_integral
+    base = 0 if t5 is None else Fraction(engine.n2A(d1, d2, g.ring.H(2))) * g.n1pt[d3] / t5
+    c1, c2, c12 = corrections_C3(engine, d1, d2, d3)
+    return base - c1 - c2 - c12

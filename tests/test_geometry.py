@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 import sympy
 
@@ -228,3 +230,17 @@ def test_numbers_must_be_exact_rationals(entry, value):
         EXACT_INPUTS[entry](value)
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == f"expected an exact rational, got {value!r}"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c2", 0.5, "expected an exact rational, got 0.5"),
+    ("c3", "1/2", "expected an exact rational, got '1/2'"),
+    ("max_degree", 2.0, "max_degree must be a positive integer, got 2.0"),
+], ids=["c2", "c3", "max_degree"])
+def test_geometry_checks_its_fields(field, value, message):
+    # refused when the record is built, not later by the engine's arithmetic
+    # or by range()
+    with pytest.raises(ValueError) as excinfo:
+        dataclasses.replace(localp2_geometry(4), **{field: value})
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message

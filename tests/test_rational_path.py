@@ -23,7 +23,7 @@ from cy5bps.engine import Engine
 from cy5bps.geometry import load_hypersurface_geometry
 
 from conftest import random_gw_text
-from corrections import correction_C2, corrections_C3
+from corrections import correction_C2, m3_formula
 
 SEED = 2
 MAX_DEGREE = 24
@@ -66,9 +66,7 @@ def test_m3_and_row_counts_match_their_formulas(oracle_engine):
     """Every m3, n2C, n2D and n2E to total degree 12 against its defining
     formula, evaluated with plain Fraction arithmetic and builtin sum."""
     engine = oracle_engine
-    g = engine.geometry
-    H, H2 = g.ring.H(1), g.ring.H(2)
-    t5 = g.ring.top_integral
+    H, H2 = engine.geometry.ring.H(1), engine.geometry.ring.H(2)
     triples = [
         (a, b, c)
         for a in range(1, ORACLE_DEGREE + 1)
@@ -76,10 +74,8 @@ def test_m3_and_row_counts_match_their_formulas(oracle_engine):
         for c in range(1, ORACLE_DEGREE + 1 - a - b)
     ]
     for a, b, c in triples:
-        base = 0 if t5 is None else Fraction(engine.n2A(a, b, H2)) * g.n1pt[c] / t5
-        c1, c2, c12 = corrections_C3(engine, a, b, c)
         value = engine.m3(a, b, c)
-        assert value == base - c1 - c2 - c12, (a, b, c)
+        assert value == m3_formula(engine, a, b, c), (a, b, c)
         assert _is_normalised(value)
 
     for d1 in range(1, ORACLE_DEGREE):
