@@ -397,7 +397,7 @@ def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
 def _assert_m3_table_is_the_memo(engine):
     # the level table holds each m3 memo value, the same object, at
     # _m3[a + b + c][a][b], one level per filled level and nothing else;
-    # every level is whole
+    # every filled level is whole, so each key's reversal is stored too
     table = {}
     for t, level in enumerate(engine._m3):
         for a, row in enumerate(level or ()):
