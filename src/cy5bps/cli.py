@@ -25,6 +25,7 @@ from .geometry import GeometryFileError, load_hypersurface_geometry
 from .engine import Engine
 from .localp2 import localp2_geometry, verify_localization
 from .rational import format_rational, rational_pair
+from .series import check_degree
 
 __all__ = ["main", "build_parser"]
 
@@ -37,7 +38,18 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    """An integer flag's value, held to the degree rule of series.check_degree."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = text
+    check_degree(value, "value", argparse.ArgumentTypeError)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,13 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_input=False):
-        p.add_argument("--max-degree", type=int, default=10, metavar="N",
+        p.add_argument("--max-degree", type=_positive_int, default=10, metavar="N",
                        help="largest degree to compute (default 10)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, metavar="J",
+        p.add_argument("--jobs", type=_positive_int, default=1, metavar="J",
                        help="accepted for compatibility, must be >= 1; "
                             "evaluation is single-threaded (default 1)")
         if needs_input:
@@ -66,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hyp = sub.add_parser("hypersurface", help="genus-1 table for a file-driven hypersurface")
     common(p_hyp, needs_input=True)
-    p_hyp.add_argument("--meeting-table", type=int, default=None, metavar="D",
+    p_hyp.add_argument("--meeting-table", type=_positive_int, default=None, metavar="D",
                        help="also emit the node-on-divisor meeting matrix up to D")
 
     p_loc = sub.add_parser("verify-localization",
@@ -80,13 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_martin)
 
     return parser
-
-
-def _check_max_degree(args) -> int:
-    if args.max_degree < 1:
-        print("error: --max-degree must be >= 1", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return args.max_degree
 
 
 # Cell renderers: each gives one table cell as (CSV cell, JSON value).
@@ -169,7 +174,7 @@ def _write_localp2_table(args, columns) -> int:
     """The local-P2 genus-1 table with the closed-form comparison, one row
     per degree, in ``columns``; non-integral n_{1,d} degrees go to the
     JSON's ``integrality_failures`` and the CSV ``warning:`` line."""
-    max_degree = _check_max_degree(args)
+    max_degree = args.max_degree
     report = compute_bps_table(localp2_geometry(max_degree), max_degree)
     rows = [
         {
@@ -199,11 +204,8 @@ def _cmd_verify_martin(args) -> int:
 
 
 def _cmd_hypersurface(args) -> int:
-    max_degree = _check_max_degree(args)
+    max_degree = args.max_degree
     meeting = args.meeting_table
-    if meeting is not None and meeting < 1:
-        print("error: --meeting-table must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     needed = max(max_degree, 2 * meeting if meeting else 0)
     try:
         geometry = load_hypersurface_geometry(args.input, needed)
@@ -241,7 +243,7 @@ def _cmd_hypersurface(args) -> int:
 
 
 def _cmd_verify_localization(args) -> int:
-    max_degree = _check_max_degree(args)
+    max_degree = args.max_degree
     results = verify_localization(max_degree, seed=args.seed)
     rows = [
         {"d": r["degree"], "g0": r["g0"], "g1": r["g1"], "status": "PASS" if r["ok"] else "FAIL"}
@@ -263,9 +265,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.jobs < 1:
-            print("error: --jobs must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE

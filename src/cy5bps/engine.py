@@ -109,21 +109,17 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
     Weights and values are exact numbers; in the hot sums the weight is
     an int.  An int term is added on int arithmetic.  A rational term is
     folded in as an integer numerator over the running common
-    denominator: its weight is multiplied into the numerator, and a term
-    whose denominator equals the running one needs no gcd.  The result
-    is reduced once.
+    denominator: its weight is multiplied into the numerator.  The
+    result is reduced once.
     """
     for w, v in terms:
         if type(v) is int and type(w) is int:
             num += w * v if den == 1 else w * v * den
         else:
             n, d = w.numerator * v.numerator, w.denominator * v.denominator
-            if d == den:
-                num += n
-            else:
-                g = gcd(den, d)
-                num = num * (d // g) + n * (den // g)
-                den = den // g * d
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
     return _ratio(num, den * divisor)
 
 
@@ -164,7 +160,6 @@ class Engine:
         # the unit insertion of each H-power, indexed by the power
         self._units = (None, ring.H(1), ring.H(2))
 
-        # a zero c2 skips the counts it multiplies, as a zero insertion does
         self._c2 = _norm(geometry.c2)
         self._c3 = _norm(geometry.c3)
         # base tables indexed by degree (entry 0 unused), and their 1/t5
@@ -388,9 +383,8 @@ class Engine:
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
         memo, c2 = self.memo, self._c2
-        terms = [(self._c3, self._n1pt[d]), (1, memo["n1G", d])]
-        if c2:
-            terms += [(c2, memo["n1C", d]), (c2 * c2, memo["n1B", d]), (4 * c2, memo["n1F", d])]
+        terms = [(self._c3, self._n1pt[d]), (1, memo["n1G", d]), (c2, memo["n1C", d]),
+                 (c2 * c2, memo["n1B", d]), (4 * c2, memo["n1F", d])]
         for a in range(1, d):
             terms += ((-4, memo["n2E", a, d - a]), (-5, memo["n2C", a, d - a]))
         return _weighted_sum(terms, 2)
@@ -403,9 +397,7 @@ class Engine:
         elif d2 < d1:
             terms.append((1, memo["n2A", d1 - d2, d2]))
         else:
-            if self._c2:
-                terms.append((self._c2, memo["n1B", d1]))
-            terms.append((2, memo["n1F", d1]))
+            terms += [(self._c2, memo["n1B", d1]), (2, memo["n1F", d1])]
         return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
@@ -430,10 +422,8 @@ class Engine:
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
-            c2 = self._c2
-            terms += ((2, memo["n1E", lo]), (2 * lo, memo["gamma1", lo]))
-            if c2:
-                terms += ((2 * c2, self._n1pt[lo]), (2 * c2, memo["n1D", lo]))
+            terms += ((2, memo["n1E", lo]), (2 * lo, memo["gamma1", lo]),
+                      (2 * self._c2, self._n1pt[lo]), (2 * self._c2, memo["n1D", lo]))
             for p in range(1, hi):
                 terms += ((-4, memo["n2D", p, hi - p]), (-5, memo["n2B", p, hi - p]))
         for c in range(1, lo):
@@ -469,13 +459,11 @@ class Engine:
                         v *= den
                 else:
                     d, v = v.denominator, v.numerator
-                    if d != den:
-                        g = gcd(den, d)
-                        scale = d // g
-                        if scale != 1:
-                            s0, s1, s2 = s0 * scale, s1 * scale, s2 * scale
-                            den *= scale
-                        v *= den // d
+                    scale = d // gcd(den, d)
+                    if scale != 1:
+                        s0, s1, s2 = s0 * scale, s1 * scale, s2 * scale
+                        den *= scale
+                    v *= den // d
                 pv = p * v
                 s0 += v
                 s1 += pv
@@ -504,9 +492,8 @@ class Engine:
 
     def _c_gamma2(self, d1: int, d2: int):
         memo = self.memo
-        terms = [(self._c2, memo["n2A", d1, d2])] if self._c2 else []
-        terms += [(2, memo["n2E", d1, d2]), (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])]
-        return _weighted_sum(terms)
+        return _weighted_sum(((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2]),
+                              (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # base - C1 - C2 - C12, with the excess corrections C1 = x1,
@@ -535,8 +522,7 @@ class Engine:
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2): on this diagonal, one
             # normalisation more than elsewhere
-            terms = [(self._c2, memo["n2A", d1, d2])] if self._c2 else []
-            x2 = _weighted_sum(terms + [(2, memo["n2E", d1, d2])])
+            x2 = _weighted_sum(((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2])))
 
         if d3 > d1 + d2:
             x4 = m3[d3][d3 - d1 - d2][d1]
@@ -554,9 +540,7 @@ class Engine:
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
         memo, c2 = self.memo, self._c2
-        terms = [(-2, memo["n1G", d]), (-2 * self._c3, self._n1pt[d])]
-        if c2:
-            terms.append((-2 * c2, memo["n1C", d]))
+        terms = [(-2, memo["n1G", d]), (-2 * self._c3, self._n1pt[d]), (-2 * c2, memo["n1C", d])]
         for a in range(1, d):
             terms += ((1, memo["n2C", a, d - a]), (1, memo["n2C", d - a, a]))
         return _weighted_sum(terms, 2)

@@ -121,8 +121,14 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
 def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tuple]]:
     """Returns (t5, c2 coeff, c3 coeff, maxdeg, parameter line number,
     {d: (N0 1pt, N0 2pt, N1)})."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: one more than the line breaks of the valid text before it
+        line = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise GeometryFileError(line, f"byte {data[exc.start]:#04x} is not UTF-8") from None
     lines = [(i + 1, line.strip()) for i, line in enumerate(raw) if line.strip()]
     if not lines or lines[0][1] != GW_FILE_MAGIC:
         lineno = lines[0][0] if lines else 1

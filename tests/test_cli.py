@@ -71,6 +71,30 @@ def test_missing_command_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["local-p2", "--max-degree", "abc"], "--max-degree"),
+        (["local-p2", "--max-degree", "0"], "--max-degree"),
+        (["verify-martin", "--max-degree", "2.0"], "--max-degree"),
+        (["local-p2", "--format", "xml"], "--format"),
+        (["local-p2", "--frobnicate"], "--frobnicate"),
+        (["verify-localization", "--jobs", "0"], "--jobs"),
+        (["verify-localization", "--seed", "x"], "--seed"),
+        (["hypersurface", "--input", "F", "--meeting-table", "-1"], "--meeting-table"),
+        (["hypersurface", "--max-degree", "3"], "--input"),
+        (["no-such-command"], "no-such-command"),
+        ([], "command"),
+    ],
+)
+def test_usage_error_prints_its_cause(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error:") and named in last
+
+
 def test_csv_and_json_carry_identical_values(capsys):
     code, csv_out, _ = run_cli(capsys, "local-p2", "--max-degree", "10")
     assert code == 0
@@ -175,6 +199,15 @@ def test_hypersurface_bad_file_diagnostics(write_gw_file, capsys):
     code, _, err = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "6")
     assert code == 1
     assert "line 6" in err and "degree" in err
+
+
+def test_hypersurface_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.gw"
+    path.write_bytes(gw_file_text(maxdeg=6).replace("\n1 0 0 0", "\n1 0 \xff 0").encode("latin-1"))
+    code, out, err = run_cli(capsys, "hypersurface", "--input", str(path), "--max-degree", "6")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: line 3: byte 0xff is not UTF-8\n"
 
 
 def test_hypersurface_requires_input(capsys):

@@ -493,6 +493,11 @@ _rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
     c3=_rationals,
     columns=st.lists(st.tuples(_rationals, _rationals, _rationals), min_size=8, max_size=8),
 )
+# c2 = 0: every c2 term is summed with a zero weight on the rational path
+@example(
+    t5=Fraction(7), c2=Fraction(0), c3=Fraction(-112),
+    columns=[(Fraction(d, 3), Fraction(-d, 2), Fraction(1, d)) for d in range(1, 9)],
+)
 def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
     rows = {d: tuple(str(q) for q in row) for d, row in enumerate(columns, start=1)}
     text = gw_file_text(t5=str(t5), c2=str(c2), c3=str(c3), maxdeg=8, rows=rows)

@@ -133,6 +133,22 @@ def test_malformed_files_are_line_diagnosed(write_gw_file, mutate, expected_frag
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "newline,blank,line",
+    [("\n", "", 3), ("\r\n", "\n", 4)],
+    ids=["lf", "crlf-blank-line"],
+)
+def test_non_utf8_byte_is_line_diagnosed(tmp_path, newline, blank, line):
+    # 0xff starts no UTF-8 sequence; a blank line before it counts as a line
+    text = gw_file_text(maxdeg=6).replace("\n1 0 0 0", "\n" + blank + "1 0 \xff 0")
+    path = tmp_path / "latin1.gw"
+    path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+    with pytest.raises(GeometryFileError) as err:
+        load_hypersurface_geometry(path, 6)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: byte 0xff is not UTF-8"
+
+
 def test_truncated_file_names_missing_degree(write_gw_file):
     text = "\n".join(gw_file_text(maxdeg=6).splitlines()[:5]) + "\n"
     path = write_gw_file(text)
