@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    # each subcommand's parser is a _Parser too, so it reports its own
+    # unknown flags under its own usage, not the top level's
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _positive_int(text: str) -> int:
     """An integer flag's value, held to the degree rule of series.check_degree."""
@@ -214,7 +222,8 @@ def _cmd_hypersurface(args) -> int:
         note = ""
         if needed > max_degree and str(exc).endswith(f"need 1..{needed}"):
             note = f" (--meeting-table {meeting} needs degrees up to {needed})"
-        print(f"error: {args.input}: {exc}{note}", file=sys.stderr)
+        print(f"error: {args.input}: {getattr(exc, 'strerror', None) or exc}{note}",
+              file=sys.stderr)
         return EXIT_USAGE
     # one engine: the meeting table reads counts the genus-1 run memoized
     engine = Engine(geometry)

@@ -101,7 +101,7 @@ def test_criterion_5_localization():
     _report(
         5,
         ok and len(results) == 30,
-        f"two fixed-point sums, per-locus values and factor sums exact for "
+        f"two fixed-point sums and per-locus values exact for "
         f"d <= 30 at 3 weight triples each in {elapsed:.1f}s",
     )
 

@@ -71,26 +71,31 @@ def test_missing_command_is_usage_error(capsys):
     assert code == 1
 
 
+_USAGE_ERRORS = [
+    (["local-p2", "--max-degree", "abc"], "--max-degree", "local-p2"),
+    (["local-p2", "--max-degree", "0"], "--max-degree", "local-p2"),
+    (["verify-martin", "--max-degree", "2.0"], "--max-degree", "verify-martin"),
+    (["local-p2", "--format", "xml"], "--format", "local-p2"),
+    (["local-p2", "--frobnicate"], "--frobnicate", "local-p2"),
+    (["verify-localization", "--jobs", "0"], "--jobs", "verify-localization"),
+    (["verify-localization", "--seed", "x"], "--seed", "verify-localization"),
+    (["hypersurface", "--input", "F", "--meeting-table", "-1"], "--meeting-table", "hypersurface"),
+    (["hypersurface", "--max-degree", "3"], "--input", "hypersurface"),
+    (["no-such-command"], "no-such-command", "[-h]"),
+    ([], "command", "[-h]"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,named",
-    [
-        (["local-p2", "--max-degree", "abc"], "--max-degree"),
-        (["local-p2", "--max-degree", "0"], "--max-degree"),
-        (["verify-martin", "--max-degree", "2.0"], "--max-degree"),
-        (["local-p2", "--format", "xml"], "--format"),
-        (["local-p2", "--frobnicate"], "--frobnicate"),
-        (["verify-localization", "--jobs", "0"], "--jobs"),
-        (["verify-localization", "--seed", "x"], "--seed"),
-        (["hypersurface", "--input", "F", "--meeting-table", "-1"], "--meeting-table"),
-        (["hypersurface", "--max-degree", "3"], "--input"),
-        (["no-such-command"], "no-such-command"),
-        ([], "command"),
-    ],
+    "argv,named,usage", _USAGE_ERRORS,
+    ids=[f"argv{i}-{named}" for i, (_, named, _) in enumerate(_USAGE_ERRORS)],
 )
-def test_usage_error_prints_its_cause(capsys, argv, named):
+def test_usage_error_prints_its_cause(capsys, argv, named, usage):
+    # a subcommand's error shows that subcommand's usage line
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert err.startswith(f"usage: cy5bps {usage}")
     last = err.splitlines()[-1]
     assert last.startswith("error:") and named in last
 
@@ -191,7 +196,7 @@ def test_hypersurface_json_meeting_table(write_gw_file, capsys):
 def test_hypersurface_missing_file(capsys):
     code, _, err = run_cli(capsys, "hypersurface", "--input", "/nonexistent.gw")
     assert code == 1
-    assert "nonexistent" in err
+    assert err == "error: /nonexistent.gw: No such file or directory\n"
 
 
 def test_hypersurface_bad_file_diagnostics(write_gw_file, capsys):

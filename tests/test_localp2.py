@@ -13,7 +13,7 @@ from cy5bps.cli import main
 from cy5bps.localp2 import (
     WeightDegeneracyError,
     WeightTriple,
-    _interior_parts,
+    _integer_weights,
     cover_factor,
     localization_g0,
     localization_g1,
@@ -273,7 +273,12 @@ def _naive_g1_locus(d, x, y, z):
 
 
 def _interior_product(d, x, y, z):
-    return Rat(*_interior_parts(d, x, y, z))
+    """The interior product rebuilt from _integer_weights: over the common
+    denominator L of x, y and z, each factor is an integer over d*L."""
+    L = math.lcm(x.denominator, y.denominator, z.denominator)
+    X, Y, Z, num = _integer_weights(d, x, y, z)
+    assert (X, Y, Z) == (x * L, y * L, z * L)
+    return Rat(num, (d * L) ** (d - 1))
 
 
 def _outcome(func, *args):
