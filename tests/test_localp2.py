@@ -308,7 +308,7 @@ def test_interior_product_degenerate_weights_raise(d, r, x, y):
     assert _outcome(_interior_product, d, x, y, z) == expected
 
 
-# -- the fraction-free fixed-point formulas against per-factor products ---------
+# -- the integer-weight fixed-point formulas against per-factor products --------
 
 @settings(max_examples=150, deadline=None)
 @given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights)
