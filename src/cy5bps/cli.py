@@ -24,7 +24,7 @@ from .genus1 import compute_bps_table, martin_check
 from .geometry import GeometryFileError, load_hypersurface_geometry
 from .engine import Engine
 from .localp2 import localp2_geometry, verify_localization
-from .rational import format_rational, rational_pair
+from .rational import format_rational, parse_integer, rational_pair
 from .series import check_degree
 
 __all__ = ["main", "build_parser"]
@@ -50,10 +50,20 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _positive_int(text: str) -> int:
-    """An integer flag's value, held to the degree rule of series.check_degree."""
+def _integer(text: str) -> int:
+    """An integer flag's value, spelled as in a GW file (rational.parse_integer):
+    ASCII digits only, so "1_0" or a non-ASCII digit is refused, not read by int()."""
     try:
-        value = int(text)
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """A positive integer flag's value: spelled as for _integer, and held to the
+    degree rule of series.check_degree."""
+    try:
+        value = parse_integer(text)
     except ValueError:
         value = text
     check_degree(value, "value", argparse.ArgumentTypeError)
@@ -92,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loc = sub.add_parser("verify-localization",
                            help="check the fixed-point sums against the closed forms")
     common(p_loc)
-    p_loc.add_argument("--seed", type=int, default=0, metavar="S",
+    p_loc.add_argument("--seed", type=_integer, default=0, metavar="S",
                        help="seed for the random weight triples (default 0)")
 
     p_martin = sub.add_parser("verify-martin",

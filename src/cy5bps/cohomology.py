@@ -14,9 +14,8 @@ positive integer degrees, under the normalization ``(H, line) = 1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rational import Rat, exact, format_rational
+from .record import FrozenRecord
 
 __all__ = [
     "RingMismatchError",
@@ -34,8 +33,7 @@ class InsertionDegreeError(ValueError):
     """A cohomology insertion, or a summand, has the wrong H-power."""
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(FrozenRecord):
     """Truncated polynomial ring Q[H] / (H^(top_power+1)).
 
     ``top_power`` is the highest surviving power of H.  ``top_integral``
@@ -45,16 +43,16 @@ class Ring:
     classes built on two equal rings are interchangeable.
     """
 
-    top_power: int
-    top_integral: Rat | None = None
+    __slots__ = __match_args__ = ("top_power", "top_integral")
 
-    def __post_init__(self):
-        if type(self.top_power) is not int or self.top_power < 1:
-            raise ValueError(f"top_power must be an int >= 1, got {self.top_power!r}")
-        if self.top_integral is not None:
-            object.__setattr__(self, "top_integral", exact(self.top_integral))
-        if self.top_integral == 0:
+    def __init__(self, top_power: int, top_integral: Rat | None = None):
+        if type(top_power) is not int or top_power < 1:
+            raise ValueError(f"top_power must be an int >= 1, got {top_power!r}")
+        if top_integral is not None:
+            top_integral = exact(top_integral)
+        if top_integral == 0:
             raise ValueError("top_integral must be nonzero (None for a local model)")
+        self._freeze(top_power, top_integral)
 
     def zero(self) -> "CohClass":
         return CohClass(self, 0, 0)
@@ -72,8 +70,7 @@ class Ring:
         return f"Ring(top_power={self.top_power}{t5})"
 
 
-@dataclass(frozen=True)
-class CohClass:
+class CohClass(FrozenRecord):
     """The monomial ``coeff * H^power`` of a rank-1 ring.
 
     The power must be a plain ``int`` (a bool, a float or a string raises
@@ -83,20 +80,17 @@ class CohClass:
     coefficient gives it.
     """
 
-    ring: Ring
-    power: int
-    coeff: Rat
+    __slots__ = __match_args__ = ("ring", "power", "coeff")
 
-    def __post_init__(self):
-        if type(self.power) is not int:
-            raise ValueError(f"power must be an int, got {self.power!r}")
-        if self.power < 0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        coeff = exact(self.coeff)
-        if self.power > self.ring.top_power or coeff == 0:
-            object.__setattr__(self, "power", 0)
-            coeff = Rat(0)
-        object.__setattr__(self, "coeff", coeff)
+    def __init__(self, ring: Ring, power: int, coeff: Rat):
+        if type(power) is not int:
+            raise ValueError(f"power must be an int, got {power!r}")
+        if power < 0:
+            raise ValueError(f"power must be >= 0, got {power}")
+        coeff = exact(coeff)
+        if power > ring.top_power or coeff == 0:
+            power, coeff = 0, Rat(0)
+        self._freeze(ring, power, coeff)
 
     def is_zero(self) -> bool:
         return self.coeff == 0

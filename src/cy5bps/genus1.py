@@ -15,12 +15,12 @@ surfaces as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .engine import Engine
 from .geometry import Geometry
 from .rational import Rat, is_integer
+from .record import FrozenRecord
 from .series import (
     DegreeSeries,
     check_degree,
@@ -32,15 +32,14 @@ from .series import (
 __all__ = ["BpsReport", "compute_bps_table", "martin_S", "martin_V", "MartinRow", "martin_check"]
 
 
-@dataclass(frozen=True)
-class BpsReport:
+class BpsReport(FrozenRecord):
     """Genus-1 tables for one geometry up to a degree bound."""
 
-    max_degree: int
-    n1: DegreeSeries
-    n1_tilde: DegreeSeries
-    chern: DegreeSeries
-    integrality_failures: tuple[int, ...]
+    __slots__ = __match_args__ = ("max_degree", "n1", "n1_tilde", "chern", "integrality_failures")
+
+    def __init__(self, max_degree: int, n1: DegreeSeries, n1_tilde: DegreeSeries,
+                 chern: DegreeSeries, integrality_failures: tuple[int, ...]):
+        self._freeze(max_degree, n1, n1_tilde, chern, integrality_failures)
 
 
 def compute_bps_table(
@@ -106,11 +105,7 @@ def martin_V(d: int):
     return Rat(0)
 
 
-class MartinRow(NamedTuple):
-    degree: int
-    computed: object
-    predicted: object
-    match: bool
+MartinRow = namedtuple("MartinRow", ["degree", "computed", "predicted", "match"])
 
 
 def martin_check(report: BpsReport) -> list[MartinRow]:

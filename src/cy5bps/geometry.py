@@ -17,11 +17,10 @@ vanishes for dimension reasons or is produced by the engine.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
 
 from .cohomology import Ring
-from .rational import Rat, exact, parse_rational
+from .rational import Rat, exact, parse_integer, parse_rational
+from .record import FrozenRecord
 from .series import DegreeSeries, check_degree, invert_multi_cover
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 GW_FILE_MAGIC = "cy5-gw v1"
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class GeometryFileError(ValueError):
@@ -43,8 +41,7 @@ class GeometryFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(FrozenRecord):
     """All geometric inputs for one target space.
 
     ``c2`` and ``c3`` are the coefficients of H^2 and H^3 in the Chern
@@ -55,18 +52,15 @@ class Geometry:
     t5) pairs H^2 with H^3/t5, and a local ring has none.
     """
 
-    ring: Ring
-    c2: object
-    c3: object
-    n1pt: DegreeSeries
-    n2pt: DegreeSeries
-    gw_genus1: DegreeSeries
-    max_degree: int
+    __slots__ = __match_args__ = (
+        "ring", "c2", "c3", "n1pt", "n2pt", "gw_genus1", "max_degree",
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "c2", exact(self.c2))
-        object.__setattr__(self, "c3", exact(self.c3))
-        check_degree(self.max_degree, "max_degree")
+    def __init__(self, ring: Ring, c2, c3, n1pt: DegreeSeries, n2pt: DegreeSeries,
+                 gw_genus1: DegreeSeries, max_degree: int):
+        c2, c3 = exact(c2), exact(c3)
+        check_degree(max_degree, "max_degree")
+        self._freeze(ring, c2, c3, n1pt, n2pt, gw_genus1, max_degree)
 
 
 def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[object, object]:
@@ -113,9 +107,10 @@ def _parse_header_fields(line: str, lineno: int) -> dict[str, str]:
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
     """An optionally signed run of ASCII digits, as an int."""
-    if _INTEGER.fullmatch(text) is None:
-        raise GeometryFileError(lineno, f"malformed {what} {text!r}")
-    return int(text)
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise GeometryFileError(lineno, f"malformed {what} {text!r}") from None
 
 
 def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tuple]]:

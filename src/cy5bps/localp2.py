@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .cohomology import Ring
 from .geometry import Geometry
 from .rational import Rat, exact
+from .record import FrozenRecord
 from .series import DegreeSeries, check_degree, invert_multi_cover
 
 __all__ = [
@@ -64,17 +64,13 @@ def _distinct_weights(x, y, z):
     return x, y, z
 
 
-@dataclass(frozen=True)
-class WeightTriple:
+class WeightTriple(FrozenRecord):
     """Torus weights (a, b, c) on C^3; must be pairwise distinct."""
 
-    a: object
-    b: object
-    c: object
+    __slots__ = __match_args__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name, value in zip("abc", _distinct_weights(self.a, self.b, self.c)):
-            object.__setattr__(self, name, value)
+    def __init__(self, a, b, c):
+        self._freeze(*_distinct_weights(a, b, c))
 
 
 def localp2_geometry(max_degree: int) -> Geometry:
@@ -99,14 +95,15 @@ def _integer_weights(d: int, x, y, z) -> tuple[int, int, int, int]:
     vanishing factor raises WeightDegeneracyError."""
     L = math.lcm(x.denominator, y.denominator, z.denominator)
     X, Y, Z = (v.numerator * (L // v.denominator) for v in (x, y, z))
-    num = 1
-    for r in range(1, d):
-        factor = d * Z - (d - r) * X - r * Y
-        if factor == 0:
-            raise WeightDegeneracyError(
-                f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
-            )
-        num *= factor
+    # factor r is A + rB, an arithmetic progression; B = X - Y is nonzero on
+    # every public path (distinct weights), and with B = 0 every factor is A
+    A, B = d * (Z - X), X - Y
+    r, rest = divmod(-A, B) if B else (1, A)
+    if rest == 0 and 0 < r < d:
+        raise WeightDegeneracyError(
+            f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
+        )
+    num = math.prod(range(A + B, A + d * B, B)) if B else A ** (d - 1)
     return X, Y, Z, num
 
 

@@ -12,10 +12,14 @@ import re
 from fractions import Fraction as Rat
 from numbers import Rational
 
-__all__ = ["Rat", "exact", "parse_rational", "format_rational", "rational_pair", "is_integer"]
+__all__ = [
+    "Rat", "exact", "parse_integer", "parse_rational", "format_rational", "rational_pair",
+    "is_integer",
+]
 
 # ASCII digits only: no underscores, no other Unicode digits, no signed denominator
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
 def exact(value) -> Rat:
@@ -24,6 +28,17 @@ def exact(value) -> Rat:
     if not isinstance(value, Rational):
         raise ValueError(f"expected an exact rational, got {value!r}")
     return value if isinstance(value, Rat) else Rat(value)
+
+
+def parse_integer(text: str) -> int:
+    """Parse an optionally signed run of ASCII digits into an int.
+
+    Raises ValueError for anything else, including what ``int()`` would
+    take: surrounding whitespace, underscores and non-ASCII digits.
+    """
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str):

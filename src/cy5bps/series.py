@@ -28,7 +28,7 @@ integrality of the other.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
 from .rational import Rat, exact
 

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -98,6 +97,56 @@ def test_usage_error_prints_its_cause(capsys, argv, named, usage):
     assert err.startswith(f"usage: cy5bps {usage}")
     last = err.splitlines()[-1]
     assert last.startswith("error:") and named in last
+
+
+# every integer flag, with the arguments its subcommand needs to parse
+_INTEGER_FLAGS = [
+    (["local-p2"], "--max-degree"),
+    (["local-p2"], "--jobs"),
+    (["hypersurface", "--input", "F"], "--meeting-table"),
+    (["verify-localization"], "--seed"),
+]
+_FLAG_IDS = [flag for _, flag in _INTEGER_FLAGS]
+
+
+def _flag_error(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert (code, out) == (1, "")
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "\uff13", " 3", "3 "])
+@pytest.mark.parametrize("argv,flag", _INTEGER_FLAGS, ids=_FLAG_IDS)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    # int() would read each of these; the GW file's integer rule refuses them
+    if flag == "--seed":
+        expected = f"invalid int value: {value!r}"
+    else:
+        expected = f"value must be a positive integer, got {value!r}"
+    assert _flag_error(capsys, argv, flag, value) == f"error: argument {flag}: {expected}"
+
+
+@pytest.mark.parametrize("value,message", [
+    ("0", "value must be >= 1, got 0"),
+    ("-1", "value must be >= 1, got -1"),
+    ("abc", "value must be a positive integer, got 'abc'"),
+])
+@pytest.mark.parametrize("argv,flag", _INTEGER_FLAGS[:3], ids=_FLAG_IDS[:3])
+def test_positive_flags_keep_their_messages(capsys, argv, flag, value, message):
+    assert _flag_error(capsys, argv, flag, value) == f"error: argument {flag}: {message}"
+
+
+def test_seed_keeps_its_rule_and_message(capsys):
+    parser = cli.build_parser()
+    assert [parser.parse_args(["verify-localization", "--seed", v]).seed for v in ("0", "-1")] == [0, -1]
+    last = _flag_error(capsys, ["verify-localization"], "--seed", "abc")
+    assert last == "error: argument --seed: invalid int value: 'abc'"
+
+
+@pytest.mark.parametrize("argv,flag", _INTEGER_FLAGS, ids=_FLAG_IDS)
+def test_integer_flags_take_a_signed_ascii_integer(argv, flag):
+    args = cli.build_parser().parse_args([*argv, flag, "+12"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 12
 
 
 def test_csv_and_json_carry_identical_values(capsys):
@@ -284,8 +333,7 @@ def test_local_p2_csv_warns_of_non_integral_values(monkeypatch, capsys, command)
         report = compute(geometry, max_degree)
         n1 = dict(report.n1.items())
         n1[2] += Rat(1, 2)
-        return dataclasses.replace(report, n1=DegreeSeries(n1, max_degree),
-                                   integrality_failures=(2,))
+        return report.replace(n1=DegreeSeries(n1, max_degree), integrality_failures=(2,))
 
     monkeypatch.setattr(cli, "compute_bps_table", non_integral)
     code, out, err = run_cli(capsys, command, "--max-degree", "4")

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 import sympy
@@ -257,6 +256,6 @@ def test_geometry_checks_its_fields(field, value, message):
     # refused when the record is built, not later by the engine's arithmetic
     # or by range()
     with pytest.raises(ValueError) as excinfo:
-        dataclasses.replace(localp2_geometry(4), **{field: value})
+        localp2_geometry(4).replace(**{field: value})
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message

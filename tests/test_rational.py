@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import cy5bps
-from cy5bps.rational import Rat, format_rational, is_integer, parse_rational, rational_pair
+from cy5bps.rational import (
+    Rat,
+    format_rational,
+    is_integer,
+    parse_integer,
+    parse_rational,
+    rational_pair,
+)
 
 
 def test_lowest_terms_and_sign():
@@ -37,6 +44,19 @@ def test_parse_rational(text, expected):
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text,expected", [("3", 3), ("-7", -7), ("+12", 12), ("007", 7)])
+def test_parse_integer(text, expected):
+    value = parse_integer(text)
+    assert type(value) is int and value == expected
+
+
+@pytest.mark.parametrize("text", ["", "x", "+", "1.0", "1/1", "1_000", " 3", "3\n", "\u0663"])
+def test_parse_integer_rejects(text):
+    # each of the last four is a spelling that int() accepts
+    with pytest.raises(ValueError, match="malformed integer"):
+        parse_integer(text)
 
 
 def test_format_rational():
