@@ -17,7 +17,7 @@ def _report():
     return compute_bps_table(localp2_geometry(3), 3)
 
 
-# each record built twice from scratch, with its repr as the dataclass gave it
+# how to build each record afresh, and its repr as the dataclass printed it
 RECORDS = {
     "Ring": (lambda: Ring(5, 7), "Ring(top_power=5, top_integral=7)"),
     "CohClass": (lambda: Ring(5, 7).monomial(2, Fraction(3, 2)), "3/2*H^2"),
