@@ -30,8 +30,10 @@ C2 in n2B's and C1, C2 and C12 in m3's.
 
 Every count is exact: a Python ``int`` when its denominator is 1 and a
 :data:`Rat` otherwise.  Each (kind, degrees) key is memoized; results
-extend linearly in each cohomology insertion, so the memo stores one
-value per key with unit monomial insertions.
+extend linearly in each cohomology insertion, so one value is stored
+per key with unit monomial insertions.  m3 values are stored only in
+per-level tables, the other kinds in a dict keyed ``(kind, *degrees)``;
+``Engine.memo`` is a read-only mapping over both.
 
 The evaluation order is known in advance, so nothing recurses.  A
 count at total degree T reads counts below T, counts at T of a kind
@@ -51,17 +53,17 @@ A public call is a validated lookup: the key is built once, the degrees
 are checked in one pass, the engine's own unit insertions are known by
 identity, and a scale other than 1 costs one product.  m3, most of the
 keys (161,700 of 189,650 at degree 100), answers a valid call at or
-below the filled level in its own frame.  The fill stores every key,
-reversed m3 chains too, by one call of its public method, looked up on
-the class: ``perfbench/tracer.py`` counts the entries of each kind by
-wrapping those methods, and the public methods answer from the memo.
-Every m3 value the formulas read comes from a per-level table:
-``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2), the object the public m3
-call returned.  The fill rebuilds level t's lists each time it fills
-that level, so an interrupted level leaves no stale entry.  An index
-read needs no key tuple or hash, and m3 is read O(D^3) times: by the
+below the filled level in its own frame, from its level table:
+``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2), or None until stored.
+That table is the only store of m3, so m3 costs no key tuple and no
+dict slot, and a read by index no hash; m3 is read O(D^3) times: by the
 corrections of every computed m3 key, the n2C/n2D/n2E row sums, and
-n2B's two m3 sums (its own and its C2's).
+n2B's two m3 sums (its own and its C2's).  The fill stores every key,
+reversed m3 chains too, by one call of its public method, looked up on
+the class, and that call stores its own key: ``perfbench/tracer.py``
+counts the entries of each kind by wrapping those methods and watching
+``len(engine.memo)`` grow.  An interrupted level keeps the values it
+stored, and its refill stores the rest.
 
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
@@ -81,6 +83,8 @@ a local ring has no diagonal terms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import islice
 from math import gcd
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError
@@ -123,6 +127,61 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
     return _ratio(num, den * divisor)
 
 
+class _Memo(Mapping):
+    """Read-only mapping of an engine's stored counts, ``(kind, *degrees)``
+    to the count with unit insertions.
+
+    m3 is stored only in the level tables ``_m3[t][d1][d2]``, every other
+    kind in the dict ``_dict``; the engine writes both.  ``len`` is O(1):
+    the dict's length plus the number of m3 values stored.  Iteration
+    follows store order.  The fill stores m3 values only in its m3 loops,
+    level by level and row by row, and ``_marks`` holds (dict length, m3
+    count) at the start of each loop, which places each run of m3 keys
+    among the dict's keys.
+    """
+
+    __slots__ = ("_dict", "_m3", "_m3_size", "_marks")
+
+    def __init__(self):
+        self._dict = {}
+        self._m3 = [None]
+        self._m3_size = 0
+        self._marks = []
+
+    def __len__(self) -> int:
+        return len(self._dict) + self._m3_size
+
+    def __getitem__(self, key):
+        if type(key) is tuple and len(key) == 4 and key[0] == "m3":
+            _, d1, d2, d3 = key
+            if (type(d1) is type(d2) is type(d3) is int and d1 > 0 and d2 > 0 and d3 > 0
+                    and d1 + d2 + d3 < len(self._m3)):
+                value = self._m3[d1 + d2 + d3][d1][d2]
+                if value is not None:
+                    return value
+            raise KeyError(key)
+        return self._dict[key]
+
+    def __iter__(self):
+        keys, m3 = iter(self._dict), self._m3_keys()
+        ends = [size for _, size in self._marks[1:]] + [self._m3_size]
+        at = 0
+        for (length, size), end in zip(self._marks, ends):
+            yield from islice(keys, length - at)
+            yield from islice(m3, end - size)
+            at = length
+        yield from keys
+
+    def _m3_keys(self):
+        """The stored m3 keys, by level, then d1, then d2."""
+        for t, level in enumerate(self._m3[1:], 1):
+            for d1 in range(1, len(level)):
+                row = level[d1]
+                for d2 in range(1, len(row)):
+                    if row[d2] is not None:
+                        yield ("m3", d1, d2, t - d1 - d2)
+
+
 class Engine:
     """Evaluator of all count types for one geometry, filled level by level.
 
@@ -133,11 +192,12 @@ class Engine:
     InsertionDegreeError for any other power (the zero class is
     accepted and yields zero by linearity).
 
-    ``memo`` maps ``(kind, *degrees)`` to the count with unit
-    insertions.  Every public call validates its degrees and insertions,
-    hit or miss: a degree ``2.0`` equals the int key 2 in the dict, so
-    no lookup comes first.  A miss at total degree T first fills every
-    unfilled level up to T, each key by a public call with unit
+    ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
+    count with unit insertions, over the m3 level tables and the dict of
+    the other kinds.  Every public call validates its degrees and
+    insertions, hit or miss: a degree ``2.0`` equals the int key 2 in
+    the dict, so no lookup comes first.  A miss at total degree T first
+    fills every unfilled level up to T, each key by a public call with unit
     insertions: every value is computed as a miss on a filled level, and
     each public call stores at most its own key, so a wrapper on a
     public method sees each stored key exactly once.  A fill call costs
@@ -147,13 +207,15 @@ class Engine:
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self.memo: dict[tuple, object] = {}
+        self.memo = _Memo()
+        # the two stores behind the view: every kind but m3 by key, and
+        # _m3[t][d1][d2] = m3(d1, d2, t - d1 - d2), None until stored (slot 0
+        # of each list unused)
+        self._memo = self.memo._dict
+        self._m3 = self.memo._m3
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
-        # _m3[t][d1][d2] = m3(d1, d2, t - d1 - d2): the memo's m3 values of
-        # each filled level, by index (slot 0 of each list unused)
-        self._m3 = [None]
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
         self._last_row = (None, None)
         ring = geometry.ring
@@ -216,13 +278,13 @@ class Engine:
                 s *= self._scale(mu, power)
         if s == 0:
             return 0
-        value = self.memo.get(key)
+        value = self._memo.get(key)
         if value is None:
             if total > self._level:
                 self._fill(total)
-                value = self.memo.get(key)
+                value = self._memo.get(key)
             if value is None:
-                value = self.memo[key] = compute(*betas)
+                value = self._memo[key] = compute(*betas)
         return value if s == 1 else _norm(s * value)
 
     def _fill(self, top: int):
@@ -236,16 +298,16 @@ class Engine:
                     self.gamma2(t - 2 * b, b)
                 if t % 2 == 0:
                     self.gamma1(t // 2)
-                # level t's m3 lists are rebuilt on every fill of it, so an
-                # interrupted fill leaves nothing stale behind
-                del self._m3[t:]
-                level = [None] + [[None] * (t - d1) for d1 in range(1, t - 1)]
-                self._m3.append(level)
+                # an interrupted fill keeps level t's table and the m3 values
+                # stored in it; the refill stores the rest
+                if len(self._m3) == t:
+                    self._m3.append([None] + [[None] * (t - d1) for d1 in range(1, t - 1)])
+                memo = self.memo
+                memo._marks.append((len(self._memo), memo._m3_size))
                 m3 = self.m3
                 for d1 in range(1, t - 1):
-                    row = level[d1]
                     for d2 in range(1, t - d1):
-                        row[d2] = m3(d1, d2, t - d1 - d2)
+                        m3(d1, d2, t - d1 - d2)
                 pairs = [(d1, t - d1) for d1 in range(1, t)]
                 for d1, d2 in pairs:
                     self.n2A(d1, d2, H2)
@@ -328,15 +390,20 @@ class Engine:
         """Chains of three rational curves with consecutive components
         meeting at nodes."""
         # most keys are m3: a valid call at or below the filled level (so at
-        # most max_degree) is answered in this frame, anything else by _count
-        key = ("m3", beta1, beta2, beta3)
+        # most max_degree) is answered from the level table in this frame
         if (type(beta1) is type(beta2) is type(beta3) is int and beta1 > 0 and beta2 > 0
                 and beta3 > 0 and beta1 + beta2 + beta3 <= self._level):
-            value = self.memo.get(key)
+            row = self._m3[beta1 + beta2 + beta3][beta1]
+            value = row[beta2]
             if value is None:
-                value = self.memo[key] = self._c_m3(beta1, beta2, beta3)
+                value = row[beta2] = self._c_m3(beta1, beta2, beta3)
+                self.memo._m3_size += 1
             return value
-        return self._count(key, self._c_m3)
+        # anything else is refused, or lies above the filled level, and the
+        # fill stores it
+        total = self._degrees((beta1, beta2, beta3))
+        self._fill(total)
+        return self._m3[total][beta1][beta2]
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
@@ -351,30 +418,30 @@ class Engine:
         return self._n2pt[d]
 
     def _c_n1C(self, d: int):
-        memo = self.memo
+        memo = self._memo
         terms = [(1, memo["n1B", d]), (-2 * d, self._n1pt[d])]
         terms += [(a * a, memo["n2A", a, d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1D(self, d: int):
-        memo = self.memo
+        memo = self._memo
         # d * n1B - 2d * n1B: the second term's insertions are H*H and H^2
         terms = [(-d, memo["n1B", d])]
         terms += [(a * (d - a) ** 2 + (d - a) * a * a, memo["n2A", a, d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1E(self, d: int):
-        memo = self.memo
+        memo = self._memo
         terms = [(1, memo["n1D", d]), (-2 * d, memo["n1C", d])]
         for a in range(1, d):
             terms += ((a * a, memo["n2D", a, d - a]), (a * a, memo["n2B", a, d - a]))
         return _weighted_sum(terms, d * d)
 
     def _c_n1F(self, d: int):
-        return _weighted_sum((-1, self.memo["n2A", a, d - a]) for a in range(1, d))
+        return _weighted_sum((-1, self._memo["n2A", a, d - a]) for a in range(1, d))
 
     def _c_n1G(self, d: int):
-        memo = self.memo
+        memo = self._memo
         terms = [(1, memo["n1F", d]), (-2 * d, memo["n1E", d])]
         for a in range(1, d):
             terms += ((a * a, memo["n2E", a, d - a]), (a * a, memo["n2C", a, d - a]))
@@ -382,7 +449,7 @@ class Engine:
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        memo, c2 = self.memo, self._c2
+        memo, c2 = self._memo, self._c2
         terms = [(self._c3, self._n1pt[d]), (1, memo["n1G", d]), (c2, memo["n1C", d]),
                  (c2 * c2, memo["n1B", d]), (4 * c2, memo["n1F", d])]
         for a in range(1, d):
@@ -390,7 +457,7 @@ class Engine:
         return _weighted_sum(terms, 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        memo = self.memo
+        memo = self._memo
         terms = [] if self._n2pt_t5 is None else [(self._n1pt[d1], self._n2pt_t5[d2])]
         if d2 > d1:
             terms += [(1, memo["n2A", d1, d2 - d1]), (1, memo["n2A", d2 - d1, d1])]
@@ -403,7 +470,7 @@ class Engine:
     def _c_n2B(self, d1: int, d2: int):
         # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; the int m3 values
         # of both m3 sums are added on ints first, the others become terms
-        memo, m3 = self.memo, self._m3
+        memo, m3 = self._memo, self._m3
         terms, num = [], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
@@ -473,7 +540,7 @@ class Engine:
         return row
 
     def _c_n2C(self, d1: int, d2: int):
-        memo = self.memo
+        memo = self._memo
         terms = ((1, memo["n2A", d1, d2]), (-2 * d2, memo["n2B", d1, d2]))
         row = self._row(d1, d2)
         return _weighted_sum(terms, d2 * d2, row[0], row[3])
@@ -482,7 +549,7 @@ class Engine:
         # the cotangent reduction on the second component pairs the divisor
         # with that component's class, hence d2 * n2A; the second term,
         # -2 d2 * n2A, has the insertion H*H
-        n2A = self.memo["n2A", d1, d2]
+        n2A = self._memo["n2A", d1, d2]
         row = self._row(d1, d2)
         return _weighted_sum(((-d2, n2A),), d2 * d2, row[1], row[3])
 
@@ -491,7 +558,7 @@ class Engine:
         return _ratio(-row[2], row[3])
 
     def _c_gamma2(self, d1: int, d2: int):
-        memo = self.memo
+        memo = self._memo
         return _weighted_sum(((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2]),
                               (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])))
 
@@ -499,7 +566,7 @@ class Engine:
         # base - C1 - C2 - C12, with the excess corrections C1 = x1,
         # C2 = -(x2 + x3) and C12 = -x4 read from the level table
         # (m3(a, b, c) is m3[a + b + c][a][b]) or the memo
-        memo, m3 = self.memo, self._m3
+        memo, m3 = self._memo, self._m3
         if d1 > d3:
             # the reversed chain, stored earlier in this level's ascending rows
             return m3[d1 + d2 + d3][d3][d2]
@@ -539,7 +606,7 @@ class Engine:
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        memo, c2 = self.memo, self._c2
+        memo, c2 = self._memo, self._c2
         terms = [(-2, memo["n1G", d]), (-2 * self._c3, self._n1pt[d]), (-2 * c2, memo["n1C", d])]
         for a in range(1, d):
             terms += ((1, memo["n2C", a, d - a]), (1, memo["n2C", d - a, a]))
