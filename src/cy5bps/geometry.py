@@ -50,6 +50,10 @@ class Geometry(FrozenRecord):
     other insertion vanishes for dimension reasons.  The Kunneth
     diagonal is not stored: a compact ring (``ring.top_integral`` is
     t5) pairs H^2 with H^3/t5, and a local ring has none.
+
+    Construction checks what the engine relies on: ``ring`` is a
+    :class:`Ring`, and the three series are :class:`DegreeSeries` that
+    cover at least degrees 1..max_degree.
     """
 
     __slots__ = __match_args__ = (
@@ -60,6 +64,14 @@ class Geometry(FrozenRecord):
                  gw_genus1: DegreeSeries, max_degree: int):
         c2, c3 = exact(c2), exact(c3)
         check_degree(max_degree, "max_degree")
+        if not isinstance(ring, Ring):
+            raise TypeError(f"ring must be a Ring, got {ring!r}")
+        for name, series in (("n1pt", n1pt), ("n2pt", n2pt), ("gw_genus1", gw_genus1)):
+            if not isinstance(series, DegreeSeries):
+                raise TypeError(f"{name} must be a DegreeSeries, got {type(series).__name__}")
+            if series.max_degree < max_degree:
+                raise ValueError(f"{name} covers degrees 1..{series.max_degree}, "
+                                 f"need 1..{max_degree}")
         self._freeze(ring, c2, c3, n1pt, n2pt, gw_genus1, max_degree)
 
 

@@ -54,7 +54,8 @@ def _other_value(name):
     return {
         "Ring": 8,
         "CohClass": Fraction(5, 2),
-        "Geometry": 4,
+        # max_degree 2: the record's series cover 1..3, so 4 would be refused
+        "Geometry": 2,
         "WeightTriple": 5,
         "BpsReport": (2,),
     }[name]
