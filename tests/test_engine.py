@@ -448,6 +448,127 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     assert engine.memo == fresh.memo
 
 
+# -- the memo view over the m3 level tables and the dict of the other kinds ----
+
+def _stored(engine):
+    """The number of stored values, counted in the two stores themselves."""
+    in_tables = sum(value is not None for level in engine._m3[1:]
+                    for row in level[1:] for value in row[1:])
+    return len(engine._memo) + in_tables
+
+
+def _interrupt_m3_at(engine, chain):
+    compute = engine._c_m3
+
+    def interrupt(*degrees):
+        if degrees == chain:
+            raise KeyboardInterrupt
+        return compute(*degrees)
+
+    engine._c_m3 = interrupt
+
+
+def test_memo_len_counts_the_stored_values(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    _interrupt_m3_at(engine, (2, 3, 2))
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    del engine._c_m3
+    # levels 1-6 whole (20 m3, 5 x 15 n2 kinds, 6 x 6 n1 kinds, 6 gamma2,
+    # 3 gamma1), then level 7's 3 gamma2 and its 7 m3 keys before m3(2, 3, 2)
+    assert len(engine.memo) == _stored(engine) == len(list(engine.memo)) == 150
+    engine.chern_integral(7)
+    # levels 1-7 whole (35 m3, 5 x 21, 6 x 7, 9 gamma2, 3 gamma1) and chern(7)
+    assert len(engine.memo) == _stored(engine) == len(set(engine.memo)) == 195
+    for d in range(1, 13):
+        engine.chern_integral(d)
+    # 220 m3, 5 x 66 n2 kinds, 7 x 12 n1 kinds and chern, 30 gamma2, 6 gamma1
+    assert len(engine.memo) == _stored(engine) == len(set(engine.memo)) == 670
+
+
+def test_memo_iterates_in_store_order_across_an_interrupted_m3_loop(
+        local_geometry_12, monkeypatch):
+    # a key stored between the interrupted m3 loop and its refill lies
+    # between the two runs of level 7's m3 keys
+    recorded = []
+    for method, (kind, ndeg, _) in COUNT_METHODS.items():
+        def traced(engine, *args, _fn=getattr(Engine, method), _kind=kind, _ndeg=ndeg):
+            key = (_kind, *args[:_ndeg])
+            stored = key in engine.memo
+            try:
+                return _fn(engine, *args)
+            finally:
+                if not stored and key in engine.memo:
+                    recorded.append(key)
+        monkeypatch.setattr(Engine, method, traced)
+    engine = Engine(local_geometry_12)
+    _interrupt_m3_at(engine, (2, 3, 2))
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    del engine._c_m3
+    engine.chern_integral(3)
+    engine.chern_integral(12)
+    keys = list(engine.memo)
+    assert keys == recorded
+    chern3 = keys.index(("chern", 3))
+    assert keys[chern3 - 1] == ("m3", 2, 2, 3) and keys[chern3 + 1] == ("m3", 2, 3, 2)
+
+
+@pytest.mark.parametrize("key", [
+    ("m3", 0, 1, 2), ("m3", -1, 4, 4), ("m3", 2.0, 1, 1), ("m3", True, 1, 1),
+    ("m3", 1, 1), ("m3", 1, 1, 1, 1), ("m3", 1, 1, 7), ("m3", 4, 4, 4), ("m3", 5, 5, 5),
+    ("m3", 2, 3, 2), ("n2A", 1, 6), ("n1B", 13), "m3", (),
+])
+def test_memo_holds_no_unstored_key(local_geometry_12, key):
+    # filled to level 6, with level 7 interrupted at m3(2, 3, 2); a float or
+    # bool degree does not find the int key's m3 value
+    engine = Engine(local_geometry_12)
+    _interrupt_m3_at(engine, (2, 3, 2))
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    assert ("m3", 1, 1, 1) in engine.memo and ("m3", 2, 2, 3) in engine.memo
+    assert key not in engine.memo
+    assert engine.memo.get(key) is None
+    with pytest.raises(KeyError):
+        engine.memo[key]
+
+
+def test_memo_is_read_only(local_geometry_12):
+    engine = Engine(local_geometry_12)
+    engine.chern_integral(5)
+    memo = dict(engine.memo)
+    for key in (("m3", 1, 1, 1), ("n1B", 1), ("m3", 3, 3, 3)):
+        with pytest.raises(TypeError):
+            engine.memo[key] = 0
+        with pytest.raises(TypeError):
+            del engine.memo[key]
+    assert not hasattr(engine.memo, "pop") and not hasattr(engine.memo, "update")
+    assert engine.memo == memo
+
+
+def test_memo_equality_compares_values(local_geometry_12, rational_geometry_12):
+    engine, fresh = Engine(local_geometry_12), Engine(local_geometry_12)
+    other = Engine(rational_geometry_12)
+    for e in (engine, fresh, other):
+        e.chern_integral(6)
+    assert engine.memo == fresh.memo and engine.memo == dict(fresh.memo)
+    assert engine.memo.keys() == other.memo.keys() and engine.memo != other.memo
+    changed = dict(engine.memo)
+    changed["m3", 1, 2, 3] += 1
+    assert engine.memo != changed and changed != engine.memo
+    fresh.chern_integral(7)
+    assert engine.memo != fresh.memo
+
+
+def test_the_dict_store_holds_no_m3_key():
+    engine = Engine(localp2_geometry(100))
+    for d in range(1, 101):
+        engine.chern_integral(d)
+    assert not any(key[0] == "m3" for key in engine._memo)
+    assert len(engine._memo) == 189_650 - 161_700
+    assert len(engine.memo) == 189_650
+
+
 def _call(engine, method, degrees):
     _, _, powers = COUNT_METHODS[method]
     units = [engine.geometry.ring.H(p) for p in powers]
@@ -555,3 +676,25 @@ def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
     expected = (Rat(num, den) + sum(w * v for w, v in terms)) / divisor
     assert total == expected
     assert (type(total) is int) == (expected.denominator == 1)
+
+
+_row_values = st.one_of(st.integers(-(10**12), 10**12),
+                        st.builds(Rat, st.integers(-(10**12), 10**12), st.integers(1, 12)))
+
+
+@given(st.lists(_row_values, max_size=12))
+@example([])
+@example([Rat(1, 2), 3])  # an int value at a running denominator of 2
+@example([Rat(1, 4), Rat(1, 6), 5, Rat(7, 3), -2])
+def test_row_sums_match_fraction_sums(values):
+    # _row against plain Fraction sums: v_p is values[p - 1], planted as the
+    # m3 row m3(1, d2 - p, p), so ints meet running denominators other than 1
+    engine = Engine(localp2_geometry(2))
+    d2 = len(values) + 1
+    engine._m3 = [None] * (d2 + 1) + [[None, [None] + values[::-1]]]
+    s0, s1, s2 = (sum((Fraction(p) ** k * v for p, v in enumerate(values, 1)), Fraction(0))
+                  for k in range(3))
+    num_C, num_D, num_E, den = engine._row(1, d2)
+    assert den > 0
+    assert [Fraction(num_C, den), Fraction(num_D, den), Fraction(num_E, den)] == [
+        s2, d2 * (d2 * s1 - s2), s0]

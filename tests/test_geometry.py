@@ -259,3 +259,26 @@ def test_geometry_checks_its_fields(field, value, message):
         localp2_geometry(4).replace(**{field: value})
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("change,error,message", [
+    ({"max_degree": 5}, ValueError, "n1pt covers degrees 1..3, need 1..5"),
+    ({"n1pt": [1, 2, 3]}, TypeError, "n1pt must be a DegreeSeries, got list"),
+    ({"ring": "x"}, TypeError, "ring must be a Ring, got 'x'"),
+    ({"n2pt": DegreeSeries.zero(2)}, ValueError, "n2pt covers degrees 1..2, need 1..3"),
+    ({"gw_genus1": DegreeSeries.zero(1)}, ValueError, "gw_genus1 covers degrees 1..1, need 1..3"),
+], ids=["max_degree above the series", "n1pt list", "ring str", "n2pt short", "gw_genus1 short"])
+def test_geometry_refuses_an_inconsistent_record(change, error, message):
+    # refused when built, where each of these used to build and then fail
+    # inside Engine or chern_integral
+    with pytest.raises(error) as excinfo:
+        localp2_geometry(3).replace(**change)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+def test_geometry_may_stop_below_its_series():
+    # series that cover more than max_degree are read only up to it
+    geometry = localp2_geometry(6).replace(max_degree=4)
+    assert [Engine(geometry).chern_integral(d) for d in range(1, 5)] == [
+        Engine(localp2_geometry(4)).chern_integral(d) for d in range(1, 5)]
