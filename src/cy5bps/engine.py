@@ -54,25 +54,38 @@ are checked in one pass, the engine's own unit insertions are known by
 identity, and a scale other than 1 costs one product.  m3, most of the
 keys (161,700 of 189,650 at degree 100), answers a valid call at or
 below the filled level in its own frame, from its level table:
-``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2), or None until stored.
-That table is the only store of m3, so m3 costs no key tuple and no
-dict slot, and a read by index no hash; m3 is read O(D^3) times: by the
-corrections of every computed m3 key, the n2C/n2D/n2E row sums, and
-n2B's two m3 sums (its own and its C2's).  The fill stores every key,
+``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2) times the level's
+denominator D_t = ``_m3[t][0]``, or None until stored.  That table is
+the only store of m3, so m3 costs no key tuple and no dict slot, and a
+read by index no hash; m3 is read O(D^3) times: by the corrections of
+every computed m3 key, the n2C/n2D/n2E row sums, and n2B's two m3 sums
+(its own and its C2's).  The fill stores every key,
 reversed m3 chains too, by one call of its public method, looked up on
 the class, and that call stores its own key: ``perfbench/tracer.py``
 counts the entries of each kind by wrapping those methods and watching
 ``len(engine.memo)`` grow.  An interrupted level keeps the values it
 stored, and its refill stores the rest.
 
+While a level's m3 loop runs, its table holds the values themselves,
+under D_t = 1.  Once the loop ends the level is sealed: each value
+becomes an integer numerator over D_t = lcm(D_{t-1}, the reduced
+denominators of the level's values), so D_s divides D_t for s <= t, and
+a reversed chain's entry stays the object of its chain.  Every m3 read
+of the fill is then an int: the n2C/n2D/n2E row sums are int sums over
+D_{d1+d2}, and n2B's m3 sums and m3's corrections are int
+multiply-adds over the last sealed level's D, each level's numerators
+scaled by one factor per level.  A read through ``m3`` or the memo
+divides by D_t, so it returns the reduced value, a new :data:`Rat`
+object each time on the rational path.  On local P^2 every D_t is 1:
+no level is sealed and nothing is scaled.
+
 Every miss is one weighted sum of memo values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
-integer numerator over a running common denominator, reduced once when
-stored (twice for an m3 key with d3 = d2, whose C2 is itself a sum).
-n2B adds the int values of its m3 sums on ints first.  n2C, n2D and
-n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a
-one-slot cache since the fill computes them in a row.
+integer numerator over a running common denominator, starting from the
+m3 reads' numerator and D where it has them, and is reduced once when
+stored.  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one
+pass, kept in a one-slot cache since the fill computes them in a row.
 
 Every insertion the formulas use is a monomial, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -85,7 +98,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError
 from .geometry import Geometry
@@ -131,8 +144,10 @@ class _Memo(Mapping):
     """Read-only mapping of an engine's stored counts, ``(kind, *degrees)``
     to the count with unit insertions.
 
-    m3 is stored only in the level tables ``_m3[t][d1][d2]``, every other
-    kind in the dict ``_dict``; the engine writes both.  ``len`` is O(1):
+    m3 is stored only in the level tables ``_m3[t][d1][d2]``, as numerators
+    over the level's denominator ``_m3[t][0]``, every other kind in the
+    dict ``_dict``; the engine writes both, and a read of m3 divides by
+    the denominator.  ``len`` is O(1):
     the dict's length plus the number of m3 values stored.  Iteration
     follows store order.  The fill stores m3 values only in its m3 loops,
     level by level and row by row, and ``_marks`` holds (dict length, m3
@@ -144,7 +159,7 @@ class _Memo(Mapping):
 
     def __init__(self):
         self._dict = {}
-        self._m3 = [None]
+        self._m3 = [[1]]
         self._m3_size = 0
         self._marks = []
 
@@ -156,9 +171,10 @@ class _Memo(Mapping):
             _, d1, d2, d3 = key
             if (type(d1) is type(d2) is type(d3) is int and d1 > 0 and d2 > 0 and d3 > 0
                     and d1 + d2 + d3 < len(self._m3)):
-                value = self._m3[d1 + d2 + d3][d1][d2]
+                level = self._m3[d1 + d2 + d3]
+                value = level[d1][d2]
                 if value is not None:
-                    return value
+                    return value if level[0] == 1 else _ratio(value, level[0])
             raise KeyError(key)
         return self._dict[key]
 
@@ -194,28 +210,38 @@ class Engine:
 
     ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
     count with unit insertions, over the m3 level tables and the dict of
-    the other kinds.  Every public call validates its degrees and
-    insertions, hit or miss: a degree ``2.0`` equals the int key 2 in
-    the dict, so no lookup comes first.  A miss at total degree T first
-    fills every unfilled level up to T, each key by a public call with unit
-    insertions: every value is computed as a miss on a filled level, and
+    the other kinds.  An m3 value is stored as a numerator over its
+    level's denominator, so on the rational path each read of it, through
+    ``m3`` or ``memo``, builds a new :data:`Rat` equal to the last.  Every
+    public call validates its degrees and insertions, hit or miss: a
+    degree ``2.0`` equals the int key 2 in the dict, so no lookup comes
+    first.  A miss at total degree T first fills every unfilled level up
+    to T, each key by a public call with unit insertions: every value is computed as a miss on a filled level, and
     each public call stores at most its own key, so a wrapper on a
     public method sees each stored key exactly once.  A fill call costs
     its validation, one failed lookup, the compute function (looked up
-    on the instance) and the store.  An interrupted level stays unfilled.
+    on the instance) and the store.  An interrupted level stays unfilled;
+    its m3 values stay as stored, sealed if the seal was reached.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.memo = _Memo()
-        # the two stores behind the view: every kind but m3 by key, and
-        # _m3[t][d1][d2] = m3(d1, d2, t - d1 - d2), None until stored (slot 0
-        # of each list unused)
+        # the two stores behind the view: every kind but m3 by key, and the
+        # m3 level tables, _m3[t][d1][d2] for m3(d1, d2, t - d1 - d2) over the
+        # level's denominator _m3[t][0] (None until stored; slot 0 of each row
+        # unused)
         self._memo = self.memo._dict
         self._m3 = self.memo._m3
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
+        # the D of the last level sealed, which the fill's m3 reads are
+        # summed over, and _factors[s] = _den // D_s (None while _den is 1)
+        self._den, self._factors = 1, None
+        # set once an m3 value that may not be an int is computed: until
+        # then every level's D is 1 and no level needs sealing
+        self._m3_rational = False
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
         self._last_row = (None, None)
         ring = geometry.ring
@@ -299,15 +325,18 @@ class Engine:
                 if t % 2 == 0:
                     self.gamma1(t // 2)
                 # an interrupted fill keeps level t's table and the m3 values
-                # stored in it; the refill stores the rest
+                # stored in it, sealed or not; the refill stores the rest
                 if len(self._m3) == t:
-                    self._m3.append([None] + [[None] * (t - d1) for d1 in range(1, t - 1)])
+                    self._m3.append([1] + [[None] * (t - d1) for d1 in range(1, t - 1)])
                 memo = self.memo
                 memo._marks.append((len(self._memo), memo._m3_size))
                 m3 = self.m3
                 for d1 in range(1, t - 1):
                     for d2 in range(1, t - d1):
                         m3(d1, d2, t - d1 - d2)
+                # m3 at level t summed over D_{t-1}, the rest sums over D_t
+                self._seal(t)
+                self._rescale(t)
                 pairs = [(d1, t - d1) for d1 in range(1, t)]
                 for d1, d2 in pairs:
                     self.n2A(d1, d2, H2)
@@ -326,6 +355,40 @@ class Engine:
             except BaseException:
                 self._level = t - 1
                 raise
+
+    def _seal(self, t: int):
+        """Store level t's m3 values, once all are stored, as integer
+        numerators over D_t = lcm(D_{t-1}, their denominators).
+
+        A level is sealed when its D is not 1, or when it and every level
+        below it hold only ints, which are their own numerators.  The
+        numerators are computed first and the level is replaced by one
+        store, so an interrupted seal leaves the values as they were."""
+        table = self._m3
+        level = table[t]
+        if level[0] != 1 or not self._m3_rational:
+            return
+        # row d1 holds the chains with d1 <= d3 at d2 = 1..t - 2 d1
+        den = lcm(table[t - 1][0], *[v.denominator for d1 in range(1, (t + 1) // 2)
+                                     for v in level[d1][1:t - 2 * d1 + 1]])
+        if den == 1:
+            return
+        sealed = [den]
+        for d1 in range(1, t - 1):
+            # the chains with d1 <= d3, then the reversed ones, each the
+            # object of its chain (d3, d2, d1), in a row already sealed
+            row = [None] + [v.numerator * (den // v.denominator)
+                            for v in level[d1][1:max(t - 2 * d1 + 1, 1)]]
+            row += [sealed[t - d1 - d2][d2] for d2 in range(len(row), t - d1)]
+            sealed.append(row)
+        table[t] = sealed
+
+    def _rescale(self, t: int):
+        """Sum the m3 reads over level t's denominator from here on."""
+        table = self._m3
+        den = table[t][0]
+        self._den = den
+        self._factors = None if den == 1 else [den // level[0] for level in table[:t + 1]]
 
     # -- public counts -----------------------------------------------------
 
@@ -393,17 +456,18 @@ class Engine:
         # most max_degree) is answered from the level table in this frame
         if (type(beta1) is type(beta2) is type(beta3) is int and beta1 > 0 and beta2 > 0
                 and beta3 > 0 and beta1 + beta2 + beta3 <= self._level):
-            row = self._m3[beta1 + beta2 + beta3][beta1]
+            level = self._m3[beta1 + beta2 + beta3]
+            row = level[beta1]
             value = row[beta2]
             if value is None:
                 value = row[beta2] = self._c_m3(beta1, beta2, beta3)
                 self.memo._m3_size += 1
-            return value
+                return value
+            return value if level[0] == 1 else _ratio(value, level[0])
         # anything else is refused, or lies above the filled level, and the
         # fill stores it
-        total = self._degrees((beta1, beta2, beta3))
-        self._fill(total)
-        return self._m3[total][beta1][beta2]
+        self._fill(self._degrees((beta1, beta2, beta3)))
+        return self.memo["m3", beta1, beta2, beta3]
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
@@ -468,9 +532,9 @@ class Engine:
         return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
-        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; the int m3 values
-        # of both m3 sums are added on ints first, the others become terms
-        memo, m3 = self._memo, self._m3
+        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; both m3 sums are
+        # summed on their numerators over D_{d1 + d2}, the others are terms
+        memo, m3, factors = self._memo, self._m3, self._factors
         terms, num = [], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
@@ -481,11 +545,8 @@ class Engine:
                       (2 * lo, memo["gamma2", gap, lo]))
             level = m3[hi]
             for p in range(1, gap):
-                v = level[p][lo]
-                if type(v) is int:
-                    num += lo * v
-                else:
-                    terms.append((lo, v))
+                num += level[p][lo]
+            num *= lo if factors is None else lo * factors[hi]
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
@@ -493,49 +554,38 @@ class Engine:
                       (2 * self._c2, self._n1pt[lo]), (2 * self._c2, memo["n1D", lo]))
             for p in range(1, hi):
                 terms += ((-4, memo["n2D", p, hi - p]), (-5, memo["n2B", p, hi - p]))
+        t = d1 + d2
         for c in range(1, lo):
-            v = m3[d1 + d2 - c][d1 - c][c]
-            if type(v) is int:
-                num += 2 * c * v
-            else:
-                terms.append((2 * c, v))
+            v = m3[t - c][d1 - c][c]
+            num += 2 * c * (v if factors is None else v * factors[t - c])
         if self._n1pt_t5 is not None:
             terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
-        return _weighted_sum(terms, -2, num)
+        return _weighted_sum(terms, -2, num, self._den)
 
     def _row(self, d1: int, d2: int):
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
         with the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
         and n2E (1).
 
-        Returns ``[num_C, num_D, num_E, den]``, three numerators over one
-        denominator, from s_k = sum p^k v_p as s2, d2 (d2 s1 - s2), s0.
-        The fill computes n2C, n2D and n2E of one (d1, d2) back to back,
-        so one cached row serves all three."""
+        Returns ``[num_C, num_D, num_E, den]``, three numerators over the
+        level's denominator D_{d1 + d2}, from the sums s_k = sum p^k v_p of
+        the sealed numerators as s2, d2 (d2 s1 - s2), s0.  The fill
+        computes n2C, n2D and n2E of one (d1, d2) back to back, so one
+        cached row serves all three."""
         key, row = self._last_row
         if key != (d1, d2):
             s0 = s1 = s2 = 0
-            den = 1
+            level = self._m3[d1 + d2]
             # v_p is m3_row[d2 - p]; for d2 = 1 the row is empty and level
             # d1 + 1 has no list d1
-            m3_row = self._m3[d1 + d2][d1] if d2 > 1 else None
+            m3_row = level[d1] if d2 > 1 else None
             for p in range(1, d2):
                 v = m3_row[d2 - p]
-                if type(v) is int:
-                    if den != 1:
-                        v *= den
-                else:
-                    d, v = v.denominator, v.numerator
-                    scale = d // gcd(den, d)
-                    if scale != 1:
-                        s0, s1, s2 = s0 * scale, s1 * scale, s2 * scale
-                        den *= scale
-                    v *= den // d
                 pv = p * v
                 s0 += v
                 s1 += pv
                 s2 += p * pv
-            row = [s2, d2 * (d2 * s1 - s2), s0, den]
+            row = [s2, d2 * (d2 * s1 - s2), s0, level[0]]
             self._last_row = ((d1, d2), row)
         return row
 
@@ -564,45 +614,55 @@ class Engine:
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # base - C1 - C2 - C12, with the excess corrections C1 = x1,
-        # C2 = -(x2 + x3) and C12 = -x4 read from the level table
-        # (m3(a, b, c) is m3[a + b + c][a][b]) or the memo
+        # C2 = -(x2 + x3) and C12 = -x4: each x is an m3 read from level l
+        # (m3(a, b, c) is m3[a + b + c][a][b], a numerator over D_l) or,
+        # where its correction has no m3 chain, terms of memo values
         memo, m3 = self._memo, self._m3
         if d1 > d3:
             # the reversed chain, stored earlier in this level's ascending rows
             return m3[d1 + d2 + d3][d3][d2]
-        # the base term n2A * n1pt[d3] / t5 enters as a raw numerator and
-        # denominator
-        if self._n1pt_t5 is None:
-            num, den = 0, 1
+        # the base term n2A * n1pt[d3] / t5
+        terms = [] if self._n1pt_t5 is None else [(memo["n2A", d1, d2], self._n1pt_t5[d3])]
+        x1 = x2 = x3 = x4 = l1 = l2 = l3 = l4 = 0
+
+        if d3 > d1:
+            l1 = d3 + d2
+            x1 = m3[l1][d3 - d1][d1]
         else:
-            a, t = memo["n2A", d1, d2], self._n1pt_t5[d3]
-            num, den = a.numerator * t.numerator, a.denominator * t.denominator
+            terms.append((-1, memo["gamma2", d2, d1]))
 
-        x1 = m3[d3 + d2][d3 - d1][d1] if d3 > d1 else memo["gamma2", d2, d1]
-
-        x3 = 0
         if d3 > d2:
-            x2 = m3[d1 + d3][d1][d2]
+            l2 = d1 + d3
+            x2 = m3[l2][d1][d2]
         elif d3 < d2:
-            row = m3[d1 + d2][d1]
+            l2 = l3 = d1 + d2
+            row = m3[l2][d1]
             x2, x3 = row[d3], row[d2 - d3]
         else:
-            # n2A(d1, d2, c2) + 2 n2E(d1, d2): on this diagonal, one
-            # normalisation more than elsewhere
-            x2 = _weighted_sum(((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2])))
+            # n2A(d1, d2, c2) + 2 n2E(d1, d2)
+            terms += ((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2]))
 
         if d3 > d1 + d2:
+            l4 = d3
             x4 = m3[d3][d3 - d1 - d2][d1]
         elif d2 < d3 < d1 + d2:
-            x4 = m3[d1 + d2][d1 + d2 - d3][d3 - d2]
+            l4 = d1 + d2
+            x4 = m3[l4][d1 + d2 - d3][d3 - d2]
         elif d3 == d1 + d2:
-            x4 = memo["gamma2", d2, d1]
-        else:
-            x4 = 0
+            terms.append((1, memo["gamma2", d2, d1]))
 
-        if den == 1 and type(x1) is type(x2) is type(x3) is type(x4) is int:
-            return num - x1 + x2 + x3 + x4
-        return _weighted_sum(((-1, x1), (1, x2), (1, x3), (1, x4)), 1, num, den)
+        # the m3 reads over D_{t-1}, each level's numerators scaled to it
+        factors = self._factors
+        if factors is None:
+            num = x2 + x3 + x4 - x1
+            if not terms:
+                return num
+        else:
+            num = x2 * factors[l2] + x3 * factors[l3] + x4 * factors[l4] - x1 * factors[l1]
+        value = _weighted_sum(terms, 1, num, self._den)
+        if type(value) is not int:
+            self._m3_rational = True
+        return value
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end

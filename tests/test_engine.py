@@ -1,6 +1,7 @@
 import sys
 import tempfile
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -240,16 +241,22 @@ def test_first_call_on_a_fresh_engine_equals_the_warm_value(request, fixture, la
     assert cold == _evaluate(warm, label)
 
 
+def _interrupt(engine, compute_name, key):
+    """Make the engine's compute function ``compute_name`` raise
+    KeyboardInterrupt at the degrees ``key``."""
+    compute = getattr(engine, compute_name)
+
+    def interrupt(*degrees):
+        if degrees == key:
+            raise KeyboardInterrupt
+        return compute(*degrees)
+
+    setattr(engine, compute_name, interrupt)
+
+
 def test_interrupted_fill_leaves_its_level_unfilled(local_geometry_12):
     engine = Engine(local_geometry_12)
-    compute = engine._c_n2B
-
-    def interrupt(d1, d2):
-        if (d1, d2) == (3, 4):
-            raise KeyboardInterrupt
-        return compute(d1, d2)
-
-    engine._c_n2B = interrupt
+    _interrupt(engine, "_c_n2B", (3, 4))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     del engine._c_n2B
@@ -395,20 +402,21 @@ def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
 
 
 def _assert_m3_table_is_the_memo(engine):
-    # the level table holds each m3 memo value, the same object, at
-    # _m3[a + b + c][a][b], one level per filled level and nothing else;
-    # every filled level is whole, so each key's reversal is stored too
+    # the level tables hold each m3 memo value at _m3[a + b + c][a][b], a
+    # numerator over the level's denominator _m3[t][0], one level per filled
+    # level and nothing else; every filled level is whole, so each key's
+    # reversal is stored too
     table = {}
     for t, level in enumerate(engine._m3):
-        for a, row in enumerate(level or ()):
-            for b, value in enumerate(row or ()):
-                if value is not None:
-                    table[a, b, t - a - b] = value
+        for a, row in enumerate(level[1:], 1):
+            for b, num in enumerate(row):
+                if num is not None:
+                    table[a, b, t - a - b] = Fraction(num, level[0])
     m3 = {key[1:]: value for key, value in engine.memo.items() if key[0] == "m3"}
     assert table.keys() == m3.keys()
-    assert all(table[key] is value for key, value in m3.items())
+    assert all(table[key] == value for key, value in m3.items())
     # a chain and its reversal share one stored object
-    assert all(m3[c, b, a] is value for (a, b, c), value in m3.items())
+    assert all(engine._m3[a + b + c][c][b] is engine._m3[a + b + c][a][b] for a, b, c in m3)
     assert len(engine._m3) == engine._level + 1
 
 
@@ -425,14 +433,7 @@ def test_m3_table_holds_exactly_the_memo_values(request, fixture):
 
 def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     engine = Engine(local_geometry_12)
-    compute = engine._c_m3
-
-    def interrupt(d1, d2, d3):
-        if (d1, d2, d3) == (2, 3, 2):
-            raise KeyboardInterrupt
-        return compute(d1, d2, d3)
-
-    engine._c_m3 = interrupt
+    _interrupt(engine, "_c_m3", (2, 3, 2))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     del engine._c_m3
@@ -448,6 +449,72 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     assert engine.memo == fresh.memo
 
 
+@pytest.mark.parametrize("compute_name,key,sealed", [
+    ("_c_m3", (2, 3, 2), False),  # in level 7's m3 loop, before its seal
+    ("_c_n2A", (3, 4), True),  # in its n2A loop, after the seal
+])
+def test_interrupted_rational_fill_refills_to_the_fresh_values(
+        rational_geometry_12, compute_name, key, sealed):
+    engine = Engine(rational_geometry_12)
+    _interrupt(engine, compute_name, key)
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(7)
+    delattr(engine, compute_name)
+    assert engine._level == 6
+    # level 6 holds numerators over its denominator, level 7 its values as
+    # computed until the seal, and numerators over D_7 after it
+    assert engine._m3[6][0] > 1
+    assert (engine._m3[7][0] > 1) is sealed
+    assert (("m3", 3, 1, 3) in engine.memo) is sealed
+    assert ("m3", 2, 2, 3) in engine.memo and key not in engine.memo
+    engine.chern_integral(12)
+    _assert_m3_table_is_the_memo(engine)
+    fresh = Engine(rational_geometry_12)
+    for d in range(1, 13):
+        assert engine.chern_integral(d) == fresh.chern_integral(d)
+    assert engine.memo == fresh.memo
+
+
+def _lcm(values):
+    out = 1
+    for v in values:
+        out = out * v // gcd(out, v)
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["synthetic_geometry", "rational_geometry_12"])
+def test_level_denominators_are_cumulative_and_least(request, fixture):
+    geometry = request.getfixturevalue(fixture)
+    engine = Engine(geometry)
+    engine.chern_integral(geometry.max_degree)
+    dens = [level[0] for level in engine._m3]
+    assert dens[-1] > 1
+    # D_{t-1} divides D_t, and D_t is the lcm of the reduced denominators
+    # of the m3 values stored at levels <= t
+    assert all(dens[t] % dens[t - 1] == 0 for t in range(1, len(dens)))
+    for t in range(len(dens)):
+        stored = [Fraction(v).denominator for key, v in engine.memo.items()
+                  if key[0] == "m3" and sum(key[1:]) <= t]
+        assert dens[t] == _lcm(stored)
+
+
+@pytest.fixture(scope="module")
+def local_engine_100():
+    engine = Engine(localp2_geometry(100))
+    for d in range(1, 101):
+        engine.chern_integral(d)
+    return engine
+
+
+def test_integer_levels_are_never_sealed(local_engine_100):
+    # every m3 value is an int, so every level's denominator stays 1 and
+    # each table entry is the value itself
+    assert not local_engine_100._m3_rational
+    assert all(level[0] == 1 for level in local_engine_100._m3)
+    assert all(type(v) is int for level in local_engine_100._m3[1:]
+               for row in level[1:] for v in row[1:])
+
+
 # -- the memo view over the m3 level tables and the dict of the other kinds ----
 
 def _stored(engine):
@@ -457,20 +524,9 @@ def _stored(engine):
     return len(engine._memo) + in_tables
 
 
-def _interrupt_m3_at(engine, chain):
-    compute = engine._c_m3
-
-    def interrupt(*degrees):
-        if degrees == chain:
-            raise KeyboardInterrupt
-        return compute(*degrees)
-
-    engine._c_m3 = interrupt
-
-
 def test_memo_len_counts_the_stored_values(local_geometry_12):
     engine = Engine(local_geometry_12)
-    _interrupt_m3_at(engine, (2, 3, 2))
+    _interrupt(engine, "_c_m3", (2, 3, 2))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     del engine._c_m3
@@ -502,7 +558,7 @@ def test_memo_iterates_in_store_order_across_an_interrupted_m3_loop(
                     recorded.append(key)
         monkeypatch.setattr(Engine, method, traced)
     engine = Engine(local_geometry_12)
-    _interrupt_m3_at(engine, (2, 3, 2))
+    _interrupt(engine, "_c_m3", (2, 3, 2))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     del engine._c_m3
@@ -523,7 +579,7 @@ def test_memo_holds_no_unstored_key(local_geometry_12, key):
     # filled to level 6, with level 7 interrupted at m3(2, 3, 2); a float or
     # bool degree does not find the int key's m3 value
     engine = Engine(local_geometry_12)
-    _interrupt_m3_at(engine, (2, 3, 2))
+    _interrupt(engine, "_c_m3", (2, 3, 2))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     assert ("m3", 1, 1, 1) in engine.memo and ("m3", 2, 2, 3) in engine.memo
@@ -560,10 +616,8 @@ def test_memo_equality_compares_values(local_geometry_12, rational_geometry_12):
     assert engine.memo != fresh.memo
 
 
-def test_the_dict_store_holds_no_m3_key():
-    engine = Engine(localp2_geometry(100))
-    for d in range(1, 101):
-        engine.chern_integral(d)
+def test_the_dict_store_holds_no_m3_key(local_engine_100):
+    engine = local_engine_100
     assert not any(key[0] == "m3" for key in engine._memo)
     assert len(engine._memo) == 189_650 - 161_700
     assert len(engine.memo) == 189_650
@@ -678,23 +732,21 @@ def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
     assert (type(total) is int) == (expected.denominator == 1)
 
 
-_row_values = st.one_of(st.integers(-(10**12), 10**12),
-                        st.builds(Rat, st.integers(-(10**12), 10**12), st.integers(1, 12)))
-
-
-@given(st.lists(_row_values, max_size=12))
-@example([])
-@example([Rat(1, 2), 3])  # an int value at a running denominator of 2
-@example([Rat(1, 4), Rat(1, 6), 5, Rat(7, 3), -2])
-def test_row_sums_match_fraction_sums(values):
-    # _row against plain Fraction sums: v_p is values[p - 1], planted as the
-    # m3 row m3(1, d2 - p, p), so ints meet running denominators other than 1
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=12), st.integers(1, 10**12))
+@example([], 1)
+@example([3, -7], 1)  # a level whose denominator is 1
+@example([1, 3, -2, 5], 12)
+def test_row_sums_match_fraction_sums(nums, den):
+    # _row against plain Fraction sums: v_p is nums[p - 1] / den, planted as
+    # the sealed m3 row m3(1, d2 - p, p) of numerators over the level's den
     engine = Engine(localp2_geometry(2))
-    d2 = len(values) + 1
-    engine._m3 = [None] * (d2 + 1) + [[None, [None] + values[::-1]]]
+    d2 = len(nums) + 1
+    engine._m3 = [None] * (d2 + 1) + [[den, [None] + nums[::-1]]]
+    values = [Fraction(n, den) for n in nums]
     s0, s1, s2 = (sum((Fraction(p) ** k * v for p, v in enumerate(values, 1)), Fraction(0))
                   for k in range(3))
-    num_C, num_D, num_E, den = engine._row(1, d2)
-    assert den > 0
+    num_C, num_D, num_E, row_den = engine._row(1, d2)
+    assert row_den == den
+    assert all(type(n) is int for n in (num_C, num_D, num_E))
     assert [Fraction(num_C, den), Fraction(num_D, den), Fraction(num_E, den)] == [
         s2, d2 * (d2 * s1 - s2), s0]
