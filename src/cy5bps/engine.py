@@ -147,12 +147,11 @@ class _Memo(Mapping):
     m3 is stored only in the level tables ``_m3[t][d1][d2]``, as numerators
     over the level's denominator ``_m3[t][0]``, every other kind in the
     dict ``_dict``; the engine writes both, and a read of m3 divides by
-    the denominator.  ``len`` is O(1):
-    the dict's length plus the number of m3 values stored.  Iteration
-    follows store order.  The fill stores m3 values only in its m3 loops,
-    level by level and row by row, and ``_marks`` holds (dict length, m3
-    count) at the start of each loop, which places each run of m3 keys
-    among the dict's keys.
+    the denominator.  ``len`` is O(1): the dict's length plus the number
+    of m3 values stored.  Iteration follows store order.  The fill stores
+    m3 values only in its m3 loops, level by level and row by row, and
+    ``_marks`` holds (dict length, m3 count) at the start of each loop,
+    which places each run of m3 keys among the dict's keys.
     """
 
     __slots__ = ("_dict", "_m3", "_m3_size", "_marks")
@@ -174,7 +173,7 @@ class _Memo(Mapping):
                 level = self._m3[d1 + d2 + d3]
                 value = level[d1][d2]
                 if value is not None:
-                    return value if level[0] == 1 else _ratio(value, level[0])
+                    return _ratio(value, level[0])
             raise KeyError(key)
         return self._dict[key]
 
@@ -216,12 +215,13 @@ class Engine:
     public call validates its degrees and insertions, hit or miss: a
     degree ``2.0`` equals the int key 2 in the dict, so no lookup comes
     first.  A miss at total degree T first fills every unfilled level up
-    to T, each key by a public call with unit insertions: every value is computed as a miss on a filled level, and
-    each public call stores at most its own key, so a wrapper on a
-    public method sees each stored key exactly once.  A fill call costs
-    its validation, one failed lookup, the compute function (looked up
-    on the instance) and the store.  An interrupted level stays unfilled;
-    its m3 values stay as stored, sealed if the seal was reached.
+    to T, each key by a public call with unit insertions: every value is
+    computed as a miss on a filled level, and each public call stores at
+    most its own key, so a wrapper on a public method sees each stored
+    key exactly once.  A fill call costs its validation, one failed
+    lookup, the compute function (looked up on the instance) and the
+    store.  An interrupted level stays unfilled; its m3 values stay as
+    stored, sealed if the seal was reached.
     """
 
     def __init__(self, geometry: Geometry):
@@ -463,7 +463,7 @@ class Engine:
                 value = row[beta2] = self._c_m3(beta1, beta2, beta3)
                 self.memo._m3_size += 1
                 return value
-            return value if level[0] == 1 else _ratio(value, level[0])
+            return _ratio(value, level[0])
         # anything else is refused, or lies above the filled level, and the
         # fill stores it
         self._fill(self._degrees((beta1, beta2, beta3)))

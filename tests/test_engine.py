@@ -1,7 +1,7 @@
 import sys
 import tempfile
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -475,13 +475,6 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
     assert engine.memo == fresh.memo
 
 
-def _lcm(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 @pytest.mark.parametrize("fixture", ["synthetic_geometry", "rational_geometry_12"])
 def test_level_denominators_are_cumulative_and_least(request, fixture):
     geometry = request.getfixturevalue(fixture)
@@ -495,7 +488,7 @@ def test_level_denominators_are_cumulative_and_least(request, fixture):
     for t in range(len(dens)):
         stored = [Fraction(v).denominator for key, v in engine.memo.items()
                   if key[0] == "m3" and sum(key[1:]) <= t]
-        assert dens[t] == _lcm(stored)
+        assert dens[t] == lcm(*stored)
 
 
 @pytest.fixture(scope="module")
