@@ -31,9 +31,10 @@ C2 in n2B's and C1, C2 and C12 in m3's.
 Every count is exact: a Python ``int`` when its denominator is 1 and a
 :data:`Rat` otherwise.  Each (kind, degrees) key is memoized; results
 extend linearly in each cohomology insertion, so one value is stored
-per key with unit monomial insertions.  m3 values are stored only in
-per-level tables, the other kinds in a dict keyed ``(kind, *degrees)``;
-``Engine.memo`` is a read-only mapping over both.
+per key with unit monomial insertions, in the kind's index table:
+``_n1B[d]``, ``_n2A[d1][d2]`` or ``_m3[t][d1][d2]``, allocated when the
+engine is built, but for m3, which gains a level as each level is
+filled.  ``Engine.memo`` is a read-only mapping over the tables.
 
 The evaluation order is known in advance, so nothing recurses.  A
 count at total degree T reads counts below T, counts at T of a kind
@@ -49,22 +50,21 @@ m3 is symmetric under reversing the chain, so m3(d1, d2, d3) with
 d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
 earlier in the same level: the formula runs for d1 <= d3 only.
 
-A public call is a validated lookup: the key is built once, the degrees
-are checked in one pass, the engine's own unit insertions are known by
-identity, and a scale other than 1 costs one product.  m3, most of the
-keys (161,700 of 189,650 at degree 100), answers a valid call at or
-below the filled level in its own frame, from its level table:
-``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2) times the level's
-denominator D_t = ``_m3[t][0]``, or None until stored.  That table is
-the only store of m3, so m3 costs no key tuple and no dict slot, and a
-read by index no hash; m3 is read O(D^3) times: by the corrections of
-every computed m3 key, the n2C/n2D/n2E row sums, and n2B's two m3 sums
-(its own and its C2's).  The fill stores every key,
-reversed m3 chains too, by one call of its public method, looked up on
-the class, and that call stores its own key: ``perfbench/tracer.py``
-counts the entries of each kind by wrapping those methods and watching
-``len(engine.memo)`` grow.  An interrupted level keeps the values it
-stored, and its refill stores the rest.
+A public call is a validated lookup: the degrees are checked in one
+pass and index the kind's table, the engine's own unit insertions are
+known by identity, and a scale other than 1 costs one product; every
+formula reads its terms by index.  m3, most of the keys (161,700 of
+189,650 at degree 100), answers a valid call at or below the filled
+level in its own frame: ``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2)
+times the level's denominator D_t = ``_m3[t][0]``, or None until
+stored.  m3 is read O(D^3) times: by the corrections of every computed
+m3 key, the n2C/n2D/n2E row sums, and n2B's two m3 sums (its own and
+its C2's).  The fill stores every key, reversed m3 chains too, by one
+call of its public method, looked up on the class, and that call stores
+its own key: ``perfbench/tracer.py`` counts the entries of each kind by
+wrapping those methods and watching ``len(engine.memo)`` grow.  An
+interrupted level keeps the values it stored, and its refill stores
+the rest.
 
 While a level's m3 loop runs, its table holds the values themselves,
 under D_t = 1.  Once the loop ends the level is sealed: each value
@@ -79,7 +79,7 @@ divides by D_t, so it returns the reduced value, a new :data:`Rat`
 object each time on the rational path.  On local P^2 every D_t is 1:
 no level is sealed and nothing is scaled.
 
-Every miss is one weighted sum of memo values, with integer weights or
+Every miss is one weighted sum of stored values, with integer weights or
 small products of the geometry's scalars.  An all-``int`` sum stays on
 ``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
 integer numerator over a running common denominator, starting from the
@@ -97,7 +97,6 @@ a local ring has no diagonal terms.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import islice
 from math import gcd, lcm
 
 from .cohomology import CohClass, InsertionDegreeError, RingMismatchError
@@ -140,61 +139,67 @@ def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
     return _ratio(num, den * divisor)
 
 
+# each stored kind and its number of degrees, in the memo's iteration order
+_KINDS = {"n1B": 1, "n1C": 1, "n1D": 1, "n1E": 1, "n1F": 1, "n1G": 1, "gamma1": 1,
+          "n2A": 2, "n2B": 2, "n2C": 2, "n2D": 2, "n2E": 2, "gamma2": 2, "m3": 3, "chern": 1}
+
+
 class _Memo(Mapping):
     """Read-only mapping of an engine's stored counts, ``(kind, *degrees)``
     to the count with unit insertions.
 
-    m3 is stored only in the level tables ``_m3[t][d1][d2]``, as numerators
-    over the level's denominator ``_m3[t][0]``, every other kind in the
-    dict ``_dict``; the engine writes both, and a read of m3 divides by
-    the denominator.  ``len`` is O(1): the dict's length plus the number
-    of m3 values stored.  Iteration follows store order.  The fill stores
-    m3 values only in its m3 loops, level by level and row by row, and
-    ``_marks`` holds (dict length, m3 count) at the start of each loop,
-    which places each run of m3 keys among the dict's keys.
+    ``_tables`` holds each kind's index table: ``[d]``, ``[d1][d2]`` with
+    d1 + d2 <= max_degree, or m3's levels, starting from level 0.  The
+    engine writes the tables and counts each value it stores in ``_size``.
+    A key is found only with a known kind, its number of ``int`` degrees,
+    each at least 1 and summing to at most max_degree, and a stored value.
+    Iteration goes kind by kind, each kind's keys by ascending degrees.
     """
 
-    __slots__ = ("_dict", "_m3", "_m3_size", "_marks")
+    __slots__ = ("_tables", "_max_degree", "_size")
 
-    def __init__(self):
-        self._dict = {}
-        self._m3 = [[1]]
-        self._m3_size = 0
-        self._marks = []
+    def __init__(self, max_degree: int):
+        self._max_degree, self._size = max_degree, 0
+        rows = range(1, max_degree)
+        self._tables = {kind: ([None] * (max_degree + 1) if ndeg == 1 else [[1]] if ndeg == 3
+                               else [None] + [[None] * (max_degree + 1 - d1) for d1 in rows])
+                        for kind, ndeg in _KINDS.items()}
 
     def __len__(self) -> int:
-        return len(self._dict) + self._m3_size
+        return self._size
 
     def __getitem__(self, key):
-        if type(key) is tuple and len(key) == 4 and key[0] == "m3":
-            _, d1, d2, d3 = key
-            if (type(d1) is type(d2) is type(d3) is int and d1 > 0 and d2 > 0 and d3 > 0
-                    and d1 + d2 + d3 < len(self._m3)):
-                level = self._m3[d1 + d2 + d3]
-                value = level[d1][d2]
+        if (type(key) is tuple and key and type(key[0]) is str
+                and _KINDS.get(key[0]) == len(key) - 1
+                and all(type(d) is int and d > 0 for d in key[1:])):
+            total, table = sum(key[1:]), self._tables[key[0]]
+            if len(key) == 4:
+                # m3 levels above the filled ones are not allocated
+                if total < len(table):
+                    level = table[total]
+                    value = level[key[1]][key[2]]
+                    if value is not None:
+                        return _ratio(value, level[0])
+            elif total <= self._max_degree:
+                value = table[key[1]] if len(key) == 2 else table[key[1]][key[2]]
                 if value is not None:
-                    return _ratio(value, level[0])
-            raise KeyError(key)
-        return self._dict[key]
+                    return value
+        raise KeyError(key)
 
     def __iter__(self):
-        keys, m3 = iter(self._dict), self._m3_keys()
-        ends = [size for _, size in self._marks[1:]] + [self._m3_size]
-        at = 0
-        for (length, size), end in zip(self._marks, ends):
-            yield from islice(keys, length - at)
-            yield from islice(m3, end - size)
-            at = length
-        yield from keys
-
-    def _m3_keys(self):
-        """The stored m3 keys, by level, then d1, then d2."""
-        for t, level in enumerate(self._m3[1:], 1):
-            for d1 in range(1, len(level)):
-                row = level[d1]
-                for d2 in range(1, len(row)):
-                    if row[d2] is not None:
-                        yield ("m3", d1, d2, t - d1 - d2)
+        for kind, table in self._tables.items():
+            if _KINDS[kind] == 1:
+                yield from ((kind, d) for d, v in enumerate(table) if v is not None)
+            elif _KINDS[kind] == 2:
+                for d1, row in enumerate(table[1:], 1):
+                    yield from ((kind, d1, d2) for d2, v in enumerate(row) if v is not None)
+            else:
+                top = len(table) - 1
+                for d1 in range(1, top - 1):
+                    for d2 in range(1, top - d1):
+                        for d3 in range(1, top - d1 - d2 + 1):
+                            if table[d1 + d2 + d3][d1][d2] is not None:
+                                yield kind, d1, d2, d3
 
 
 class Engine:
@@ -208,31 +213,29 @@ class Engine:
     accepted and yields zero by linearity).
 
     ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
-    count with unit insertions, over the m3 level tables and the dict of
-    the other kinds.  An m3 value is stored as a numerator over its
-    level's denominator, so on the rational path each read of it, through
-    ``m3`` or ``memo``, builds a new :data:`Rat` equal to the last.  Every
-    public call validates its degrees and insertions, hit or miss: a
-    degree ``2.0`` equals the int key 2 in the dict, so no lookup comes
-    first.  A miss at total degree T first fills every unfilled level up
-    to T, each key by a public call with unit insertions: every value is
-    computed as a miss on a filled level, and each public call stores at
-    most its own key, so a wrapper on a public method sees each stored
-    key exactly once.  A fill call costs its validation, one failed
-    lookup, the compute function (looked up on the instance) and the
-    store.  An interrupted level stays unfilled; its m3 values stay as
-    stored, sealed if the seal was reached.
+    count with unit insertions, over the kinds' index tables.  An m3
+    value is stored as a numerator over its level's denominator, so on
+    the rational path each read of it, through ``m3`` or ``memo``, builds
+    a new :data:`Rat` equal to the last.  Every public call validates its
+    degrees and insertions, hit or miss, before it indexes a table.  A
+    miss at total degree T first fills every unfilled level up to T, each
+    key by a public call with unit insertions: every value is computed as
+    a miss on a filled level, and each public call stores at most its own
+    key, so a wrapper on a public method sees each stored key exactly
+    once.  A fill call costs its validation, one read of an empty slot,
+    the compute function (looked up on the instance) and the store.  An
+    interrupted level stays unfilled; its m3 values stay as stored,
+    sealed if the seal was reached.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
-        self.memo = _Memo()
-        # the two stores behind the view: every kind but m3 by key, and the
-        # m3 level tables, _m3[t][d1][d2] for m3(d1, d2, t - d1 - d2) over the
-        # level's denominator _m3[t][0] (None until stored; slot 0 of each row
-        # unused)
-        self._memo = self.memo._dict
-        self._m3 = self.memo._m3
+        self.memo = _Memo(geometry.max_degree)
+        # each kind's table as self._<kind>: _n1B[d], _n2A[d1][d2], and the m3
+        # level tables, _m3[t][d1][d2] for m3(d1, d2, t - d1 - d2) over the
+        # level's denominator _m3[t][0] (None until stored; index 0 unused)
+        for kind, table in self.memo._tables.items():
+            setattr(self, "_" + kind, table)
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
@@ -292,11 +295,11 @@ class Engine:
             )
         return total
 
-    def _count(self, key: tuple, compute, insertions=()):
-        """Answer a public call for ``key = (kind, *degrees)``: validate the
-        degrees and the (mu, power) insertions, then scale the unit value,
-        computing and storing it on a miss unless an insertion is zero."""
-        betas = key[1:]
+    def _count(self, table, betas: tuple, compute, insertions=()):
+        """Answer a public call for the degrees ``betas`` of the kind stored
+        in ``table``: validate the degrees and the (mu, power) insertions,
+        then scale the unit value, computing and storing it on a miss unless
+        an insertion is zero."""
         total = self._degrees(betas)
         s = 1
         for mu, power in insertions:
@@ -304,13 +307,16 @@ class Engine:
                 s *= self._scale(mu, power)
         if s == 0:
             return 0
-        value = self._memo.get(key)
+        row = table if len(betas) == 1 else table[betas[0]]
+        d = betas[-1]
+        value = row[d]
         if value is None:
             if total > self._level:
                 self._fill(total)
-                value = self._memo.get(key)
+                value = row[d]
             if value is None:
-                value = self._memo[key] = compute(*betas)
+                value = row[d] = compute(*betas)
+                self.memo._size += 1
         return value if s == 1 else _norm(s * value)
 
     def _fill(self, top: int):
@@ -328,8 +334,6 @@ class Engine:
                 # stored in it, sealed or not; the refill stores the rest
                 if len(self._m3) == t:
                     self._m3.append([1] + [[None] * (t - d1) for d1 in range(1, t - 1)])
-                memo = self.memo
-                memo._marks.append((len(self._memo), memo._m3_size))
                 m3 = self.m3
                 for d1 in range(1, t - 1):
                     for d2 in range(1, t - d1):
@@ -394,60 +398,60 @@ class Engine:
 
     def n1B(self, beta, mu1: CohClass, mu2: CohClass):
         """Curves of class beta through two H^4 insertions (base count)."""
-        return self._count(("n1B", beta), self._c_n1B, ((mu1, 2), (mu2, 2)))
+        return self._count(self._n1B, (beta,), self._c_n1B, ((mu1, 2), (mu2, 2)))
 
     def n1C(self, beta, mu: CohClass):
         """1-component count with one cotangent power on an H^4 insertion."""
-        return self._count(("n1C", beta), self._c_n1C, ((mu, 2),))
+        return self._count(self._n1C, (beta,), self._c_n1C, ((mu, 2),))
 
     def n1D(self, beta, mu1: CohClass, mu2: CohClass):
         """Cotangent power on an H^2 insertion, plus a free H^4 insertion."""
-        return self._count(("n1D", beta), self._c_n1D, ((mu1, 1), (mu2, 2)))
+        return self._count(self._n1D, (beta,), self._c_n1D, ((mu1, 1), (mu2, 2)))
 
     def n1E(self, beta, mu: CohClass):
         """Second cotangent power on an H^2 insertion."""
-        return self._count(("n1E", beta), self._c_n1E, ((mu, 1),))
+        return self._count(self._n1E, (beta,), self._c_n1E, ((mu, 1),))
 
     def n1F(self, beta, mu: CohClass):
         """Second cotangent power at one point, H^4 insertion at another."""
-        return self._count(("n1F", beta), self._c_n1F, ((mu, 2),))
+        return self._count(self._n1F, (beta,), self._c_n1F, ((mu, 2),))
 
     def n1G(self, beta):
         """Third cotangent power, no insertions."""
-        return self._count(("n1G", beta), self._c_n1G)
+        return self._count(self._n1G, (beta,), self._c_n1G)
 
     def gamma1(self, beta):
         """Chern number of the 2-dimensional family of beta-curves:
         the integral of c1^2 - c2 of the family."""
-        return self._count(("gamma1", beta), self._c_gamma1)
+        return self._count(self._gamma1, (beta,), self._c_gamma1)
 
     def n2A(self, beta1, beta2, mu: CohClass):
         """2-component curves with an H^4 insertion on the second component."""
-        return self._count(("n2A", beta1, beta2), self._c_n2A, ((mu, 2),))
+        return self._count(self._n2A, (beta1, beta2), self._c_n2A, ((mu, 2),))
 
     def n2B(self, beta1, beta2, mu: CohClass):
         """2-component curves with the node on an H^2 divisor."""
-        return self._count(("n2B", beta1, beta2), self._c_n2B, ((mu, 1),))
+        return self._count(self._n2B, (beta1, beta2), self._c_n2B, ((mu, 1),))
 
     def n2C(self, beta1, beta2):
         """2-component curves with a cotangent class at the node, taken on
         the second-component side."""
-        return self._count(("n2C", beta1, beta2), self._c_n2C)
+        return self._count(self._n2C, (beta1, beta2), self._c_n2C)
 
     def n2D(self, beta1, beta2, mu: CohClass):
         """2-component curves, cotangent power on an H^2 insertion carried
         by the second component."""
-        return self._count(("n2D", beta1, beta2), self._c_n2D, ((mu, 1),))
+        return self._count(self._n2D, (beta1, beta2), self._c_n2D, ((mu, 1),))
 
     def n2E(self, beta1, beta2):
         """2-component curves with a second cotangent power on the second
         component."""
-        return self._count(("n2E", beta1, beta2), self._c_n2E)
+        return self._count(self._n2E, (beta1, beta2), self._c_n2E)
 
     def gamma2(self, beta1, beta2):
         """Chern-type combination for 2-component configurations; appears in
         the excess corrections of the diagonal-splitting recursions."""
-        return self._count(("gamma2", beta1, beta2), self._c_gamma2)
+        return self._count(self._gamma2, (beta1, beta2), self._c_gamma2)
 
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
@@ -461,7 +465,7 @@ class Engine:
             value = row[beta2]
             if value is None:
                 value = row[beta2] = self._c_m3(beta1, beta2, beta3)
-                self.memo._m3_size += 1
+                self.memo._size += 1
                 return value
             return _ratio(value, level[0])
         # anything else is refused, or lies above the filled level, and the
@@ -472,7 +476,7 @@ class Engine:
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
         the genus-1 multiple-cover weight of the family."""
-        return self._count(("chern", beta), self._c_chern)
+        return self._count(self._chern, (beta,), self._c_chern)
 
     # -- canonical computations (unit monomial insertions) ------------------
     #
@@ -482,67 +486,66 @@ class Engine:
         return self._n2pt[d]
 
     def _c_n1C(self, d: int):
-        memo = self._memo
-        terms = [(1, memo["n1B", d]), (-2 * d, self._n1pt[d])]
-        terms += [(a * a, memo["n2A", a, d - a]) for a in range(1, d)]
+        n2A = self._n2A
+        terms = [(1, self._n1B[d]), (-2 * d, self._n1pt[d])]
+        terms += [(a * a, n2A[a][d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1D(self, d: int):
-        memo = self._memo
+        n2A = self._n2A
         # d * n1B - 2d * n1B: the second term's insertions are H*H and H^2
-        terms = [(-d, memo["n1B", d])]
-        terms += [(a * (d - a) ** 2 + (d - a) * a * a, memo["n2A", a, d - a]) for a in range(1, d)]
+        terms = [(-d, self._n1B[d])]
+        terms += [(a * (d - a) ** 2 + (d - a) * a * a, n2A[a][d - a]) for a in range(1, d)]
         return _weighted_sum(terms, d * d)
 
     def _c_n1E(self, d: int):
-        memo = self._memo
-        terms = [(1, memo["n1D", d]), (-2 * d, memo["n1C", d])]
+        n2B, n2D = self._n2B, self._n2D
+        terms = [(1, self._n1D[d]), (-2 * d, self._n1C[d])]
         for a in range(1, d):
-            terms += ((a * a, memo["n2D", a, d - a]), (a * a, memo["n2B", a, d - a]))
+            terms += ((a * a, n2D[a][d - a]), (a * a, n2B[a][d - a]))
         return _weighted_sum(terms, d * d)
 
     def _c_n1F(self, d: int):
-        return _weighted_sum((-1, self._memo["n2A", a, d - a]) for a in range(1, d))
+        return _weighted_sum((-1, self._n2A[a][d - a]) for a in range(1, d))
 
     def _c_n1G(self, d: int):
-        memo = self._memo
-        terms = [(1, memo["n1F", d]), (-2 * d, memo["n1E", d])]
+        n2C, n2E = self._n2C, self._n2E
+        terms = [(1, self._n1F[d]), (-2 * d, self._n1E[d])]
         for a in range(1, d):
-            terms += ((a * a, memo["n2E", a, d - a]), (a * a, memo["n2C", a, d - a]))
+            terms += ((a * a, n2E[a][d - a]), (a * a, n2C[a][d - a]))
         return _weighted_sum(terms, d * d)
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        memo, c2 = self._memo, self._c2
-        terms = [(self._c3, self._n1pt[d]), (1, memo["n1G", d]), (c2, memo["n1C", d]),
-                 (c2 * c2, memo["n1B", d]), (4 * c2, memo["n1F", d])]
+        c2, n2C, n2E = self._c2, self._n2C, self._n2E
+        terms = [(self._c3, self._n1pt[d]), (1, self._n1G[d]), (c2, self._n1C[d]),
+                 (c2 * c2, self._n1B[d]), (4 * c2, self._n1F[d])]
         for a in range(1, d):
-            terms += ((-4, memo["n2E", a, d - a]), (-5, memo["n2C", a, d - a]))
+            terms += ((-4, n2E[a][d - a]), (-5, n2C[a][d - a]))
         return _weighted_sum(terms, 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        memo = self._memo
+        n2A = self._n2A
         terms = [] if self._n2pt_t5 is None else [(self._n1pt[d1], self._n2pt_t5[d2])]
         if d2 > d1:
-            terms += [(1, memo["n2A", d1, d2 - d1]), (1, memo["n2A", d2 - d1, d1])]
+            terms += [(1, n2A[d1][d2 - d1]), (1, n2A[d2 - d1][d1])]
         elif d2 < d1:
-            terms.append((1, memo["n2A", d1 - d2, d2]))
+            terms.append((1, n2A[d1 - d2][d2]))
         else:
-            terms += [(self._c2, memo["n1B", d1]), (2, memo["n1F", d1])]
+            terms += [(self._c2, self._n1B[d1]), (2, self._n1F[d1])]
         return _weighted_sum(terms)
 
     def _c_n2B(self, d1: int, d2: int):
         # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; both m3 sums are
         # summed on their numerators over D_{d1 + d2}, the others are terms
-        memo, m3, factors = self._memo, self._m3, self._factors
+        n2B, n2D, m3, factors = self._n2B, self._n2D, self._m3, self._factors
         terms, num = [], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
         lo, hi = min(d1, d2), max(d1, d2)
         if hi > lo:
             gap = hi - lo
-            terms += ((2, memo["n2D", gap, lo]), (2, memo["n2B", gap, lo]),
-                      (2 * lo, memo["gamma2", gap, lo]))
+            terms += ((2, n2D[gap][lo]), (2, n2B[gap][lo]), (2 * lo, self._gamma2[gap][lo]))
             level = m3[hi]
             for p in range(1, gap):
                 num += level[p][lo]
@@ -550,10 +553,10 @@ class Engine:
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
-            terms += ((2, memo["n1E", lo]), (2 * lo, memo["gamma1", lo]),
-                      (2 * self._c2, self._n1pt[lo]), (2 * self._c2, memo["n1D", lo]))
+            terms += ((2, self._n1E[lo]), (2 * lo, self._gamma1[lo]),
+                      (2 * self._c2, self._n1pt[lo]), (2 * self._c2, self._n1D[lo]))
             for p in range(1, hi):
-                terms += ((-4, memo["n2D", p, hi - p]), (-5, memo["n2B", p, hi - p]))
+                terms += ((-4, n2D[p][hi - p]), (-5, n2B[p][hi - p]))
         t = d1 + d2
         for c in range(1, lo):
             v = m3[t - c][d1 - c][c]
@@ -590,8 +593,7 @@ class Engine:
         return row
 
     def _c_n2C(self, d1: int, d2: int):
-        memo = self._memo
-        terms = ((1, memo["n2A", d1, d2]), (-2 * d2, memo["n2B", d1, d2]))
+        terms = ((1, self._n2A[d1][d2]), (-2 * d2, self._n2B[d1][d2]))
         row = self._row(d1, d2)
         return _weighted_sum(terms, d2 * d2, row[0], row[3])
 
@@ -599,37 +601,36 @@ class Engine:
         # the cotangent reduction on the second component pairs the divisor
         # with that component's class, hence d2 * n2A; the second term,
         # -2 d2 * n2A, has the insertion H*H
-        n2A = self._memo["n2A", d1, d2]
         row = self._row(d1, d2)
-        return _weighted_sum(((-d2, n2A),), d2 * d2, row[1], row[3])
+        return _weighted_sum(((-d2, self._n2A[d1][d2]),), d2 * d2, row[1], row[3])
 
     def _c_n2E(self, d1: int, d2: int):
         row = self._row(d1, d2)
         return _ratio(-row[2], row[3])
 
     def _c_gamma2(self, d1: int, d2: int):
-        memo = self._memo
-        return _weighted_sum(((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2]),
-                              (1, memo["n2C", d1, d2]), (1, memo["n2C", d2, d1])))
+        n2C = self._n2C
+        return _weighted_sum(((self._c2, self._n2A[d1][d2]), (2, self._n2E[d1][d2]),
+                              (1, n2C[d1][d2]), (1, n2C[d2][d1])))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # base - C1 - C2 - C12, with the excess corrections C1 = x1,
         # C2 = -(x2 + x3) and C12 = -x4: each x is an m3 read from level l
         # (m3(a, b, c) is m3[a + b + c][a][b], a numerator over D_l) or,
-        # where its correction has no m3 chain, terms of memo values
-        memo, m3 = self._memo, self._m3
+        # where its correction has no m3 chain, terms of stored values
+        m3 = self._m3
         if d1 > d3:
             # the reversed chain, stored earlier in this level's ascending rows
             return m3[d1 + d2 + d3][d3][d2]
         # the base term n2A * n1pt[d3] / t5
-        terms = [] if self._n1pt_t5 is None else [(memo["n2A", d1, d2], self._n1pt_t5[d3])]
+        terms = [] if self._n1pt_t5 is None else [(self._n2A[d1][d2], self._n1pt_t5[d3])]
         x1 = x2 = x3 = x4 = l1 = l2 = l3 = l4 = 0
 
         if d3 > d1:
             l1 = d3 + d2
             x1 = m3[l1][d3 - d1][d1]
         else:
-            terms.append((-1, memo["gamma2", d2, d1]))
+            terms.append((-1, self._gamma2[d2][d1]))
 
         if d3 > d2:
             l2 = d1 + d3
@@ -640,7 +641,7 @@ class Engine:
             x2, x3 = row[d3], row[d2 - d3]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2)
-            terms += ((self._c2, memo["n2A", d1, d2]), (2, memo["n2E", d1, d2]))
+            terms += ((self._c2, self._n2A[d1][d2]), (2, self._n2E[d1][d2]))
 
         if d3 > d1 + d2:
             l4 = d3
@@ -649,7 +650,7 @@ class Engine:
             l4 = d1 + d2
             x4 = m3[l4][d1 + d2 - d3][d3 - d2]
         elif d3 == d1 + d2:
-            terms.append((1, memo["gamma2", d2, d1]))
+            terms.append((1, self._gamma2[d2][d1]))
 
         # the m3 reads over D_{t-1}, each level's numerators scaled to it
         factors = self._factors
@@ -666,8 +667,8 @@ class Engine:
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        memo, c2 = self._memo, self._c2
-        terms = [(-2, memo["n1G", d]), (-2 * self._c3, self._n1pt[d]), (-2 * c2, memo["n1C", d])]
+        n2C = self._n2C
+        terms = [(-2, self._n1G[d]), (-2 * self._c3, self._n1pt[d]), (-2 * self._c2, self._n1C[d])]
         for a in range(1, d):
-            terms += ((1, memo["n2C", a, d - a]), (1, memo["n2C", d - a, a]))
+            terms += ((1, n2C[a][d - a]), (1, n2C[d - a][a]))
         return _weighted_sum(terms, 2)

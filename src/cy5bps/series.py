@@ -137,12 +137,11 @@ class DegreeSeries:
         return cls.from_function(lambda _d: Rat(0), max_degree)
 
     def __getitem__(self, d: int):
-        try:
-            return self._values[d]
-        except KeyError:
-            raise SeriesError(
-                f"degree {d} not defined (series covers 1..{self.max_degree})"
-            ) from None
+        # a bool or a float such as 2.0 would find the int key in the dict
+        value = self._values.get(d) if type(d) is int else None
+        if value is None:
+            raise SeriesError(f"degree {d!r} not defined (series covers 1..{self.max_degree})")
+        return value
 
     def __len__(self) -> int:
         return self.max_degree

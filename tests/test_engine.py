@@ -1,5 +1,6 @@
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -398,7 +399,7 @@ def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
     for d in range(1, geometry.max_degree + 1):
         engine.chern_integral(d)
     assert len(set(recorded)) == len(recorded)
-    assert recorded == list(engine.memo)
+    assert Counter(recorded) == Counter(iter(engine.memo))
 
 
 def _assert_m3_table_is_the_memo(engine):
@@ -508,13 +509,27 @@ def test_integer_levels_are_never_sealed(local_engine_100):
                for row in level[1:] for v in row[1:])
 
 
-# -- the memo view over the m3 level tables and the dict of the other kinds ----
+# -- the memo view over the kinds' index tables ---------------------------------
+
+def _stored_per_kind(engine):
+    """Each kind's number of stored values, counted in its table's slots:
+    ``_<kind>[d]``, ``_<kind>[d1][d2]`` or the m3 levels ``_m3[t][d1][d2]``."""
+    counts = {}
+    for kind, ndeg, _ in COUNT_METHODS.values():
+        table = getattr(engine, "_" + kind)
+        if ndeg == 1:
+            slots = table[1:]
+        elif ndeg == 2:
+            slots = [value for row in table[1:] for value in row[1:]]
+        else:
+            slots = [value for level in table[1:] for row in level[1:] for value in row[1:]]
+        counts[kind] = sum(value is not None for value in slots)
+    return counts
+
 
 def _stored(engine):
-    """The number of stored values, counted in the two stores themselves."""
-    in_tables = sum(value is not None for level in engine._m3[1:]
-                    for row in level[1:] for value in row[1:])
-    return len(engine._memo) + in_tables
+    """The number of stored values, counted in the tables themselves."""
+    return sum(_stored_per_kind(engine).values())
 
 
 def test_memo_len_counts_the_stored_values(local_geometry_12):
@@ -535,10 +550,10 @@ def test_memo_len_counts_the_stored_values(local_geometry_12):
     assert len(engine.memo) == _stored(engine) == len(set(engine.memo)) == 670
 
 
-def test_memo_iterates_in_store_order_across_an_interrupted_m3_loop(
+def test_memo_iterates_every_stored_key_once_across_an_interrupted_m3_loop(
         local_geometry_12, monkeypatch):
-    # a key stored between the interrupted m3 loop and its refill lies
-    # between the two runs of level 7's m3 keys
+    # the keys stored before the interrupted m3 loop, between it and its
+    # refill, and after, each once: kind by kind, each by ascending degrees
     recorded = []
     for method, (kind, ndeg, _) in COUNT_METHODS.items():
         def traced(engine, *args, _fn=getattr(Engine, method), _kind=kind, _ndeg=ndeg):
@@ -558,24 +573,28 @@ def test_memo_iterates_in_store_order_across_an_interrupted_m3_loop(
     engine.chern_integral(3)
     engine.chern_integral(12)
     keys = list(engine.memo)
-    assert keys == recorded
-    chern3 = keys.index(("chern", 3))
-    assert keys[chern3 - 1] == ("m3", 2, 2, 3) and keys[chern3 + 1] == ("m3", 2, 3, 2)
+    assert Counter(keys) == Counter(recorded)
+    kinds = [kind for kind, _, _ in COUNT_METHODS.values()]
+    assert keys == sorted(keys, key=lambda key: (kinds.index(key[0]), key[1:]))
 
 
 @pytest.mark.parametrize("key", [
     ("m3", 0, 1, 2), ("m3", -1, 4, 4), ("m3", 2.0, 1, 1), ("m3", True, 1, 1),
     ("m3", 1, 1), ("m3", 1, 1, 1, 1), ("m3", 1, 1, 7), ("m3", 4, 4, 4), ("m3", 5, 5, 5),
     ("m3", 2, 3, 2), ("n2A", 1, 6), ("n1B", 13), "m3", (),
+    ("n2A", 2.0, 1), ("n1B", True), ("gamma2", 1.0, 1), ("chern", 0), ("n2B", 1, 12),
+    ("n1B", 1, 1), ("nope", 1),
 ])
 def test_memo_holds_no_unstored_key(local_geometry_12, key):
     # filled to level 6, with level 7 interrupted at m3(2, 3, 2); a float or
-    # bool degree does not find the int key's m3 value
+    # bool degree does not find the int key's value, of any kind
     engine = Engine(local_geometry_12)
     _interrupt(engine, "_c_m3", (2, 3, 2))
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     assert ("m3", 1, 1, 1) in engine.memo and ("m3", 2, 2, 3) in engine.memo
+    assert ("n2A", 2, 1) in engine.memo and ("n1B", 1) in engine.memo
+    assert ("gamma2", 1, 1) in engine.memo
     assert key not in engine.memo
     assert engine.memo.get(key) is None
     with pytest.raises(KeyError):
@@ -609,11 +628,15 @@ def test_memo_equality_compares_values(local_geometry_12, rational_geometry_12):
     assert engine.memo != fresh.memo
 
 
-def test_the_dict_store_holds_no_m3_key(local_engine_100):
-    engine = local_engine_100
-    assert not any(key[0] == "m3" for key in engine._memo)
-    assert len(engine._memo) == 189_650 - 161_700
-    assert len(engine.memo) == 189_650
+def test_stored_counts_per_kind_at_degree_100(local_engine_100):
+    # gamma2(a, b) is stored only for a + 2b <= 100 and gamma1(d) only for
+    # 2d <= 100, the keys the formulas read; chern(d) was called for each d
+    counts = _stored_per_kind(local_engine_100)
+    expected = {"m3": 161_700, "gamma2": 2_450, "gamma1": 50}
+    expected |= dict.fromkeys(("n2A", "n2B", "n2C", "n2D", "n2E"), 4_950)
+    expected |= dict.fromkeys(("n1B", "n1C", "n1D", "n1E", "n1F", "n1G", "chern"), 100)
+    assert counts == expected
+    assert sum(counts.values()) == len(local_engine_100.memo) == 189_650
 
 
 def _call(engine, method, degrees):

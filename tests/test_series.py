@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,10 @@ def test_series_access_is_strict():
         s[3]
     with pytest.raises(SeriesError):
         s[0]
+    # a degree equal to a stored int key does not find its value
+    for degree in (2.0, True, Fraction(2), "2", None):
+        with pytest.raises(SeriesError, match="not defined"):
+            s[degree]
 
 
 def test_series_truncated():
