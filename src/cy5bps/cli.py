@@ -243,9 +243,8 @@ def _cmd_hypersurface(args) -> int:
     tail = {"integrality_failures": failures}
     csv_tail = ""
     if meeting:
-        H = geometry.ring.H(1)
         span = range(1, meeting + 1)
-        cells = [[_rational(engine.n2B(d1, d2, H)) for d2 in span] for d1 in span]
+        cells = [[_rational(engine.n2B(d1, d2)) for d2 in span] for d1 in span]
         tail["meeting_table"] = {
             "max_degree": meeting,
             "values": [[value for _, value in row] for row in cells],

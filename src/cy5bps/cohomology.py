@@ -7,9 +7,9 @@ intersection number t5, the integral of ``H^5``) and the local surface
 ring where ``H^3`` already vanishes (top power 2).
 
 Every insertion the recursions take is a scalar multiple of one power
-of H, so a class is the monomial ``coeff * H^power``; a sum of nonzero
-classes of different powers is rejected.  Curve classes are plain
-positive integer degrees, under the normalization ``(H, line) = 1``.
+of H, so a class is the monomial ``coeff * H^power``, with no sums.
+Curve classes are plain positive integer degrees, under the
+normalization ``(H, line) = 1``.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ __all__ = [
 
 
 class RingMismatchError(ValueError):
-    """Operands belong to different cohomology rings."""
+    """An insertion belongs to another ring than the engine's geometry."""
 
 
 class InsertionDegreeError(ValueError):
-    """A cohomology insertion, or a summand, has the wrong H-power."""
+    """A cohomology insertion has the wrong H-power."""
 
 
 class Ring(FrozenRecord):
@@ -94,19 +94,6 @@ class CohClass(FrozenRecord):
 
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        if self.ring != other.ring:
-            raise RingMismatchError("classes belong to different rings")
-        if other.is_zero():
-            return self
-        if self.is_zero():
-            return other
-        if self.power != other.power:
-            raise InsertionDegreeError(
-                f"cannot add H^{self.power} and H^{other.power}: a class is one monomial"
-            )
-        return CohClass(self.ring, self.power, self.coeff + other.coeff)
 
     def __mul__(self, scalar) -> "CohClass":
         return CohClass(self.ring, self.power, self.coeff * scalar)

@@ -51,9 +51,9 @@ d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
 earlier in the same level: the formula runs for d1 <= d3 only.
 
 A public call is a validated lookup: the degrees are checked in one
-pass and index the kind's table, the engine's own unit insertions are
-known by identity, and a scale other than 1 costs one product; every
-formula reads its terms by index.  m3, most of the keys (161,700 of
+pass and index the kind's table, an insertion left out (or None) is the
+unit class, and a scale other than 1 costs one product; every formula
+reads its terms by index.  m3, most of the keys (161,700 of
 189,650 at degree 100), answers a valid call at or below the filled
 level in its own frame: ``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2)
 times the level's denominator D_t = ``_m3[t][0]``, or None until
@@ -207,10 +207,11 @@ class Engine:
 
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
-    take each insertion as a monomial ``s * H^p`` whose power p is fixed
-    by the count type, scale the unit-insertion count by s, and raise
-    InsertionDegreeError for any other power (the zero class is
-    accepted and yields zero by linearity).
+    take degrees, then optionally an insertion per H-power p fixed by
+    the count type: None, the default, is the unit class H^p and returns
+    the stored count; a monomial ``s * H^p`` scales it by s, the zero
+    class gives zero by linearity, and any other power raises
+    InsertionDegreeError.
 
     ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
     count with unit insertions, over the kinds' index tables.  An m3
@@ -219,7 +220,7 @@ class Engine:
     a new :data:`Rat` equal to the last.  Every public call validates its
     degrees and insertions, hit or miss, before it indexes a table.  A
     miss at total degree T first fills every unfilled level up to T, each
-    key by a public call with unit insertions: every value is computed as
+    key by a public call with its degrees only: every value is computed as
     a miss on a filled level, and each public call stores at most its own
     key, so a wrapper on a public method sees each stored key exactly
     once.  A fill call costs its validation, one read of an empty slot,
@@ -247,9 +248,6 @@ class Engine:
         self._m3_rational = False
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
         self._last_row = (None, None)
-        ring = geometry.ring
-        # the unit insertion of each H-power, indexed by the power
-        self._units = (None, ring.H(1), ring.H(2))
 
         self._c2 = _norm(geometry.c2)
         self._c3 = _norm(geometry.c3)
@@ -258,7 +256,7 @@ class Engine:
         degrees = range(1, geometry.max_degree + 1)
         self._n1pt = [0] + [_norm(geometry.n1pt[d]) for d in degrees]
         self._n2pt = [0] + [_norm(geometry.n2pt[d]) for d in degrees]
-        t5 = ring.top_integral
+        t5 = geometry.ring.top_integral
         if t5 is None:
             self._n1pt_t5 = self._n2pt_t5 = None
         else:
@@ -298,12 +296,12 @@ class Engine:
     def _count(self, table, betas: tuple, compute, insertions=()):
         """Answer a public call for the degrees ``betas`` of the kind stored
         in ``table``: validate the degrees and the (mu, power) insertions,
-        then scale the unit value, computing and storing it on a miss unless
-        an insertion is zero."""
+        None being the unit class, then scale the unit value, computing and
+        storing it on a miss unless an insertion is zero."""
         total = self._degrees(betas)
         s = 1
         for mu, power in insertions:
-            if mu is not self._units[power]:
+            if mu is not None:
                 s *= self._scale(mu, power)
         if s == 0:
             return 0
@@ -321,7 +319,6 @@ class Engine:
 
     def _fill(self, top: int):
         """Fill every level from the first unfilled one up to ``top``."""
-        H, H2 = self._units[1], self._units[2]
         for t in range(self._level + 1, top + 1):
             self._level = t
             try:
@@ -343,18 +340,18 @@ class Engine:
                 self._rescale(t)
                 pairs = [(d1, t - d1) for d1 in range(1, t)]
                 for d1, d2 in pairs:
-                    self.n2A(d1, d2, H2)
+                    self.n2A(d1, d2)
                 for d1, d2 in pairs:
-                    self.n2B(d1, d2, H)
+                    self.n2B(d1, d2)
                 for d1, d2 in pairs:
                     self.n2C(d1, d2)
-                    self.n2D(d1, d2, H)
+                    self.n2D(d1, d2)
                     self.n2E(d1, d2)
-                self.n1B(t, H2, H2)
-                self.n1C(t, H2)
-                self.n1D(t, H, H2)
-                self.n1F(t, H2)
-                self.n1E(t, H)
+                self.n1B(t)
+                self.n1C(t)
+                self.n1D(t)
+                self.n1F(t)
+                self.n1E(t)
                 self.n1G(t)
             except BaseException:
                 self._level = t - 1
@@ -396,24 +393,29 @@ class Engine:
 
     # -- public counts -----------------------------------------------------
 
-    def n1B(self, beta, mu1: CohClass, mu2: CohClass):
-        """Curves of class beta through two H^4 insertions (base count)."""
+    def n1B(self, beta, mu1: CohClass | None = None, mu2: CohClass | None = None):
+        """Curves of class beta through two H^2 insertions (base count).
+        Each insertion defaults to the unit class."""
         return self._count(self._n1B, (beta,), self._c_n1B, ((mu1, 2), (mu2, 2)))
 
-    def n1C(self, beta, mu: CohClass):
-        """1-component count with one cotangent power on an H^4 insertion."""
+    def n1C(self, beta, mu: CohClass | None = None):
+        """1-component count with one cotangent power on an H^2 insertion,
+        by default the unit class."""
         return self._count(self._n1C, (beta,), self._c_n1C, ((mu, 2),))
 
-    def n1D(self, beta, mu1: CohClass, mu2: CohClass):
-        """Cotangent power on an H^2 insertion, plus a free H^4 insertion."""
+    def n1D(self, beta, mu1: CohClass | None = None, mu2: CohClass | None = None):
+        """Cotangent power on an H insertion, plus a free H^2 insertion.
+        Each insertion defaults to the unit class."""
         return self._count(self._n1D, (beta,), self._c_n1D, ((mu1, 1), (mu2, 2)))
 
-    def n1E(self, beta, mu: CohClass):
-        """Second cotangent power on an H^2 insertion."""
+    def n1E(self, beta, mu: CohClass | None = None):
+        """Second cotangent power on an H insertion, by default the unit
+        class."""
         return self._count(self._n1E, (beta,), self._c_n1E, ((mu, 1),))
 
-    def n1F(self, beta, mu: CohClass):
-        """Second cotangent power at one point, H^4 insertion at another."""
+    def n1F(self, beta, mu: CohClass | None = None):
+        """Second cotangent power at one point, H^2 insertion at another,
+        by default the unit class."""
         return self._count(self._n1F, (beta,), self._c_n1F, ((mu, 2),))
 
     def n1G(self, beta):
@@ -425,12 +427,14 @@ class Engine:
         the integral of c1^2 - c2 of the family."""
         return self._count(self._gamma1, (beta,), self._c_gamma1)
 
-    def n2A(self, beta1, beta2, mu: CohClass):
-        """2-component curves with an H^4 insertion on the second component."""
+    def n2A(self, beta1, beta2, mu: CohClass | None = None):
+        """2-component curves with an H^2 insertion on the second component,
+        by default the unit class."""
         return self._count(self._n2A, (beta1, beta2), self._c_n2A, ((mu, 2),))
 
-    def n2B(self, beta1, beta2, mu: CohClass):
-        """2-component curves with the node on an H^2 divisor."""
+    def n2B(self, beta1, beta2, mu: CohClass | None = None):
+        """2-component curves with the node on an H divisor, by default the
+        unit class."""
         return self._count(self._n2B, (beta1, beta2), self._c_n2B, ((mu, 1),))
 
     def n2C(self, beta1, beta2):
@@ -438,9 +442,9 @@ class Engine:
         the second-component side."""
         return self._count(self._n2C, (beta1, beta2), self._c_n2C)
 
-    def n2D(self, beta1, beta2, mu: CohClass):
-        """2-component curves, cotangent power on an H^2 insertion carried
-        by the second component."""
+    def n2D(self, beta1, beta2, mu: CohClass | None = None):
+        """2-component curves, cotangent power on an H insertion carried
+        by the second component, by default the unit class."""
         return self._count(self._n2D, (beta1, beta2), self._c_n2D, ((mu, 1),))
 
     def n2E(self, beta1, beta2):

@@ -1,0 +1,67 @@
+"""Bott's formula over the lines of a hypersurface, as a test oracle.
+
+Imports nothing from ``cy5bps``: the values it gives share no code and
+no Gromov-Witten input with the engine.
+
+The torus acts on the coordinates x_0..x_N of P^N with pairwise distinct
+integer weights w_j.  The lines of P^N form the Grassmannian G(2, N+1),
+whose fixed points are the coordinate pairs S = {j, k}.  At S:
+
+* the tangent weights of G(2, N+1) are x = {w_a - w_b : a in S, b not in S};
+* the universal quotient Q has the weights -w_b, b not in S;
+* E = Sym^a S*, whose section cut out by the equation of a degree-a
+  hypersurface X_a vanishes on the lines of X_a, has the weights
+  mu = {t w_j + (a - t) w_k : 0 <= t <= a}.
+
+For a class alpha of degree dim G(2, N+1) - rank E = 2N - 3 - a, the
+lines of X_a carry the integral sum over S of alpha(S) * prod(mu) /
+prod(x).  On a Calabi-Yau 5-fold (a = N + 1 = 7) that family B_1 has
+dimension 2, and three such integrals enter the genus-1 pipeline:
+
+* N_{0,1}(H^3), the lines meeting a codimension-3 linear space: c_2(Q);
+* N_{0,1}(H^2, H^2), the lines meeting two codimension-2 ones: c_1(Q)^2;
+* the integral of 2 c_2 - c_1^2 of T_B = T_G - E over B_1, the degree-1
+  Chern integral: sum(mu^2) - sum(x^2).
+
+Everything is an exact ``Fraction``; a different set of weights gives
+the same sums, which is the formula's own check.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+
+# two weight sets for P^6, each pairwise distinct
+WEIGHTS = ([11**j for j in range(7)], [13**j + 5 * j for j in range(7)])
+
+
+def line_integral(a, n, weights, alpha):
+    """The integral over the lines of X_a in P^n of the class alpha,
+    given at each fixed line as ``alpha(x, mu, q)`` of its three weight
+    lists (tangent, E, quotient)."""
+    total = Fraction(0)
+    for j, k in combinations(range(n + 1), 2):
+        rest = [b for b in range(n + 1) if b not in (j, k)]
+        x = [weights[s] - weights[b] for s in (j, k) for b in rest]
+        mu = [t * weights[j] + (a - t) * weights[k] for t in range(a + 1)]
+        q = [-weights[b] for b in rest]
+        total += Fraction(alpha(x, mu, q) * prod(mu), prod(x))
+    return total
+
+
+def _c1_squared(x, mu, q):
+    return sum(q) ** 2
+
+
+def _c2(x, mu, q):
+    return sum(u * v for u, v in combinations(q, 2))
+
+
+def _chern(x, mu, q):
+    return sum(m * m for m in mu) - sum(t * t for t in x)
+
+
+def septic_line_integrals(weights):
+    """(N_{0,1}(H^3), N_{0,1}(H^2, H^2), the degree-1 Chern integral) of
+    the septic X_7 in P^6."""
+    return tuple(line_integral(7, 6, weights, alpha) for alpha in (_c2, _c1_squared, _chern))

@@ -1,0 +1,25 @@
+"""The engine's degree-1 Chern integral against Bott's formula on the septic."""
+
+from cy5bps import DegreeSeries, Engine, Geometry, Ring, hypersurface_chern
+
+from bott import WEIGHTS, line_integral, septic_line_integrals
+
+
+def test_quintic_threefold_has_2875_lines():
+    # the classical count, a calibration of the fixed-point sum
+    for weights in WEIGHTS:
+        assert line_integral(5, 4, weights[:5], lambda x, mu, q: 1) == 2875
+
+
+def test_septic_line_integrals_do_not_depend_on_the_weights():
+    first, second = (septic_line_integrals(weights) for weights in WEIGHTS)
+    assert first == second == (1_009_792, 1_707_797, 117_475_785)
+
+
+def test_engine_chern_1_equals_bott():
+    n1pt, n2pt, chern = septic_line_integrals(WEIGHTS[0])
+    c2, c3 = hypersurface_chern(6, 7)
+    geometry = Geometry(Ring(5, 7), c2, c3, DegreeSeries({1: n1pt}, 1),
+                        DegreeSeries({1: n2pt}, 1), DegreeSeries.zero(1), 1)
+    # the degree-1 formula reads the c2 and c3 terms of the compact path
+    assert Engine(geometry).chern_integral(1) == chern

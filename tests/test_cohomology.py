@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cy5bps.cohomology import CohClass, InsertionDegreeError, Ring, RingMismatchError
+from cy5bps.cohomology import CohClass, Ring
 from cy5bps.engine import Engine
 from cy5bps.localp2 import localp2_geometry
 
@@ -10,25 +10,10 @@ LOCAL = Ring(top_power=2)
 COMPACT = Ring(top_power=5, top_integral=7)
 
 
-def test_mixed_ring_error():
-    with pytest.raises(RingMismatchError):
-        LOCAL.H(1) + COMPACT.H(1)
-
-
 def test_homogeneity_detection():
     assert (COMPACT.H(2).power, COMPACT.H(2).coeff) == (2, 1)
     assert (COMPACT.zero().power, COMPACT.zero().coeff) == (0, 0)
     assert COMPACT.monomial(3, 0) == COMPACT.zero()
-
-
-def test_sum_of_different_powers_raises():
-    with pytest.raises(InsertionDegreeError):
-        COMPACT.H(1) + COMPACT.H(2)
-
-
-def test_sum_of_equal_powers():
-    assert LOCAL.H(2) + LOCAL.monomial(2, 4) == LOCAL.monomial(2, 5)
-    assert (LOCAL.H(2) + LOCAL.monomial(2, -1)).is_zero()
 
 
 def test_truncated_power_is_zero():
@@ -41,8 +26,12 @@ def test_scalar_multiplication():
     assert (-1) * LOCAL.H(1) == LOCAL.monomial(1, -1)
     H = LOCAL.H(1)
     assert 0 * H == LOCAL.zero()
-    assert H + LOCAL.zero() == H
-    assert LOCAL.zero() + H == H
+
+
+def test_classes_do_not_add():
+    # every insertion is one monomial, so a class has no sum
+    with pytest.raises(TypeError):
+        LOCAL.H(1) + LOCAL.H(1)
 
 
 def test_equal_classes_hash_equal():
@@ -97,7 +86,6 @@ def test_equal_rings_are_interchangeable():
     assert hash(Ring(5, 7)) == hash(Ring(5, Fraction(14, 2)))
     assert Ring(2).H(1) == Ring(2).H(1)
     assert CohClass(Ring(2), 2, 0) == Ring(2).zero()
-    assert Ring(5, 7).H(2) + Ring(5, 7).monomial(2, 3) == COMPACT.monomial(2, 4)
     assert len({Ring(5, 7).H(1), COMPACT.H(1)}) == 1
     # the hash is over the two values, so they cannot change
     with pytest.raises(AttributeError):
@@ -108,5 +96,3 @@ def test_equal_rings_are_interchangeable():
 def test_unequal_rings(other):
     assert COMPACT != other
     assert COMPACT.H(1) != other.H(1)
-    with pytest.raises(RingMismatchError):
-        COMPACT.H(1) + other.H(1)

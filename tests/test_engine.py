@@ -100,8 +100,6 @@ def test_wrong_insertion_degree_raises(local_engine):
         local_engine.n1C(1, H)
     with pytest.raises(InsertionDegreeError):
         local_engine.n2B(1, 1, H2)
-    with pytest.raises(InsertionDegreeError):
-        local_engine.n2A(1, 1, H + H2)  # non-homogeneous
 
 
 def test_foreign_ring_insertion_raises(local_engine, zero_geometry):
@@ -348,8 +346,6 @@ def test_warm_engine_still_validates(local_geometry_12, zero_geometry):
         engine.n2B(1, 1, H2)
     with pytest.raises(InsertionDegreeError):
         engine.n1D(2, H, H)
-    with pytest.raises(InsertionDegreeError):
-        engine.n2A(1, 1, H + H2)
     with pytest.raises(RingMismatchError):
         engine.n1C(1, zero_geometry.ring.H(2))
     with pytest.raises(RingMismatchError):
@@ -643,6 +639,47 @@ def _call(engine, method, degrees):
     _, _, powers = COUNT_METHODS[method]
     units = [engine.geometry.ring.H(p) for p in powers]
     return getattr(engine, method)(*degrees, *units)
+
+
+def _degree_tuples(ndeg, max_degree):
+    """Every tuple of ndeg positive degrees with total at most max_degree."""
+    if ndeg == 1:
+        return [(d,) for d in range(1, max_degree + 1)]
+    return [(d1, d2) for d1 in range(1, max_degree) for d2 in range(1, max_degree + 1 - d1)]
+
+
+# the count methods that take insertions
+INSERTION_METHODS = sorted(m for m, (_, _, powers) in COUNT_METHODS.items() if powers)
+
+
+@pytest.mark.parametrize("fixture", ["local_geometry_12", "synthetic_geometry"])
+@pytest.mark.parametrize("method", INSERTION_METHODS)
+def test_insertions_default_to_the_unit_class(request, fixture, method):
+    geometry = request.getfixturevalue(fixture)
+    engine = Engine(geometry)
+    count = getattr(engine, method)
+    _, ndeg, powers = COUNT_METHODS[method]
+    for degrees in _degree_tuples(ndeg, geometry.max_degree):
+        value = count(*degrees)
+        size = len(engine.memo)
+        # fresh unit objects, as the tracer passes them, find the stored
+        # key and store nothing
+        units = [geometry.ring.H(p) for p in powers]
+        assert count(*degrees, *units) == value
+        assert len(engine.memo) == size
+        for position in range(len(powers)):
+            insertions = list(units)
+            insertions[position] = None
+            assert count(*degrees, *insertions) == value
+        assert count(*degrees, *[None] * len(powers)) == value
+
+
+@pytest.mark.parametrize("method", INSERTION_METHODS)
+def test_an_insertion_that_is_not_a_class_raises(local_engine, method):
+    _, ndeg, powers = COUNT_METHODS[method]
+    for bad in (1, Fraction(1), "H"):
+        with pytest.raises(InsertionDegreeError, match="insertion must be a CohClass"):
+            getattr(local_engine, method)(*[1] * ndeg, *[bad] * len(powers))
 
 
 # each refused degree with the text the message ends in
