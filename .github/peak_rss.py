@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src python .github/peak_rss.py local-p2|hypersurface
+    PYTHONPATH=src python .github/peak_rss.py local-p2|hypersurface [OUTPUT]
 
 ``local-p2`` is ``local-p2 --max-degree 200``, gated at 100 MB.
 ``hypersurface`` first writes perfbench's seed-3 input for
@@ -12,12 +12,15 @@ runs ``hypersurface --max-degree 80 --meeting-table 40`` on it on the
 rational path, gated at 40 MB; its counts are not integers, which the CLI
 reports on stderr with exit code 0.
 
-The peak printed is the process's own: VmHWM from ``/proc/self/status``,
-or ``ru_maxrss`` (KiB on Linux) where that file is missing, so each run
-needs its own process; ``tests/test_peak_rss.py`` runs both in Tier-1.
-The exit status is nonzero on a nonzero CLI exit code and on a peak
-above the gate.  The wall time, from before ``import cy5bps.cli`` to
-the CLI's return, is printed only.
+The CLI writes its table to OUTPUT, or to ``/dev/null`` when it is
+left out.  The peak printed is the process's own: VmHWM from
+``/proc/self/status``, or ``ru_maxrss`` (KiB on Linux) where that file
+is missing, so each run needs its own process; ``tests/test_peak_rss.py``
+runs both in Tier-1, and the acceptance criteria read the table of the
+``local-p2`` run.  The first line printed is ``exit N, wall W s, peak
+RSS P MB``, with N the CLI's exit code.  The exit status is nonzero on
+a nonzero CLI exit code and on a peak above the gate.  The wall time,
+from before ``import cy5bps.cli`` to the CLI's return, is printed only.
 """
 
 import os
@@ -27,7 +30,7 @@ import tempfile
 import time
 
 
-def main(name: str) -> int:
+def main(name: str, output: str = os.devnull) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         if name == "local-p2":
             argv, limit_mb = ["local-p2", "--max-degree", "200"], 100
@@ -42,7 +45,7 @@ def main(name: str) -> int:
         start = time.perf_counter()
         from cy5bps import cli
 
-        rc = cli.main([*argv, "--output", "/dev/null"])
+        rc = cli.main([*argv, "--output", output])
         wall = time.perf_counter() - start
     try:
         with open("/proc/self/status") as fh:
@@ -60,6 +63,6 @@ def main(name: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in ("local-p2", "hypersurface"):
-        sys.exit("usage: peak_rss.py local-p2|hypersurface")
-    sys.exit(main(sys.argv[1]))
+    if len(sys.argv) not in (2, 3) or sys.argv[1] not in ("local-p2", "hypersurface"):
+        sys.exit("usage: peak_rss.py local-p2|hypersurface [OUTPUT]")
+    sys.exit(main(*sys.argv[1:]))

@@ -1,4 +1,4 @@
-"""Rank-1 truncated cohomology ring and its monomial classes.
+"""Rank-1 truncated cohomology ring and the powers of its generator.
 
 Models the even cohomology of a space with a single degree-2 generator
 H, where any power above ``top`` is zero.  Two rings appear in
@@ -6,15 +6,16 @@ practice: the compact hypersurface ring (top power 5, with the top
 intersection number t5, the integral of ``H^5``) and the local surface
 ring where ``H^3`` already vanishes (top power 2).
 
-Every insertion the recursions take is a scalar multiple of one power
-of H, so a class is the monomial ``coeff * H^power``, with no sums.
-Curve classes are plain positive integer degrees, under the
-normalization ``(H, line) = 1``.
+Every insertion the recursions take is one power of H, and the counts
+are linear in each insertion, so a class is the unit class ``H^power``
+alone: a caller who wants a multiple scales the count.  Curve classes
+are plain positive integer degrees, under the normalization
+``(H, line) = 1``.
 """
 
 from __future__ import annotations
 
-from .rational import Rat, exact, format_rational
+from .rational import Rat, exact
 from .record import FrozenRecord
 
 __all__ = [
@@ -54,16 +55,9 @@ class Ring(FrozenRecord):
             raise ValueError("top_integral must be nonzero (None for a local model)")
         self._freeze(top_power, top_integral)
 
-    def zero(self) -> "CohClass":
-        return CohClass(self, 0, 0)
-
-    def monomial(self, power: int, coeff=1) -> "CohClass":
-        """The class ``coeff * H^power``; the zero class when the power is
-        truncated away or coeff is 0."""
-        return CohClass(self, power, coeff)
-
     def H(self, power: int) -> "CohClass":
-        return self.monomial(power)
+        """The class ``H^power``, for a power from 0 to ``top_power``."""
+        return CohClass(self, power)
 
     def __repr__(self) -> str:
         t5 = "" if self.top_integral is None else f", top_integral={self.top_integral}"
@@ -71,37 +65,20 @@ class Ring(FrozenRecord):
 
 
 class CohClass(FrozenRecord):
-    """The monomial ``coeff * H^power`` of a rank-1 ring.
+    """The class ``H^power`` of a rank-1 ring, built by :meth:`Ring.H`.
 
-    The power must be a plain ``int`` (a bool, a float or a string raises
-    ValueError).  The coefficient is stored as a :data:`Rat`; an inexact
-    one (a float) raises ValueError.  The zero class is power 0 with
-    coefficient 0, and a power above the ring's top power or a zero
-    coefficient gives it.
+    The power is a plain ``int`` from 0 to the ring's top power; a bool,
+    a float, a string or a power outside that range raises ValueError.
     """
 
-    __slots__ = __match_args__ = ("ring", "power", "coeff")
+    __slots__ = __match_args__ = ("ring", "power")
 
-    def __init__(self, ring: Ring, power: int, coeff: Rat):
+    def __init__(self, ring: Ring, power: int):
         if type(power) is not int:
             raise ValueError(f"power must be an int, got {power!r}")
-        if power < 0:
-            raise ValueError(f"power must be >= 0, got {power}")
-        coeff = exact(coeff)
-        if power > ring.top_power or coeff == 0:
-            power, coeff = 0, Rat(0)
-        self._freeze(ring, power, coeff)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __mul__(self, scalar) -> "CohClass":
-        return CohClass(self.ring, self.power, self.coeff * scalar)
-
-    __rmul__ = __mul__
+        if not 0 <= power <= ring.top_power:
+            raise ValueError(f"power must be in 0..{ring.top_power}, got {power}")
+        self._freeze(ring, power)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        mono = "1" if self.power == 0 else ("H" if self.power == 1 else f"H^{self.power}")
-        return f"{format_rational(self.coeff)}*{mono}"
+        return "1" if self.power == 0 else ("H" if self.power == 1 else f"H^{self.power}")

@@ -29,9 +29,9 @@ public: each is written once, inside the one formula that subtracts it,
 C2 in n2B's and C1, C2 and C12 in m3's.
 
 Every count is exact: a Python ``int`` when its denominator is 1 and a
-:data:`Rat` otherwise.  Each (kind, degrees) key is memoized; results
-extend linearly in each cohomology insertion, so one value is stored
-per key with unit monomial insertions, in the kind's index table:
+:data:`Rat` otherwise.  Each (kind, degrees) key is memoized; every
+insertion is the unit class of its H-power, so one value is stored per
+key, in the kind's index table:
 ``_n1B[d]``, ``_n2A[d1][d2]`` or ``_m3[t][d1][d2]``, allocated when the
 engine is built, but for m3, which gains a level as each level is
 filled.  ``Engine.memo`` is a read-only mapping over the tables.
@@ -51,8 +51,8 @@ d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
 earlier in the same level: the formula runs for d1 <= d3 only.
 
 A public call is a validated lookup: the degrees are checked in one
-pass and index the kind's table, an insertion left out (or None) is the
-unit class, and a scale other than 1 costs one product; every formula
+pass and index the kind's table, and an insertion passed is checked to
+be the unit class that leaving it out (or None) means; every formula
 reads its terms by index.  m3, most of the keys (161,700 of
 189,650 at degree 100), answers a valid call at or below the filled
 level in its own frame: ``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2)
@@ -87,7 +87,7 @@ m3 reads' numerator and D where it has them, and is reduced once when
 stored.  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one
 pass, kept in a one-slot cache since the fill computes them in a row.
 
-Every insertion the formulas use is a monomial, so the geometry
+Every insertion the formulas use is one power of H, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
 a compact ring's Kunneth diagonal pairs H^2 with H^3/t5, so each
 diagonal term is one product of base-table entries divided by t5, and
@@ -208,10 +208,11 @@ class Engine:
     Evaluation is pure given (geometry, memo): recomputing any count
     with a fresh engine yields the identical value.  Public methods
     take degrees, then optionally an insertion per H-power p fixed by
-    the count type: None, the default, is the unit class H^p and returns
-    the stored count; a monomial ``s * H^p`` scales it by s, the zero
-    class gives zero by linearity, and any other power raises
-    InsertionDegreeError.
+    the count type: None, the default, or the unit class H^p of an
+    equal ring.  Either returns the stored count.  Another power, or
+    anything but a class, raises InsertionDegreeError, and a class of
+    another ring RingMismatchError; the counts are linear in each
+    insertion, so a caller scales the count instead.
 
     ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
     count with unit insertions, over the kinds' index tables.  An m3
@@ -265,19 +266,14 @@ class Engine:
 
     # -- validation, the memo and the fill -----------------------------------
 
-    def _scale(self, mu: CohClass, power: int):
-        """Scalar s with mu = s * H^power; 0 for the zero class."""
+    def _check_insertion(self, mu: CohClass, power: int):
+        """Refuse mu unless it is the unit class H^power of this ring."""
         if not isinstance(mu, CohClass):
             raise InsertionDegreeError(f"insertion must be a CohClass, got {mu!r}")
         if mu.ring != self.geometry.ring:
             raise RingMismatchError("insertion belongs to a different ring")
-        if mu.is_zero():
-            return 0
         if mu.power != power:
-            raise InsertionDegreeError(
-                f"insertion must be a multiple of H^{power}, got H^{mu.power}"
-            )
-        return _norm(mu.coeff)
+            raise InsertionDegreeError(f"insertion must be H^{power}, got H^{mu.power}")
 
     def _degrees(self, betas: tuple) -> int:
         """Validate the degrees and return their total."""
@@ -296,15 +292,12 @@ class Engine:
     def _count(self, table, betas: tuple, compute, insertions=()):
         """Answer a public call for the degrees ``betas`` of the kind stored
         in ``table``: validate the degrees and the (mu, power) insertions,
-        None being the unit class, then scale the unit value, computing and
-        storing it on a miss unless an insertion is zero."""
+        None being the unit class, then return the stored value, computing
+        and storing it on a miss."""
         total = self._degrees(betas)
-        s = 1
         for mu, power in insertions:
             if mu is not None:
-                s *= self._scale(mu, power)
-        if s == 0:
-            return 0
+                self._check_insertion(mu, power)
         row = table if len(betas) == 1 else table[betas[0]]
         d = betas[-1]
         value = row[d]
@@ -315,7 +308,7 @@ class Engine:
             if value is None:
                 value = row[d] = compute(*betas)
                 self.memo._size += 1
-        return value if s == 1 else _norm(s * value)
+        return value
 
     def _fill(self, top: int):
         """Fill every level from the first unfilled one up to ``top``."""
@@ -475,14 +468,15 @@ class Engine:
         # anything else is refused, or lies above the filled level, and the
         # fill stores it
         self._fill(self._degrees((beta1, beta2, beta3)))
-        return self.memo["m3", beta1, beta2, beta3]
+        level = self._m3[beta1 + beta2 + beta3]
+        return _ratio(level[beta1][beta2], level[0])
 
     def chern_integral(self, beta):
         """Integral of 2c2 - c1^2 over the family of embedded beta-curves:
         the genus-1 multiple-cover weight of the family."""
         return self._count(self._chern, (beta,), self._c_chern)
 
-    # -- canonical computations (unit monomial insertions) ------------------
+    # -- canonical computations (unit insertions) ---------------------------
     #
     # Each returns the weighted sum of its (weight, value) terms.
 

@@ -1,8 +1,39 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cy5bps import localp2_geometry, load_hypersurface_geometry
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_peak_rss_gate(name, output=None):
+    """Run ``.github/peak_rss.py name [output]`` and return the finished process.
+
+    The script reads the peak of its own process, so each run gets a fresh
+    interpreter, with ``src`` on its path and a DeprecationWarning raised in
+    the CLI made an error, as the in-process filter makes it one here.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONWARNINGS="error::DeprecationWarning")
+    args = [sys.executable, os.path.join(".github", "peak_rss.py"), name]
+    if output is not None:
+        args.append(str(output))
+    return subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+
+
+@pytest.fixture(scope="session")
+def local_p2_200_gate(tmp_path_factory):
+    """The session's one ``local-p2 --max-degree 200`` run: the peak-RSS
+    gate's, with the CLI's table written to a file.  Returns the finished
+    process and the table's path; the gate test asserts the exit status and
+    the acceptance criteria read the table."""
+    out = tmp_path_factory.mktemp("local200") / "local200.csv"
+    return run_peak_rss_gate("local-p2", out), out
 
 
 def gw_file_text(t5="7", c2="21", c3="-112", maxdeg=6, rows=None):

@@ -28,11 +28,12 @@ def correction_C2(engine, d1, d2):
         chains = sum((engine.m3(p, d1, gap - p) for p in range(1, gap)), Fraction(0))
         return (engine.n2D(gap, d1, H) + engine.n2B(gap, d1, H)
                 + d1 * engine.gamma2(gap, d1) + d1 * chains / 2)
-    # the 1-pointed count against c2*H and n1D against the class c2*H^2
+    # the 1-pointed count against c2*H and n1D against the class c2*H^2,
+    # which is c2 times n1D against H^2 by linearity
     splits = sum((4 * engine.n2D(p, d2 - p, H) + 5 * engine.n2B(p, d2 - p, H)
                   for p in range(1, d2)), Fraction(0))
     return (engine.n1E(d1, H) + d1 * engine.gamma1(d1) + g.c2 * g.n1pt[d1]
-            + engine.n1D(d1, H, g.c2 * H2) - splits / 2)
+            + g.c2 * engine.n1D(d1, H, H2) - splits / 2)
 
 
 def corrections_C3(engine, d1, d2, d3):

@@ -20,7 +20,7 @@ def _report():
 # how to build each record afresh, and its repr as the dataclass printed it
 RECORDS = {
     "Ring": (lambda: Ring(5, 7), "Ring(top_power=5, top_integral=7)"),
-    "CohClass": (lambda: Ring(5, 7).monomial(2, Fraction(3, 2)), "3/2*H^2"),
+    "CohClass": (lambda: Ring(5, 7).H(2), "H^2"),
     "Geometry": (
         lambda: localp2_geometry(3),
         "Geometry(ring=Ring(top_power=2), c2=Fraction(-3, 1), c3=Fraction(0, 1), "
@@ -40,7 +40,7 @@ RECORDS = {
 }
 FIELDS = {
     "Ring": ("top_power", "top_integral"),
-    "CohClass": ("ring", "power", "coeff"),
+    "CohClass": ("ring", "power"),
     "Geometry": ("ring", "c2", "c3", "n1pt", "n2pt", "gw_genus1", "max_degree"),
     "WeightTriple": ("a", "b", "c"),
     "BpsReport": ("max_degree", "n1", "n1_tilde", "chern", "integrality_failures"),
@@ -53,7 +53,7 @@ def _other_value(name):
     """A valid value, different from the built record's, for its last field."""
     return {
         "Ring": 8,
-        "CohClass": Fraction(5, 2),
+        "CohClass": 3,
         # max_degree 2: the record's series cover 1..3, so 4 would be refused
         "Geometry": 2,
         "WeightTriple": 5,
@@ -131,7 +131,7 @@ _REFUSED = [
     ("Ring", {"top_power": 0}, ValueError, "top_power must be an int >= 1, got 0"),
     ("Ring", {"top_integral": 0}, ValueError, "top_integral must be nonzero"),
     ("CohClass", {"power": 2.0}, ValueError, "power must be an int, got 2.0"),
-    ("CohClass", {"coeff": 0.5}, ValueError, "expected an exact rational, got 0.5"),
+    ("CohClass", {"ring": Ring(1)}, ValueError, r"power must be in 0\.\.1, got 2"),
     ("Geometry", {"c2": 0.5}, ValueError, "expected an exact rational, got 0.5"),
     ("Geometry", {"max_degree": 2.0}, ValueError, "max_degree must be a positive integer"),
     ("WeightTriple", {"c": Fraction(2, 4)}, WeightDegeneracyError, "pairwise distinct"),
@@ -154,9 +154,12 @@ def test_replace_and_unpickling_normalise_like_the_constructor():
     ring = Ring(5, 7)
     assert Ring(5, 7).replace(top_integral=Fraction(14, 2)) == ring
     assert type(ring.replace(top_integral=3).top_integral) is Fraction
-    # a truncated power gives the zero class on every path
-    assert ring.H(2).replace(power=6) == ring.zero()
-    assert pickle.loads(pickle.dumps(ring.zero())) == ring.zero()
+    # a class on an equal ring is the same class, and a power above the top
+    # is refused on every path
+    assert ring.H(2).replace(ring=Ring(5, Fraction(14, 2))) == ring.H(2)
+    assert pickle.loads(pickle.dumps(ring.H(5))) == ring.H(5)
+    with pytest.raises(ValueError, match=r"power must be in 0\.\.5, got 6"):
+        ring.H(2).replace(power=6)
     geometry = localp2_geometry(2).replace(c2=-3)
     assert type(geometry.c2) is Fraction
     triple = WeightTriple(0, 1, 3).replace(c=2)
