@@ -24,7 +24,7 @@ from .genus1 import compute_bps_table, martin_check
 from .geometry import GeometryFileError, load_hypersurface_geometry
 from .engine import Engine
 from .localp2 import localp2_geometry, verify_localization
-from .rational import format_rational, parse_integer, rational_pair
+from .rational import format_rational, parse_integer
 from .series import check_degree
 
 __all__ = ["main", "build_parser"]
@@ -119,8 +119,7 @@ def _plain(value):
 
 
 def _rational(value):
-    num, den = rational_pair(value)
-    return format_rational(value), {"num": num, "den": den}
+    return format_rational(value), {"num": value.numerator, "den": value.denominator}
 
 
 def _flag(value: bool):

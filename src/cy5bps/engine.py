@@ -40,11 +40,11 @@ The evaluation order is known in advance, so nothing recurses.  A
 count at total degree T reads counts below T, counts at T of a kind
 filled before it, and gamma2(a, b) and gamma1(d) with a + 2b = T and
 2d = T.  Level T is filled in that order: those gamma2 and gamma1 keys,
-m3 by ascending d1 then d2, n2A, n2B, the n2C/n2D/n2E triple of each
-(d1, d2), then n1B, n1C, n1D, n1F, n1E, n1G; chern, which nothing
-reads, only when called.  A miss at total degree T first fills every
-unfilled level up to T, so a cold call needs a few frames and the
-recursion limit is never touched.
+m3 by ascending d1 then d2, then for each (d1, d2) by ascending d1
+n2A, n2B, n2C, n2D and n2E, then n1B, n1C, n1D, n1F, n1E, n1G; chern,
+which nothing reads, only when called.  A miss at total degree T first
+fills every unfilled level up to T, so a cold call needs a few frames
+and the recursion limit is never touched.
 
 m3 is symmetric under reversing the chain, so m3(d1, d2, d3) with
 d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
@@ -331,12 +331,10 @@ class Engine:
                 # m3 at level t summed over D_{t-1}, the rest sums over D_t
                 self._seal(t)
                 self._rescale(t)
-                pairs = [(d1, t - d1) for d1 in range(1, t)]
-                for d1, d2 in pairs:
+                for d1 in range(1, t):
+                    d2 = t - d1
                     self.n2A(d1, d2)
-                for d1, d2 in pairs:
                     self.n2B(d1, d2)
-                for d1, d2 in pairs:
                     self.n2C(d1, d2)
                     self.n2D(d1, d2)
                     self.n2E(d1, d2)
@@ -354,10 +352,12 @@ class Engine:
         """Store level t's m3 values, once all are stored, as integer
         numerators over D_t = lcm(D_{t-1}, their denominators).
 
-        A level is sealed when its D is not 1, or when it and every level
-        below it hold only ints, which are their own numerators.  The
-        numerators are computed first and the level is replaced by one
-        store, so an interrupted seal leaves the values as they were."""
+        A level is left as it is when it is already sealed, or while no
+        m3 value yet is a :data:`Rat`: ints are their own numerators.
+        Once one is, its level's D is above 1 and every later D a multiple
+        of it.  The numerators are computed first and the level is
+        replaced by one store, so an interrupted seal leaves the values as
+        they were."""
         table = self._m3
         level = table[t]
         if level[0] != 1 or not self._m3_rational:
@@ -365,8 +365,6 @@ class Engine:
         # row d1 holds the chains with d1 <= d3 at d2 = 1..t - 2 d1
         den = lcm(table[t - 1][0], *[v.denominator for d1 in range(1, (t + 1) // 2)
                                      for v in level[d1][1:t - 2 * d1 + 1]])
-        if den == 1:
-            return
         sealed = [den]
         for d1 in range(1, t - 1):
             # the chains with d1 <= d3, then the reversed ones, each the

@@ -118,8 +118,5 @@ def martin_check(report: BpsReport) -> list[MartinRow]:
     for d in report.n1:
         predicted = martin_S(d) * martin_V(d)
         computed = report.n1[d]
-        match = computed == predicted
-        if d % 8 == 0:
-            match = match and computed == 0
-        rows.append(MartinRow(d, computed, predicted, match))
+        rows.append(MartinRow(d, computed, predicted, computed == predicted))
     return rows

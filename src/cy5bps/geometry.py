@@ -79,8 +79,8 @@ def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[object, objec
     """Chern coefficients (c2, c3) of a Calabi-Yau hypersurface by adjunction.
 
     Expands (1+H)^(ambient_dim+1) / (1 + hyp_degree*H) and returns the
-    coefficients of H^2 and H^3.  Requires hyp_degree == ambient_dim + 1
-    so that c1 vanishes.
+    coefficients of H^2 and H^3.  Requires hyp_degree == ambient_dim + 1,
+    which makes the H coefficient c1 vanish.
     """
     if hyp_degree != ambient_dim + 1:
         raise ValueError(
@@ -88,16 +88,14 @@ def hypersurface_chern(ambient_dim: int, hyp_degree: int) -> tuple[object, objec
             f"in P^{ambient_dim}, got {hyp_degree}"
         )
     m = ambient_dim + 1
-    coeffs = [
+    c2, c3 = (
         sum(
             Rat(math.comb(m, i)) * Rat(-hyp_degree) ** (j - i)
             for i in range(j + 1)
         )
-        for j in range(4)
-    ]
-    if coeffs[1] != 0:
-        raise ValueError("c1 did not vanish; inputs are not Calabi-Yau")
-    return coeffs[2], coeffs[3]
+        for j in (2, 3)
+    )
+    return c2, c3
 
 
 def _parse_header_fields(line: str, lineno: int) -> dict[str, str]:
@@ -175,8 +173,7 @@ def _parse_gw_file(path) -> tuple[object, object, object, int, int, dict[int, tu
         rows[d] = values
         expected += 1
     if expected <= maxdeg:
-        last = lines[-1][0] if lines else 1
-        raise GeometryFileError(last, f"missing degree {expected} of 1..{maxdeg}")
+        raise GeometryFileError(lines[-1][0], f"missing degree {expected} of 1..{maxdeg}")
     return t5, c2, c3, maxdeg, lines[1][0], rows
 
 

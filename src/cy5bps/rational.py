@@ -13,8 +13,7 @@ from fractions import Fraction as Rat
 from numbers import Rational
 
 __all__ = [
-    "Rat", "exact", "parse_integer", "parse_rational", "format_rational", "rational_pair",
-    "is_integer",
+    "Rat", "exact", "parse_integer", "parse_rational", "format_rational", "is_integer",
 ]
 
 # ASCII digits only: no underscores, no other Unicode digits, no signed denominator
@@ -60,11 +59,6 @@ def format_rational(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def rational_pair(value) -> tuple[int, int]:
-    """Return ``(numerator, denominator)`` (for JSON output)."""
-    return value.numerator, value.denominator
 
 
 def is_integer(value) -> bool:

@@ -77,11 +77,7 @@ def _factorize(d: int) -> list[tuple[int, int]]:
 
 def sigma(d: int) -> int:
     """Sum of divisors, sigma(d) = sum of i over i | d."""
-    check_degree(d)
-    result = 1
-    for p, k in _factorize(d):
-        result *= (p ** (k + 1) - 1) // (p - 1)
-    return result
+    return sum(divisors(d))
 
 
 def moebius(d: int) -> int:

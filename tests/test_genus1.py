@@ -1,5 +1,6 @@
 import pytest
 
+from cy5bps.engine import Engine
 from cy5bps.genus1 import BpsReport, compute_bps_table, martin_S, martin_V, martin_check
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, is_integer
@@ -54,6 +55,12 @@ def test_report_respects_max_degree():
         compute_bps_table(geometry, 0)
 
 
+def test_report_refuses_an_engine_of_another_geometry():
+    geometry = localp2_geometry(4)
+    with pytest.raises(ValueError, match="engine was built for a different geometry"):
+        compute_bps_table(geometry, 4, engine=Engine(localp2_geometry(4)))
+
+
 def test_zero_geometry_pipeline(zero_geometry):
     report = compute_bps_table(zero_geometry, zero_geometry.max_degree)
     assert all(v == 0 for v in report.n1.values())
@@ -99,8 +106,9 @@ def test_martin_check_rows(report12):
 
 
 def test_martin_check_reports_mismatch_without_raising(report12):
+    # S(8) = 0, so a nonzero value at d = 8 must not match
     doctored_n1 = DegreeSeries(
-        {d: (report12.n1[d] + 1 if d == 5 else report12.n1[d]) for d in report12.n1},
+        {d: (report12.n1[d] + 1 if d in (5, 8) else report12.n1[d]) for d in report12.n1},
         report12.max_degree,
     )
     doctored = BpsReport(
@@ -111,7 +119,7 @@ def test_martin_check_reports_mismatch_without_raising(report12):
         integrality_failures=(),
     )
     rows = martin_check(doctored)
-    assert [r.degree for r in rows if not r.match] == [5]
+    assert [r.degree for r in rows if not r.match] == [5, 8]
 
 
 def test_domain_errors():

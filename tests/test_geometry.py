@@ -122,6 +122,11 @@ def test_requested_degree_must_be_covered(write_gw_file):
         pytest.param(lambda t: t.replace("maxdeg=6", "maxdeg=6_0"), "maxdeg", id="maxdeg 6_0"),
         pytest.param(lambda t: t.replace("1 0 0 0", "\uff11 0 0 0"), "degree", id="degree fullwidth"),
         pytest.param(lambda t: t.replace("2 0 0 0", "0_2 0 0 0"), "degree", id="degree 0_2"),
+        pytest.param(lambda t: t.replace("t5=7 ", "t5=7 junk "), "key=value", id="token without ="),
+        pytest.param(lambda t: t.replace("t5=7 ", "t5=7 t5=7 "), "duplicate key", id="duplicate key"),
+        pytest.param(lambda t: "cy5-gw v1\n", "missing parameter line", id="magic line only"),
+        pytest.param(lambda t: t.replace("maxdeg=6", "maxdeg=0"), "maxdeg must be >= 1", id="maxdeg 0"),
+        pytest.param(lambda t: t + "7 0 0 0\n", "exceeds maxdeg", id="row past maxdeg"),
     ],
 )
 def test_malformed_files_are_line_diagnosed(write_gw_file, mutate, expected_fragment):

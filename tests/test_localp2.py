@@ -181,6 +181,15 @@ def test_verify_localization_retries_degenerate_draws():
     assert [r["degree"] for r in results] == list(range(1, 9))
 
 
+def test_verify_localization_gives_up_after_max_draws(monkeypatch):
+    def degenerate(d, w):
+        raise WeightDegeneracyError("degenerate")
+    monkeypatch.setattr(localp2, "localization_g0", degenerate)
+    with pytest.raises(WeightDegeneracyError,
+                       match="no admissible weight triple found in 200 draws at degree 1"):
+        verify_localization(1)
+
+
 @pytest.mark.parametrize("kwargs", [{"max_degree": 0}, {"max_degree": -3}])
 def test_verify_localization_rejects_vacuous_runs(kwargs):
     with pytest.raises(ValueError):

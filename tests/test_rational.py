@@ -12,7 +12,6 @@ from cy5bps.rational import (
     is_integer,
     parse_integer,
     parse_rational,
-    rational_pair,
 )
 
 
@@ -71,7 +70,6 @@ def test_round_trip_parse_format():
 
 
 def test_pair_and_integrality():
-    assert rational_pair(Rat(-3, 7)) == (-3, 7)
     assert is_integer(Rat(8, 2))
     assert not is_integer(Rat(1, 2))
 

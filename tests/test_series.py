@@ -103,6 +103,8 @@ def test_series_requires_dense_range():
         DegreeSeries({0: 1, 1: 1}, 1)
     with pytest.raises(SeriesError):
         DegreeSeries({}, 0)
+    with pytest.raises(SeriesError, match=r"degree 5 outside 1\.\.2"):
+        DegreeSeries({1: 0, 2: 0, 5: 0}, 2)
 
 
 def test_series_access_is_strict():
