@@ -66,26 +66,28 @@ wrapping those methods and watching ``len(engine.memo)`` grow.  An
 interrupted level keeps the values it stored, and its refill stores
 the rest.
 
-While a level's m3 loop runs, its table holds the values themselves,
-under D_t = 1.  Once the loop ends the level is sealed: each value
-becomes an integer numerator over D_t = lcm(D_{t-1}, the reduced
-denominators of the level's values), so D_s divides D_t for s <= t, and
-a reversed chain's entry stays the object of its chain.  Every m3 read
-of the fill is then an int: the n2C/n2D/n2E row sums are int sums over
-D_{d1+d2}, and n2B's m3 sums and m3's corrections are int
-multiply-adds over the last sealed level's D, each level's numerators
-scaled by one factor per level.  A read through ``m3`` or the memo
-divides by D_t, so it returns the reduced value, a new :data:`Rat`
-object each time on the rational path.  On local P^2 every D_t is 1:
-no level is sealed and nothing is scaled.
+Each level's m3 loop is opened at its denominator D_t, the lcm of
+D_{t-1} and the denominators of the loop's terms that are not m3 reads,
+so D_s divides D_t for s <= t.  Every m3 value of level t is computed
+as an integer numerator over D_t and stored as it is; a reversed chain's
+entry is the object of its chain.  When the loop ends the level is
+closed: its numerators and D_t are divided by their common factor with
+D_t / D_{t-1}, so D_t is least.  Every m3 read of the fill is an int:
+the n2C/n2D/n2E row sums are int sums over D_{d1+d2}, and n2B's m3 sums
+and m3's corrections are int multiply-adds over the current level's D,
+each level's numerators scaled by one factor per level.  A read through
+``m3`` or the memo divides by D_t, so it returns the reduced value, a
+new :data:`Rat` object each time on the rational path.  On local P^2
+every D_t is 1 and nothing is scaled.
 
-Every miss is one weighted sum of stored values, with integer weights or
-small products of the geometry's scalars.  An all-``int`` sum stays on
-``int``, so local P^2 runs on ``int`` throughout.  A rational sum is an
-integer numerator over a running common denominator, starting from the
-m3 reads' numerator and D where it has them, and is reduced once when
-stored.  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one
-pass, kept in a one-slot cache since the fill computes them in a row.
+Every other miss is one weighted sum of stored values, with integer
+weights or small products of the geometry's scalars.  An all-``int`` sum
+stays on ``int``, so local P^2 runs on ``int`` throughout.  A rational
+sum is an integer numerator over a running common denominator, starting
+from the m3 reads' numerator and D where it has them, and is reduced
+once when stored.  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p)
+in one pass, kept in a one-slot cache since the fill computes them in a
+row.
 
 Every insertion the formulas use is one power of H, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -117,6 +119,11 @@ def _ratio(num: int, den: int):
         return num
     q, r = divmod(num, den)
     return Rat(num, den) if r else q
+
+
+def _over(v, den: int) -> int:
+    """The numerator of v over den, a multiple of v's denominator."""
+    return v.numerator * (den // v.denominator)
 
 
 def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
@@ -225,9 +232,10 @@ class Engine:
     a miss on a filled level, and each public call stores at most its own
     key, so a wrapper on a public method sees each stored key exactly
     once.  A fill call costs its validation, one read of an empty slot,
-    the compute function (looked up on the instance) and the store.  An
-    interrupted level stays unfilled; its m3 values stay as stored,
-    sealed if the seal was reached.
+    the compute function (looked up on the instance) and the store; the
+    fill's m3 call returns None, as its value is stored as a numerator.
+    An interrupted level stays unfilled; its m3 values stay as stored,
+    numerators over its D_t.
     """
 
     def __init__(self, geometry: Geometry):
@@ -241,12 +249,12 @@ class Engine:
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
-        # the D of the last level sealed, which the fill's m3 reads are
+        # the D of the level being filled, which the fill's m3 reads are
         # summed over, and _factors[s] = _den // D_s (None while _den is 1)
         self._den, self._factors = 1, None
-        # set once an m3 value that may not be an int is computed: until
-        # then every level's D is 1 and no level needs sealing
-        self._m3_rational = False
+        # A_s, the lcm of level s's n2A denominators, and the level's base
+        # term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3} (compact only)
+        self._n2A_den, self._q = [1] * (geometry.max_degree + 1), None
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
         self._last_row = (None, None)
 
@@ -320,17 +328,12 @@ class Engine:
                     self.gamma2(t - 2 * b, b)
                 if t % 2 == 0:
                     self.gamma1(t // 2)
-                # an interrupted fill keeps level t's table and the m3 values
-                # stored in it, sealed or not; the refill stores the rest
-                if len(self._m3) == t:
-                    self._m3.append([1] + [[None] * (t - d1) for d1 in range(1, t - 1)])
+                self._open(t)
                 m3 = self.m3
                 for d1 in range(1, t - 1):
                     for d2 in range(1, t - d1):
                         m3(d1, d2, t - d1 - d2)
-                # m3 at level t summed over D_{t-1}, the rest sums over D_t
-                self._seal(t)
-                self._rescale(t)
+                self._close(t)
                 for d1 in range(1, t):
                     d2 = t - d1
                     self.n2A(d1, d2)
@@ -348,39 +351,58 @@ class Engine:
                 self._level = t - 1
                 raise
 
-    def _seal(self, t: int):
-        """Store level t's m3 values, once all are stored, as integer
-        numerators over D_t = lcm(D_{t-1}, their denominators).
+    def _open(self, t: int):
+        """Allocate level t at D_t, unless an interrupted fill left it, and
+        set what its m3 loop sums over: ``_den`` = D_t, ``_factors``, ``_q``.
 
-        A level is left as it is when it is already sealed, or while no
-        m3 value yet is a :data:`Rat`: ints are their own numerators.
-        Once one is, its level's D is above 1 and every later D a multiple
-        of it.  The numerators are computed first and the level is
-        replaced by one store, so an interrupted seal leaves the values as
-        they were."""
+        D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, the denominators
+        of the diagonal terms of ``_c_m3``), P_d being n1pt_t5[d]'s.  A
+        level left by an interrupted fill keeps its stored D_t: its
+        numerators are over it, and once closed it may be below the lcm."""
+        table, n2A, t5, A = self._m3, self._n2A, self._n1pt_t5, self._n2A_den
+        A[t - 1] = lcm(*[n2A[d1][t - 1 - d1].denominator for d1 in range(1, t - 1)])
+        if len(table) == t:
+            gamma2, c2_den = self._gamma2, self._c2.denominator
+            # the base terms, then the diagonal ones: d3 = d1, d3 = d2 >= d1
+            # (n2E(d1, d2)'s denominator divides D_{d1+d2}) and d3 = d1 + d2
+            dens = [] if t5 is None else [A[s] * t5[t - s].denominator for s in range(2, t)]
+            dens += [gamma2[t - 2 * d1][d1].denominator for d1 in range(1, (t + 1) // 2)]
+            dens += [c2_den * n2A[t - 2 * d2][d2].denominator
+                     for d2 in range((t + 2) // 3, (t + 1) // 2)]
+            if t % 2 == 0:
+                dens += [gamma2[t // 2 - d1][d1].denominator for d1 in range(1, t // 2)]
+            table.append([lcm(table[t - 1][0], *dens)]
+                         + [[None] * (t - d1) for d1 in range(1, t - 1)])
+        den = self._den = table[t][0]
+        self._factors = None if den == 1 else [den // level[0] for level in table[:t + 1]]
+        if t5 is not None:
+            self._q = [0] + [p.numerator * (den // (A[t - d3] * p.denominator))
+                             for d3, p in enumerate(t5[1:t - 1], 1)]
+
+    def _close(self, t: int):
+        """Divide level t's numerators and D_t by h = gcd(D_t / D_{t-1}, the
+        numerators), so that D_t is the least denominator of the values at
+        levels <= t.  The level is replaced by one store."""
         table = self._m3
         level = table[t]
-        if level[0] != 1 or not self._m3_rational:
-            return
+        h = level[0] // table[t - 1][0]
         # row d1 holds the chains with d1 <= d3 at d2 = 1..t - 2 d1
-        den = lcm(table[t - 1][0], *[v.denominator for d1 in range(1, (t + 1) // 2)
-                                     for v in level[d1][1:t - 2 * d1 + 1]])
-        sealed = [den]
+        for d1 in range(1, (t + 1) // 2):
+            if h == 1:
+                return
+            h = gcd(h, *level[d1][1:t - 2 * d1 + 1])
+        if h == 1:
+            return
+        closed = [level[0] // h]
         for d1 in range(1, t - 1):
             # the chains with d1 <= d3, then the reversed ones, each the
-            # object of its chain (d3, d2, d1), in a row already sealed
-            row = [None] + [v.numerator * (den // v.denominator)
-                            for v in level[d1][1:max(t - 2 * d1 + 1, 1)]]
-            row += [sealed[t - d1 - d2][d2] for d2 in range(len(row), t - d1)]
-            sealed.append(row)
-        table[t] = sealed
-
-    def _rescale(self, t: int):
-        """Sum the m3 reads over level t's denominator from here on."""
-        table = self._m3
-        den = table[t][0]
-        self._den = den
-        self._factors = None if den == 1 else [den // level[0] for level in table[:t + 1]]
+            # object of its chain (d3, d2, d1), in a row already closed
+            row = [None] + [v // h for v in level[d1][1:max(t - 2 * d1 + 1, 1)]]
+            row += [closed[t - d1 - d2][d2] for d2 in range(len(row), t - d1)]
+            closed.append(row)
+        table[t] = closed
+        self._den = closed[0]
+        self._factors = [f // h for f in self._factors[:t]] + [1]
 
     # -- public counts -----------------------------------------------------
 
@@ -450,7 +472,8 @@ class Engine:
 
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
-        meeting at nodes."""
+        meeting at nodes.  The fill's own call, which stores the value as a
+        numerator over its level's denominator, returns None."""
         # most keys are m3: a valid call at or below the filled level (so at
         # most max_degree) is answered from the level table in this frame
         if (type(beta1) is type(beta2) is type(beta3) is int and beta1 > 0 and beta2 > 0
@@ -458,11 +481,12 @@ class Engine:
             level = self._m3[beta1 + beta2 + beta3]
             row = level[beta1]
             value = row[beta2]
-            if value is None:
-                value = row[beta2] = self._c_m3(beta1, beta2, beta3)
-                self.memo._size += 1
-                return value
-            return _ratio(value, level[0])
+            if value is not None:
+                return _ratio(value, level[0])
+            # only the fill's own call misses here: the levels below are whole
+            row[beta2] = self._c_m3(beta1, beta2, beta3)
+            self.memo._size += 1
+            return None
         # anything else is refused, or lies above the filled level, and the
         # fill stores it
         self._fill(self._degrees((beta1, beta2, beta3)))
@@ -568,7 +592,7 @@ class Engine:
 
         Returns ``[num_C, num_D, num_E, den]``, three numerators over the
         level's denominator D_{d1 + d2}, from the sums s_k = sum p^k v_p of
-        the sealed numerators as s2, d2 (d2 s1 - s2), s0.  The fill
+        the closed level's numerators as s2, d2 (d2 s1 - s2), s0.  The fill
         computes n2C, n2D and n2E of one (d1, d2) back to back, so one
         cached row serves all three."""
         key, row = self._last_row
@@ -610,23 +634,23 @@ class Engine:
                               (1, n2C[d1][d2]), (1, n2C[d2][d1])))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
-        # base - C1 - C2 - C12, with the excess corrections C1 = x1,
-        # C2 = -(x2 + x3) and C12 = -x4: each x is an m3 read from level l
-        # (m3(a, b, c) is m3[a + b + c][a][b], a numerator over D_l) or,
-        # where its correction has no m3 chain, terms of stored values
-        m3 = self._m3
+        # base - C1 - C2 - C12 as a numerator over D_t, with the excess
+        # corrections C1 = x1, C2 = -(x2 + x3) and C12 = -x4: each x is an m3
+        # read from level l < t (m3(a, b, c) is m3[a + b + c][a][b], a
+        # numerator over D_l) or, where its correction has no m3 chain, the
+        # numerator over D_t of stored values (l = t)
+        m3, den = self._m3, self._den
         if d1 > d3:
             # the reversed chain, stored earlier in this level's ascending rows
             return m3[d1 + d2 + d3][d3][d2]
-        # the base term n2A * n1pt[d3] / t5
-        terms = [] if self._n1pt_t5 is None else [(self._n2A[d1][d2], self._n1pt_t5[d3])]
         x1 = x2 = x3 = x4 = l1 = l2 = l3 = l4 = 0
 
         if d3 > d1:
             l1 = d3 + d2
             x1 = m3[l1][d3 - d1][d1]
         else:
-            terms.append((-1, self._gamma2[d2][d1]))
+            l1 = d1 + d2 + d3
+            x1 = _over(self._gamma2[d2][d1], den)
 
         if d3 > d2:
             l2 = d1 + d3
@@ -637,7 +661,10 @@ class Engine:
             x2, x3 = row[d3], row[d2 - d3]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2)
-            terms += ((self._c2, self._n2A[d1][d2]), (2, self._n2E[d1][d2]))
+            c2 = self._c2
+            l2 = d1 + d2 + d3
+            x2 = (_over(self._n2A[d1][d2], den // c2.denominator) * c2.numerator
+                  + 2 * _over(self._n2E[d1][d2], den))
 
         if d3 > d1 + d2:
             l4 = d3
@@ -646,20 +673,20 @@ class Engine:
             l4 = d1 + d2
             x4 = m3[l4][d1 + d2 - d3][d3 - d2]
         elif d3 == d1 + d2:
-            terms.append((1, self._gamma2[d2][d1]))
+            l4 = 2 * d3
+            x4 = _over(self._gamma2[d2][d1], den)
 
-        # the m3 reads over D_{t-1}, each level's numerators scaled to it
         factors = self._factors
         if factors is None:
             num = x2 + x3 + x4 - x1
-            if not terms:
-                return num
         else:
             num = x2 * factors[l2] + x3 * factors[l3] + x4 * factors[l4] - x1 * factors[l1]
-        value = _weighted_sum(terms, 1, num, self._den)
-        if type(value) is not int:
-            self._m3_rational = True
-        return value
+        if self._q is None:
+            return num
+        # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}
+        # times _q[d3]
+        a = self._n2A[d1][d2]
+        return num + a.numerator * (self._n2A_den[d1 + d2] // a.denominator) * self._q[d3]
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end

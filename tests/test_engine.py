@@ -427,35 +427,44 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     assert engine.memo == fresh.memo
 
 
-@pytest.mark.parametrize("compute_name,key,sealed", [
-    ("_c_m3", (2, 3, 2), False),  # in level 7's m3 loop, before its seal
-    ("_c_n2A", (3, 4), True),  # in its n2A loop, after the seal
+@pytest.mark.parametrize("compute_name,key,m3_loop_done", [
+    ("_c_m3", (2, 3, 2), False),  # in level 7's m3 loop
+    ("_c_n2A", (3, 4), True),  # in its n2A loop, after the level is closed
 ])
 def test_interrupted_rational_fill_refills_to_the_fresh_values(
-        rational_geometry_12, compute_name, key, sealed):
+        rational_geometry_12, compute_name, key, m3_loop_done):
     engine = Engine(rational_geometry_12)
     _interrupt(engine, compute_name, key)
     with pytest.raises(KeyboardInterrupt):
         engine.chern_integral(7)
     delattr(engine, compute_name)
     assert engine._level == 6
-    # level 6 holds numerators over its denominator, level 7 its values as
-    # computed until the seal, and numerators over D_7 after it
-    assert engine._m3[6][0] > 1
-    assert (engine._m3[7][0] > 1) is sealed
-    assert (("m3", 3, 1, 3) in engine.memo) is sealed
-    assert ("m3", 2, 2, 3) in engine.memo and key not in engine.memo
+    assert (("m3", 3, 1, 3) in engine.memo) is m3_loop_done
+    assert ("m3", 2, 2, 3) in engine.memo and (compute_name[3:], *key) not in engine.memo
+    # level 7 holds numerators over D_7 > 1 from the start of its m3 loop,
+    # so the memo reads of its stored keys are already the values
+    assert engine._m3[6][0] > 1 and engine._m3[7][0] > 1
+    fresh = Engine(rational_geometry_12)
+    fresh.chern_integral(7)
+    stored = {k: v for k, v in engine.memo.items() if k[0] == "m3" and sum(k[1:]) == 7}
+    assert ("m3", 2, 2, 3) in stored
+    assert all(fresh.memo[k] == v for k, v in stored.items())
     engine.chern_integral(12)
     _assert_m3_table_is_the_memo(engine)
     fresh = Engine(rational_geometry_12)
     for d in range(1, 13):
         assert engine.chern_integral(d) == fresh.chern_integral(d)
     assert engine.memo == fresh.memo
+    assert [level[0] for level in engine._m3] == [level[0] for level in fresh._m3]
 
 
-@pytest.mark.parametrize("fixture", ["synthetic_geometry", "rational_geometry_12"])
-def test_level_denominators_are_cumulative_and_least(request, fixture):
-    geometry = request.getfixturevalue(fixture)
+# rational_geometry_12 is seed 5 of random_gw_text; the levels that the
+# close reduces are 9 on seed 0, 6 and 7 on seed 1, 3, 4, 6 and 9 on seed 2,
+# and 7, 8 and 9 on seed 5
+@pytest.mark.parametrize("source", ["synthetic_geometry", 0, 1, 2, "rational_geometry_12"])
+def test_level_denominators_are_cumulative_and_least(request, write_gw_file, source):
+    geometry = (request.getfixturevalue(source) if isinstance(source, str) else
+                load_hypersurface_geometry(write_gw_file(random_gw_text(source, 12)), 12))
     engine = Engine(geometry)
     engine.chern_integral(geometry.max_degree)
     dens = [level[0] for level in engine._m3]
@@ -478,9 +487,8 @@ def local_engine_100():
 
 
 def test_integer_levels_are_never_sealed(local_engine_100):
-    # every m3 value is an int, so every level's denominator stays 1 and
-    # each table entry is the value itself
-    assert not local_engine_100._m3_rational
+    # every m3 value is an int, so every level's denominator is 1 and each
+    # table entry is the value itself
     assert all(level[0] == 1 for level in local_engine_100._m3)
     assert all(type(v) is int for level in local_engine_100._m3[1:]
                for row in level[1:] for v in row[1:])
@@ -759,7 +767,7 @@ def test_exact_sum_matches_builtin_sum(terms):
 @example([(Rat(1, 2), Rat(1, 2))], 2, 3, 4)
 def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
     # rational weights, a running start num/den and a negative divisor are
-    # the forms the engine's products, row sums and m3 base term take
+    # the forms n2A's base term, the row sums and n2B's sum take
     total = _weighted_sum(terms, divisor, num, den)
     expected = (Rat(num, den) + sum(w * v for w, v in terms)) / divisor
     assert total == expected
@@ -772,7 +780,7 @@ def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
 @example([1, 3, -2, 5], 12)
 def test_row_sums_match_fraction_sums(nums, den):
     # _row against plain Fraction sums: v_p is nums[p - 1] / den, planted as
-    # the sealed m3 row m3(1, d2 - p, p) of numerators over the level's den
+    # the closed m3 row m3(1, d2 - p, p) of numerators over the level's den
     engine = Engine(localp2_geometry(2))
     d2 = len(nums) + 1
     engine._m3 = [None] * (d2 + 1) + [[den, [None] + nums[::-1]]]

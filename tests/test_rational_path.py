@@ -50,11 +50,17 @@ def test_hypersurface_rational_output_is_pinned(write_gw_file, capsys, fmt):
 ORACLE_DEGREE = 12
 
 
-@pytest.fixture(params=["random-rational", "local-p2"])
+# the pinned seed and three more; on each the engine reduces the
+# denominators of some m3 levels once their m3 loop ends
+ORACLE_SEEDS = {"random-rational": SEED, "random-rational-0": 0, "random-rational-1": 1,
+                "random-rational-5": 5}
+
+
+@pytest.fixture(params=[*ORACLE_SEEDS, "local-p2"])
 def oracle_engine(request, write_gw_file, local_geometry_12):
     if request.param == "local-p2":
         return Engine(local_geometry_12)
-    path = write_gw_file(random_gw_text(SEED, ORACLE_DEGREE))
+    path = write_gw_file(random_gw_text(ORACLE_SEEDS[request.param], ORACLE_DEGREE))
     return Engine(load_hypersurface_geometry(path, ORACLE_DEGREE))
 
 
