@@ -53,41 +53,35 @@ earlier in the same level: the formula runs for d1 <= d3 only.
 A public call is a validated lookup: the degrees are checked in one
 pass and index the kind's table, and an insertion passed is checked to
 be the unit class that leaving it out (or None) means; every formula
-reads its terms by index.  m3, most of the keys (161,700 of
-189,650 at degree 100), answers a valid call at or below the filled
-level in its own frame: ``_m3[t][d1][d2]`` is m3(d1, d2, t - d1 - d2)
-times the level's denominator D_t = ``_m3[t][0]``, or None until
-stored.  m3 is read O(D^3) times: by the corrections of every computed
-m3 key, the n2C/n2D/n2E row sums, and n2B's two m3 sums (its own and
-its C2's).  The fill stores every key, reversed m3 chains too, by one
+reads its terms by index.  m3, most of the keys (161,700 of 189,650 at
+degree 100), answers a valid call at or below the filled level in its
+own frame.  The fill stores every key, reversed m3 chains too, by one
 call of its public method, looked up on the class, and that call stores
 its own key: ``perfbench/tracer.py`` counts the entries of each kind by
 wrapping those methods and watching ``len(engine.memo)`` grow.  An
-interrupted level keeps the values it stored, and its refill stores
-the rest.
+interrupted level keeps the values it stored, and its refill stores the
+rest over the same denominators.
 
-Each level's m3 loop is opened at its denominator D_t, the lcm of
-D_{t-1} and the denominators of the loop's terms that are not m3 reads,
-so D_s divides D_t for s <= t.  Every m3 value of level t is computed
-as an integer numerator over D_t and stored as it is; a reversed chain's
-entry is the object of its chain.  When the loop ends the level is
-closed: its numerators and D_t are divided by their common factor with
-D_t / D_{t-1}, so D_t is least.  Every m3 read of the fill is an int:
-the n2C/n2D/n2E row sums are int sums over D_{d1+d2}, and n2B's m3 sums
-and m3's corrections are int multiply-adds over the current level's D,
-each level's numerators scaled by one factor per level.  A read through
-``m3`` or the memo divides by D_t, so it returns the reduced value, a
-new :data:`Rat` object each time on the rational path.  On local P^2
-every D_t is 1 and nothing is scaled.
+m3 and the two-degree kinds store an integer numerator over one
+denominator per kind and level, fixed before the level's loop from the
+denominators of the terms its formula reads: D_t = ``_m3[t][0]`` for m3
+at t = d1 + d2 + d3, D_s dividing D_t for s <= t, and ``_n2A[0][t]``
+.. ``_n2E[0][t]`` for n2A-n2E at t = d1 + d2, with headroom for n2B's
+divisor -2 and n2C's and n2D's d2^2.  So every formula is an int
+multiply-add, each read scaled by one factor per level.  When its loop
+ends a level is closed: its numerators and denominator are divided by
+their common factor, so D_t is least and no headroom spreads to the
+levels that read it.  gamma2(a, b), filled at level a + 2b, is over
+``_gamma2[0][a + b]``, fixed when level a + b closes.  A read through a
+count method or the memo divides, so it returns the reduced value; the
+fill's own call of m3 or of a two-degree kind returns None.  A level
+whose terms are all integral, as every level of local P^2, is on the int
+path: every denominator is 1 and each value is stored as it is.
 
-Every other miss is one weighted sum of stored values, with integer
-weights or small products of the geometry's scalars.  An all-``int`` sum
-stays on ``int``, so local P^2 runs on ``int`` throughout.  A rational
-sum is an integer numerator over a running common denominator, starting
-from the m3 reads' numerator and D where it has them, and is reduced
-once when stored.  n2C, n2D and n2E sum the same m3 row m3(d1, d2-p, p)
-in one pass, kept in a one-slot cache since the fill computes them in a
-row.
+A 1-component count is one weighted sum of stored values, its two-degree
+reads summed first on their numerators, reduced once when stored.  n2C,
+n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a
+one-slot cache since the fill computes them in a row.
 
 Every insertion the formulas use is one power of H, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -121,19 +115,17 @@ def _ratio(num: int, den: int):
     return Rat(num, den) if r else q
 
 
-def _over(v, den: int) -> int:
-    """The numerator of v over den, a multiple of v's denominator."""
-    return v.numerator * (den // v.denominator)
+def _numerator(den: int, x, y=1) -> int:
+    """The numerator of x * y over den, a multiple of their denominators."""
+    return x.numerator * y.numerator * (den // (x.denominator * y.denominator))
 
 
 def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
     """(num/den + the sum of w*v over the (w, v) terms) / divisor, normalised.
 
-    Weights and values are exact numbers; in the hot sums the weight is
-    an int.  An int term is added on int arithmetic.  A rational term is
-    folded in as an integer numerator over the running common
-    denominator: its weight is multiplied into the numerator.  The
-    result is reduced once.
+    Weights and values are exact numbers.  An int term is added on int
+    arithmetic, a rational one folded in as an integer numerator over the
+    running common denominator.  The result is reduced once.
     """
     for w, v in terms:
         if type(v) is int and type(w) is int:
@@ -156,8 +148,9 @@ class _Memo(Mapping):
     to the count with unit insertions.
 
     ``_tables`` holds each kind's index table: ``[d]``, ``[d1][d2]`` with
-    d1 + d2 <= max_degree, or m3's levels, starting from level 0.  The
-    engine writes the tables and counts each value it stores in ``_size``.
+    d1 + d2 <= max_degree over the level's denominator ``[0][d1 + d2]``,
+    or m3's levels, starting from level 0.  The engine writes the tables
+    and counts each value it stores in ``_size``.
     A key is found only with a known kind, its number of ``int`` degrees,
     each at least 1 and summing to at most max_degree, and a stored value.
     Iteration goes kind by kind, each kind's keys by ascending degrees.
@@ -169,7 +162,8 @@ class _Memo(Mapping):
         self._max_degree, self._size = max_degree, 0
         rows = range(1, max_degree)
         self._tables = {kind: ([None] * (max_degree + 1) if ndeg == 1 else [[1]] if ndeg == 3
-                               else [None] + [[None] * (max_degree + 1 - d1) for d1 in rows])
+                               else [[None] * (max_degree + 1)]
+                               + [[None] * (max_degree + 1 - d1) for d1 in rows])
                         for kind, ndeg in _KINDS.items()}
 
     def __len__(self) -> int:
@@ -190,7 +184,7 @@ class _Memo(Mapping):
             elif total <= self._max_degree:
                 value = table[key[1]] if len(key) == 2 else table[key[1]][key[2]]
                 if value is not None:
-                    return value
+                    return value if len(key) == 2 else _ratio(value, table[0][total])
         raise KeyError(key)
 
     def __iter__(self):
@@ -222,40 +216,41 @@ class Engine:
     insertion, so a caller scales the count instead.
 
     ``memo`` is a read-only view mapping ``(kind, *degrees)`` to the
-    count with unit insertions, over the kinds' index tables.  An m3
-    value is stored as a numerator over its level's denominator, so on
-    the rational path each read of it, through ``m3`` or ``memo``, builds
-    a new :data:`Rat` equal to the last.  Every public call validates its
-    degrees and insertions, hit or miss, before it indexes a table.  A
-    miss at total degree T first fills every unfilled level up to T, each
-    key by a public call with its degrees only: every value is computed as
-    a miss on a filled level, and each public call stores at most its own
-    key, so a wrapper on a public method sees each stored key exactly
-    once.  A fill call costs its validation, one read of an empty slot,
-    the compute function (looked up on the instance) and the store; the
-    fill's m3 call returns None, as its value is stored as a numerator.
-    An interrupted level stays unfilled; its m3 values stay as stored,
-    numerators over its D_t.
+    count with unit insertions, over the kinds' index tables.  An m3 or
+    two-degree value is stored as a numerator over its level's
+    denominator, so on the rational path each read of it, through its
+    method or ``memo``, builds a new :data:`Rat` equal to the last.  Every
+    public call validates its degrees and insertions, hit or miss, before
+    it indexes a table.  A miss at total degree T first fills every
+    unfilled level up to T, each key by a public call with its degrees
+    only, which stores at most its own key, so a wrapper on a public
+    method sees each stored key exactly once.  A fill call costs its
+    validation, one read of an empty slot, the compute function (looked
+    up on the instance) and the store; the fill's call of m3 or of a
+    two-degree kind returns None, as it stores a numerator.  An
+    interrupted level stays unfilled, its values stored over the
+    denominators its refill reuses.
     """
 
     def __init__(self, geometry: Geometry):
         self.geometry = geometry
         self.memo = _Memo(geometry.max_degree)
-        # each kind's table as self._<kind>: _n1B[d], _n2A[d1][d2], and the m3
-        # level tables, _m3[t][d1][d2] for m3(d1, d2, t - d1 - d2) over the
-        # level's denominator _m3[t][0] (None until stored; index 0 unused)
+        # each kind's table as self._<kind>: _n1B[d], _n2A[d1][d2] over
+        # _n2A[0][d1 + d2], and _m3[t][d1][d2] for m3(d1, d2, t - d1 - d2) over
+        # _m3[t][0] (None until stored); at most 29 attributes, as CPython 3.11
+        # shares an instance dict's keys, and specializes reads on them, below 30
         for kind, table in self.memo._tables.items():
             setattr(self, "_" + kind, table)
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
-        # the D of the level being filled, which the fill's m3 reads are
-        # summed over, and _factors[s] = _den // D_s (None while _den is 1)
-        self._den, self._factors = 1, None
-        # A_s, the lcm of level s's n2A denominators, and the level's base
-        # term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3} (compact only)
-        self._n2A_den, self._q = [1] * (geometry.max_degree + 1), None
-        # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E, den])
+        # the m3 loop's factors, _factors[s] = D_t // D_s (None while D_t is
+        # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3}
+        self._factors = self._q = None
+        # the pair loop's (b, L / d^2 or None on an int-path level, n2C's and
+        # n2D's scales), and the mark of an int-path level that stored a Rat
+        self._scales = self._rats = None
+        # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E])
         self._last_row = (None, None)
 
         self._c2 = _norm(geometry.c2)
@@ -264,13 +259,12 @@ class Engine:
         # multiples for the diagonal terms (None when there is no diagonal)
         degrees = range(1, geometry.max_degree + 1)
         self._n1pt = [0] + [_norm(geometry.n1pt[d]) for d in degrees]
-        self._n2pt = [0] + [_norm(geometry.n2pt[d]) for d in degrees]
         t5 = geometry.ring.top_integral
         if t5 is None:
             self._n1pt_t5 = self._n2pt_t5 = None
         else:
             self._n1pt_t5 = [0] + [_norm(self._n1pt[d] / t5) for d in degrees]
-            self._n2pt_t5 = [0] + [_norm(self._n2pt[d] / t5) for d in degrees]
+            self._n2pt_t5 = [0] + [_norm(geometry.n2pt[d] / t5) for d in degrees]
 
     # -- validation, the memo and the fill -----------------------------------
 
@@ -297,11 +291,13 @@ class Engine:
             )
         return total
 
-    def _count(self, table, betas: tuple, compute, insertions=()):
+    def _count(self, table, betas: tuple, compute, insertions=(), lag=0):
         """Answer a public call for the degrees ``betas`` of the kind stored
         in ``table``: validate the degrees and the (mu, power) insertions,
         None being the unit class, then return the stored value, computing
-        and storing it on a miss."""
+        and storing it on a miss.  A two-degree value is a numerator over its
+        level's ``table[0][total]``; the fill's own call, at level total +
+        ``lag``, returns None."""
         total = self._degrees(betas)
         for mu, power in insertions:
             if mu is not None:
@@ -316,7 +312,9 @@ class Engine:
             if value is None:
                 value = row[d] = compute(*betas)
                 self.memo._size += 1
-        return value
+                if len(betas) == 2 and total + lag == self._level:
+                    return None
+        return value if len(betas) == 1 else _ratio(value, table[0][total])
 
     def _fill(self, top: int):
         """Fill every level from the first unfilled one up to ``top``."""
@@ -334,6 +332,7 @@ class Engine:
                     for d2 in range(1, t - d1):
                         m3(d1, d2, t - d1 - d2)
                 self._close(t)
+                self._open_pairs(t)
                 for d1 in range(1, t):
                     d2 = t - d1
                     self.n2A(d1, d2)
@@ -341,6 +340,7 @@ class Engine:
                     self.n2C(d1, d2)
                     self.n2D(d1, d2)
                     self.n2E(d1, d2)
+                self._close_pairs(t)
                 self.n1B(t)
                 self.n1C(t)
                 self.n1D(t)
@@ -353,27 +353,25 @@ class Engine:
 
     def _open(self, t: int):
         """Allocate level t at D_t, unless an interrupted fill left it, and
-        set what its m3 loop sums over: ``_den`` = D_t, ``_factors``, ``_q``.
+        set what its m3 loop sums over: ``_factors`` and ``_q``.
 
         D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, the denominators
-        of the diagonal terms of ``_c_m3``), P_d being n1pt_t5[d]'s.  A
-        level left by an interrupted fill keeps its stored D_t: its
-        numerators are over it, and once closed it may be below the lcm."""
-        table, n2A, t5, A = self._m3, self._n2A, self._n1pt_t5, self._n2A_den
-        A[t - 1] = lcm(*[n2A[d1][t - 1 - d1].denominator for d1 in range(1, t - 1)])
+        of the diagonal terms of ``_c_m3``), A_s = ``_n2A[0][s]`` and P_d
+        n1pt_t5[d]'s.  A level left by an interrupted fill keeps its stored
+        D_t: its numerators are over it, and once closed it may be below."""
+        table, t5, A, G = self._m3, self._n1pt_t5, self._n2A[0], self._gamma2[0]
         if len(table) == t:
-            gamma2, c2_den = self._gamma2, self._c2.denominator
-            # the base terms, then the diagonal ones: d3 = d1, d3 = d2 >= d1
-            # (n2E(d1, d2)'s denominator divides D_{d1+d2}) and d3 = d1 + d2
+            # the base terms, then the diagonal ones: gamma2 at level t - d1
+            # (d3 = d1) and t/2 (d3 = d1 + d2), each key's G_s reduced, and c2
+            # n2A at level t - d2 (d3 = d2 >= d1; n2E's divides D_{t-d2})
             dens = [] if t5 is None else [A[s] * t5[t - s].denominator for s in range(2, t)]
-            dens += [gamma2[t - 2 * d1][d1].denominator for d1 in range(1, (t + 1) // 2)]
-            dens += [c2_den * n2A[t - 2 * d2][d2].denominator
-                     for d2 in range((t + 2) // 3, (t + 1) // 2)]
-            if t % 2 == 0:
-                dens += [gamma2[t // 2 - d1][d1].denominator for d1 in range(1, t // 2)]
+            keys = [(t - d1, t - 2 * d1, d1) for d1 in range(1, (t + 1) // 2)]
+            keys += [(t // 2, t // 2 - d1, d1) for d1 in range(1, t // 2)] if t % 2 == 0 else []
+            dens += [G[s] // gcd(G[s], self._gamma2[a][b]) for s, a, b in keys]
+            dens += [self._c2.denominator * A[t - d2] for d2 in range((t + 2) // 3, (t + 1) // 2)]
             table.append([lcm(table[t - 1][0], *dens)]
                          + [[None] * (t - d1) for d1 in range(1, t - 1)])
-        den = self._den = table[t][0]
+        den = table[t][0]
         self._factors = None if den == 1 else [den // level[0] for level in table[:t + 1]]
         if t5 is not None:
             self._q = [0] + [p.numerator * (den // (A[t - d3] * p.denominator))
@@ -401,8 +399,75 @@ class Engine:
             row += [closed[t - d1 - d2][d2] for d2 in range(len(row), t - d1)]
             closed.append(row)
         table[t] = closed
-        self._den = closed[0]
         self._factors = [f // h for f in self._factors[:t]] + [1]
+
+    def _open_pairs(self, t: int):
+        """Fix level t's n2A-n2E denominators, unless an interrupted fill
+        left them, and set its pair loop's ``_scales``.
+
+        A_t and b are the lcms of the denominators of n2A's and n2B's terms,
+        D_t included in b; B_t = 2b, C_t = lcm(A_t, B_t, D_t) L, N_t =
+        lcm(A_t, D_t) L with L = lcm(d^2 for d < t), and E_t = D_t.  A level
+        with A_t = b = 1 is on the int path: every denominator is 1, and a
+        value is stored as it is, a Rat where a division leaves a remainder."""
+        A, B, C, N, E, G = (table[0] for table in (self._n2A, self._n2B, self._n2C, self._n2D,
+                                                   self._n2E, self._gamma2))
+        c2, n1pt, t5, D = self._c2, self._n1pt, self._n1pt_t5, self._m3[t][0]
+        # n2A reads n2A, and n2B gamma2, at levels > h; n2B reads n2B and n2D
+        # at levels >= t/2
+        h, half = t // 2, (t + 1) // 2
+        if A[t] is None:
+            dens_A, dens_b = A[h + 1:t], [D, *B[half:t], *N[half:t], *G[h + 1:t]]
+            if t5 is not None:
+                for d1 in range(1, t):
+                    dens_A.append(n1pt[d1].denominator * self._n2pt_t5[t - d1].denominator)
+                    dens_b.append(n1pt[d1].denominator * t5[t - d1].denominator)
+            if t % 2 == 0:
+                dens_A += (c2.denominator * self._n1B[h].denominator, self._n1F[h].denominator)
+                dens_b += (self._n1E[h].denominator, self._gamma1[h].denominator,
+                           c2.denominator * n1pt[h].denominator,
+                           c2.denominator * self._n1D[h].denominator)
+            A[t], b, E[t] = lcm(*dens_A), lcm(*dens_b), D
+            B[t] = 1 if A[t] == b == 1 else 2 * b
+            squares = 1 if B[t] == 1 else lcm(*[d * d for d in range(1, t)])
+            C[t], N[t] = lcm(A[t], B[t], D) * squares, lcm(A[t], D) * squares
+        a, lcm_C, lcm_D = A[t], lcm(A[t], B[t], D), lcm(A[t], D)
+        lam = None if B[t] == 1 else [0] + [C[t] // lcm_C // (d * d) for d in range(1, t)]
+        self._scales = (B[t] // 2 or 1, lam, (lcm_C // a, lcm_C // B[t], lcm_C // D),
+                        (lcm_D // a, lcm_D // D))
+
+    def _close_pairs(self, t: int):
+        """Divide each of n2A-n2E's level-t numerators and denominator by
+        their gcd, an int-path level holding a Rat first put over a
+        denominator, and fix gamma2's G_t = lcm(c2's * A_t, E_t, C_t).
+        Closing a closed level changes nothing."""
+        tables = (self._n2A, self._n2B, self._n2C, self._n2D, self._n2E)
+        for table in tables if self._scales[1] or self._rats else ():
+            dens = table[0]
+            den = dens[t]
+            cells = [table[d1][t - d1] for d1 in range(1, t)]
+            if den == 1:
+                den = lcm(*[v.denominator for v in cells])
+                if den == 1:
+                    continue
+                cells = [v.numerator * (den // v.denominator) for v in cells]
+            h = gcd(den, *cells)
+            if h > 1 or den != dens[t]:
+                dens[t] = den // h
+                for d1, v in enumerate(cells, 1):
+                    table[d1][t - d1] = v // h
+        self._gamma2[0][t] = lcm(self._c2.denominator * self._n2A[0][t], self._n2E[0][t],
+                                 self._n2C[0][t])
+        self._rats = None
+
+    def _exact(self, num, divisor: int):
+        """num / divisor on an int-path level: an int, or a Rat that marks
+        the level for its close to put over a denominator."""
+        q, r = divmod(num, divisor)
+        if r:
+            self._rats = True
+            return Rat(num, divisor)
+        return q
 
     # -- public counts -----------------------------------------------------
 
@@ -468,7 +533,8 @@ class Engine:
     def gamma2(self, beta1, beta2):
         """Chern-type combination for 2-component configurations; appears in
         the excess corrections of the diagonal-splitting recursions."""
-        return self._count(self._gamma2, (beta1, beta2), self._c_gamma2)
+        # filled at level beta1 + 2 beta2
+        return self._count(self._gamma2, (beta1, beta2), self._c_gamma2, (), beta2)
 
     def m3(self, beta1, beta2, beta3):
         """Chains of three rational curves with consecutive components
@@ -500,72 +566,68 @@ class Engine:
 
     # -- canonical computations (unit insertions) ---------------------------
     #
-    # Each returns the weighted sum of its (weight, value) terms.
+    # A 1-component count returns the weighted sum of its (weight, value)
+    # terms and its two-degree reads, summed on their numerators; a
+    # two-degree count returns its numerator over its level's denominator.
+
+    def _level_sum(self, d: int, kind: str, w=lambda a: a * a):
+        """The sum of w(a) kind(a, d - a) over a = 1..d-1, as (num, den): an
+        int numerator over the kind's level-d denominator."""
+        table = self.memo._tables[kind]
+        return sum(w(a) * table[a][d - a] for a in range(1, d)), table[0][d]
 
     def _c_n1B(self, d: int):
-        return self._n2pt[d]
+        return _norm(self.geometry.n2pt[d])
 
     def _c_n1C(self, d: int):
-        n2A = self._n2A
-        terms = [(1, self._n1B[d]), (-2 * d, self._n1pt[d])]
-        terms += [(a * a, n2A[a][d - a]) for a in range(1, d)]
-        return _weighted_sum(terms, d * d)
+        terms = ((1, self._n1B[d]), (-2 * d, self._n1pt[d]))
+        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2A"))
 
     def _c_n1D(self, d: int):
-        n2A = self._n2A
-        # d * n1B - 2d * n1B: the second term's insertions are H*H and H^2
-        terms = [(-d, self._n1B[d])]
-        terms += [(a * (d - a) ** 2 + (d - a) * a * a, n2A[a][d - a]) for a in range(1, d)]
-        return _weighted_sum(terms, d * d)
+        # d * n1B - 2d * n1B (insertions H*H and H^2); n2A's a(d-a)^2 + (d-a)a^2
+        return _weighted_sum(((-d, self._n1B[d]),), d * d,
+                             *self._level_sum(d, "n2A", lambda a: a * (d - a) * d))
 
     def _c_n1E(self, d: int):
-        n2B, n2D = self._n2B, self._n2D
-        terms = [(1, self._n1D[d]), (-2 * d, self._n1C[d])]
-        for a in range(1, d):
-            terms += ((a * a, n2D[a][d - a]), (a * a, n2B[a][d - a]))
-        return _weighted_sum(terms, d * d)
+        terms = ((1, self._n1D[d]), (-2 * d, self._n1C[d]), (1, _ratio(*self._level_sum(d, "n2D"))))
+        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2B"))
 
     def _c_n1F(self, d: int):
-        return _weighted_sum((-1, self._n2A[a][d - a]) for a in range(1, d))
+        return _ratio(*self._level_sum(d, "n2A", lambda a: -1))
 
     def _c_n1G(self, d: int):
-        n2C, n2E = self._n2C, self._n2E
-        terms = [(1, self._n1F[d]), (-2 * d, self._n1E[d])]
-        for a in range(1, d):
-            terms += ((a * a, n2E[a][d - a]), (a * a, n2C[a][d - a]))
-        return _weighted_sum(terms, d * d)
+        terms = ((1, self._n1F[d]), (-2 * d, self._n1E[d]), (1, _ratio(*self._level_sum(d, "n2E"))))
+        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2C"))
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
-        c2, n2C, n2E = self._c2, self._n2C, self._n2E
-        terms = [(self._c3, self._n1pt[d]), (1, self._n1G[d]), (c2, self._n1C[d]),
-                 (c2 * c2, self._n1B[d]), (4 * c2, self._n1F[d])]
-        for a in range(1, d):
-            terms += ((-4, n2E[a][d - a]), (-5, n2C[a][d - a]))
-        return _weighted_sum(terms, 2)
+        c2 = self._c2
+        terms = ((self._c3, self._n1pt[d]), (1, self._n1G[d]), (c2, self._n1C[d]),
+                 (c2 * c2, self._n1B[d]), (4 * c2, self._n1F[d]),
+                 (-4, _ratio(*self._level_sum(d, "n2E", lambda a: 1))))
+        return _weighted_sum(terms, 2, *self._level_sum(d, "n2C", lambda a: -5))
 
     def _c_n2A(self, d1: int, d2: int):
-        n2A = self._n2A
-        terms = [] if self._n2pt_t5 is None else [(self._n1pt[d1], self._n2pt_t5[d2])]
+        n2A, A, den = self._n2A, self._n2A[0], self._n2A[0][d1 + d2]
+        num = 0 if self._n2pt_t5 is None else _numerator(den, self._n1pt[d1], self._n2pt_t5[d2])
         if d2 > d1:
-            terms += [(1, n2A[d1][d2 - d1]), (1, n2A[d2 - d1][d1])]
-        elif d2 < d1:
-            terms.append((1, n2A[d1 - d2][d2]))
-        else:
-            terms += [(self._c2, self._n1B[d1]), (2, self._n1F[d1])]
-        return _weighted_sum(terms)
+            return num + (n2A[d1][d2 - d1] + n2A[d2 - d1][d1]) * (den // A[d2])
+        if d2 < d1:
+            return num + n2A[d1 - d2][d2] * (den // A[d1])
+        return num + _numerator(den, self._c2, self._n1B[d1]) + _numerator(den, 2, self._n1F[d1])
 
     def _c_n2B(self, d1: int, d2: int):
-        # base - sum - C2 as (2 C2 + 2 sum - 2 base) / -2; both m3 sums are
-        # summed on their numerators over D_{d1 + d2}, the others are terms
+        # base - sum - C2 as -(2 C2 + 2 sum - 2 base) / 2: x over b = B_t / 2,
+        # with both m3 sums summed first over D_{d1 + d2}
         n2B, n2D, m3, factors = self._n2B, self._n2D, self._m3, self._factors
-        terms, num = [], 0
+        B, N, (b, lam, _, _), num = n2B[0], n2D[0], self._scales, 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
         lo, hi = min(d1, d2), max(d1, d2)
         if hi > lo:
             gap = hi - lo
-            terms += ((2, n2D[gap][lo]), (2, n2B[gap][lo]), (2 * lo, self._gamma2[gap][lo]))
+            x = 2 * (n2D[gap][lo] * (b // N[hi]) + n2B[gap][lo] * (b // B[hi])
+                     + lo * self._gamma2[gap][lo] * (b // self._gamma2[0][hi]))
             level = m3[hi]
             for p in range(1, gap):
                 num += level[p][lo]
@@ -573,65 +635,67 @@ class Engine:
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
-            terms += ((2, self._n1E[lo]), (2 * lo, self._gamma1[lo]),
-                      (2 * self._c2, self._n1pt[lo]), (2 * self._c2, self._n1D[lo]))
-            for p in range(1, hi):
-                terms += ((-4, n2D[p][hi - p]), (-5, n2B[p][hi - p]))
+            c2 = self._c2
+            x = 2 * (_numerator(b, self._n1E[lo]) + _numerator(b, lo, self._gamma1[lo])
+                     + _numerator(b, c2, self._n1pt[lo]) + _numerator(b, c2, self._n1D[lo]))
+            x -= (4 * (b // N[hi]) * sum(n2D[p][hi - p] for p in range(1, hi))
+                  + 5 * (b // B[hi]) * sum(n2B[p][hi - p] for p in range(1, hi)))
         t = d1 + d2
         for c in range(1, lo):
             v = m3[t - c][d1 - c][c]
             num += 2 * c * (v if factors is None else v * factors[t - c])
         if self._n1pt_t5 is not None:
-            terms.append((-2 * self._n1pt[d1], self._n1pt_t5[d2]))
-        return _weighted_sum(terms, -2, num, self._den)
+            x -= 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])
+        x += num * (b // m3[t][0])
+        return self._exact(-x, 2) if lam is None else -x
 
     def _row(self, d1: int, d2: int):
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
         with the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
-        and n2E (1).
-
-        Returns ``[num_C, num_D, num_E, den]``, three numerators over the
-        level's denominator D_{d1 + d2}, from the sums s_k = sum p^k v_p of
-        the closed level's numerators as s2, d2 (d2 s1 - s2), s0.  The fill
-        computes n2C, n2D and n2E of one (d1, d2) back to back, so one
-        cached row serves all three."""
+        and n2E (1): ``[num_C, num_D, num_E]`` over D_{d1 + d2}, from the sums
+        s_k = sum p^k v_p of the closed level's numerators as s2, d2 (d2 s1 -
+        s2), s0.  The fill computes n2C, n2D and n2E of one (d1, d2) back to
+        back, so one cached row serves all three."""
         key, row = self._last_row
         if key != (d1, d2):
             s0 = s1 = s2 = 0
-            level = self._m3[d1 + d2]
             # v_p is m3_row[d2 - p]; for d2 = 1 the row is empty and level
             # d1 + 1 has no list d1
-            m3_row = level[d1] if d2 > 1 else None
+            m3_row = self._m3[d1 + d2][d1] if d2 > 1 else None
             for p in range(1, d2):
                 v = m3_row[d2 - p]
                 pv = p * v
                 s0 += v
                 s1 += pv
                 s2 += p * pv
-            row = [s2, d2 * (d2 * s1 - s2), s0, level[0]]
+            row = [s2, d2 * (d2 * s1 - s2), s0]
             self._last_row = ((d1, d2), row)
         return row
 
     def _c_n2C(self, d1: int, d2: int):
-        terms = ((1, self._n2A[d1][d2]), (-2 * d2, self._n2B[d1][d2]))
-        row = self._row(d1, d2)
-        return _weighted_sum(terms, d2 * d2, row[0], row[3])
+        _, lam, (scale_A, scale_B, scale_m3), _ = self._scales
+        num = (self._n2A[d1][d2] * scale_A - 2 * d2 * self._n2B[d1][d2] * scale_B
+               + self._row(d1, d2)[0] * scale_m3)
+        return self._exact(num, d2 * d2) if lam is None else num * lam[d2]
 
     def _c_n2D(self, d1: int, d2: int):
         # the cotangent reduction on the second component pairs the divisor
         # with that component's class, hence d2 * n2A; the second term,
         # -2 d2 * n2A, has the insertion H*H
-        row = self._row(d1, d2)
-        return _weighted_sum(((-d2, self._n2A[d1][d2]),), d2 * d2, row[1], row[3])
+        _, lam, _, (scale_A, scale_m3) = self._scales
+        num = self._row(d1, d2)[1] * scale_m3 - d2 * self._n2A[d1][d2] * scale_A
+        return self._exact(num, d2 * d2) if lam is None else num * lam[d2]
 
     def _c_n2E(self, d1: int, d2: int):
-        row = self._row(d1, d2)
-        return _ratio(-row[2], row[3])
+        return -self._row(d1, d2)[2]
 
     def _c_gamma2(self, d1: int, d2: int):
-        n2C = self._n2C
-        return _weighted_sum(((self._c2, self._n2A[d1][d2]), (2, self._n2E[d1][d2]),
-                              (1, n2C[d1][d2]), (1, n2C[d2][d1])))
+        # c2 n2A + 2 n2E + n2C + its swap, over G_s of level s = d1 + d2
+        s, c2, n2A, n2C, n2E = d1 + d2, self._c2, self._n2A, self._n2C, self._n2E
+        den = self._gamma2[0][s]
+        return (n2A[d1][d2] * c2.numerator * (den // (c2.denominator * n2A[0][s]))
+                + 2 * n2E[d1][d2] * (den // n2E[0][s])
+                + (n2C[d1][d2] + n2C[d2][d1]) * (den // n2C[0][s]))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # base - C1 - C2 - C12 as a numerator over D_t, with the excess
@@ -639,10 +703,11 @@ class Engine:
         # read from level l < t (m3(a, b, c) is m3[a + b + c][a][b], a
         # numerator over D_l) or, where its correction has no m3 chain, the
         # numerator over D_t of stored values (l = t)
-        m3, den = self._m3, self._den
+        m3 = self._m3
         if d1 > d3:
             # the reversed chain, stored earlier in this level's ascending rows
             return m3[d1 + d2 + d3][d3][d2]
+        den = m3[d1 + d2 + d3][0]
         x1 = x2 = x3 = x4 = l1 = l2 = l3 = l4 = 0
 
         if d3 > d1:
@@ -650,7 +715,7 @@ class Engine:
             x1 = m3[l1][d3 - d1][d1]
         else:
             l1 = d1 + d2 + d3
-            x1 = _over(self._gamma2[d2][d1], den)
+            x1 = self._gamma2[d2][d1] * den // self._gamma2[0][d1 + d2]
 
         if d3 > d2:
             l2 = d1 + d3
@@ -661,10 +726,9 @@ class Engine:
             x2, x3 = row[d3], row[d2 - d3]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2)
-            c2 = self._c2
-            l2 = d1 + d2 + d3
-            x2 = (_over(self._n2A[d1][d2], den // c2.denominator) * c2.numerator
-                  + 2 * _over(self._n2E[d1][d2], den))
+            c2, s, l2 = self._c2, d1 + d2, d1 + d2 + d3
+            x2 = (self._n2A[d1][d2] * c2.numerator * (den // (c2.denominator * self._n2A[0][s]))
+                  + 2 * self._n2E[d1][d2] * (den // self._n2E[0][s]))
 
         if d3 > d1 + d2:
             l4 = d3
@@ -674,7 +738,7 @@ class Engine:
             x4 = m3[l4][d1 + d2 - d3][d3 - d2]
         elif d3 == d1 + d2:
             l4 = 2 * d3
-            x4 = _over(self._gamma2[d2][d1], den)
+            x4 = self._gamma2[d2][d1] * den // self._gamma2[0][d3]
 
         factors = self._factors
         if factors is None:
@@ -685,13 +749,9 @@ class Engine:
             return num
         # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}
         # times _q[d3]
-        a = self._n2A[d1][d2]
-        return num + a.numerator * (self._n2A_den[d1 + d2] // a.denominator) * self._q[d3]
+        return num + self._n2A[d1][d2] * self._q[d3]
 
     def _c_chern(self, d: int):
         # twice the integral, halved once at the end
-        n2C = self._n2C
-        terms = [(-2, self._n1G[d]), (-2 * self._c3, self._n1pt[d]), (-2 * self._c2, self._n1C[d])]
-        for a in range(1, d):
-            terms += ((1, n2C[a][d - a]), (1, n2C[d - a][a]))
-        return _weighted_sum(terms, 2)
+        terms = ((-2, self._n1G[d]), (-2 * self._c3, self._n1pt[d]), (-2 * self._c2, self._n1C[d]))
+        return _weighted_sum(terms, 2, *self._level_sum(d, "n2C", lambda a: 2))

@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from cy5bps import localp2_geometry, load_hypersurface_geometry
+from cy5bps.cohomology import Ring
+from cy5bps.geometry import Geometry
+from cy5bps.rational import Rat
+from cy5bps.series import DegreeSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,6 +68,33 @@ def random_gw_text(seed, maxdeg):
         for d in range(1, maxdeg + 1)
     }
     return gw_file_text(t5=t5, c2=c2, c3=c3, maxdeg=maxdeg, rows=rows)
+
+
+# integer columns, most of them zero, with c2 = 1/11 (t5 = 7, c3 = 0)
+C2_ELEVENTH_ROWS = {2: ("3", "2", "0"), 3: ("-1", "3", "0"), 4: ("-1", "3", "0"),
+                    5: ("2", "0", "-1"), 6: ("-1", "2", "0"), 7: ("1", "0", "3"),
+                    8: ("0", "-1", "1")}
+
+
+def c2_eleventh_gw_text(maxdeg):
+    """A Gromov-Witten input file whose c2 = 1/11 shares no factor with the
+    other inputs, and whose sparse columns keep c2's factor out of the
+    denominators of n2C and n2E: a c2 * n2A term over a denominator that
+    leaves out c2's factor shows at total degree 5."""
+    return gw_file_text(t5="7", c2="1/11", c3="0", maxdeg=maxdeg, rows=C2_ELEVENTH_ROWS)
+
+
+def inexact_int_geometry(max_degree):
+    """A local geometry with integer inputs (c2 = 3, 2-pointed base counts
+    -3, -1, -3, then 1): every term of level 4 is an integer, but one n2B
+    there, an integer sum divided by -2, is not."""
+    n2pt = {1: -3, 2: -1, 3: -3}
+    return Geometry(
+        ring=Ring(top_power=2), c2=Rat(3), c3=Rat(0),
+        n1pt=DegreeSeries.zero(max_degree),
+        n2pt=DegreeSeries.from_function(lambda d: Rat(n2pt.get(d, 1)), max_degree),
+        gw_genus1=DegreeSeries.zero(max_degree), max_degree=max_degree,
+    )
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cy5bps.cohomology import InsertionDegreeError, Ring, RingMismatchError
@@ -15,7 +15,7 @@ from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
-from conftest import gw_file_text, random_gw_text
+from conftest import c2_eleventh_gw_text, gw_file_text, inexact_int_geometry, random_gw_text
 from corrections import correction_C2, corrections_C3, m3_formula
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
@@ -427,9 +427,18 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     assert engine.memo == fresh.memo
 
 
+def _level_denominators(engine):
+    """The level denominators of the two-degree kinds, each table's entry 0."""
+    return [getattr(engine, "_" + kind)[0] for kind in ("n2A", "n2B", "n2C", "n2D", "n2E", "gamma2")]
+
+
 @pytest.mark.parametrize("compute_name,key,m3_loop_done", [
     ("_c_m3", (2, 3, 2), False),  # in level 7's m3 loop
     ("_c_n2A", (3, 4), True),  # in its n2A loop, after the level is closed
+    # in its pair loop, n2A(3, 4) and n2B(3, 4) stored over the denominators
+    # the level was opened at
+    ("_c_n2C", (3, 4), True),
+    ("_c_n1C", (7,), True),  # after its two-degree values are closed
 ])
 def test_interrupted_rational_fill_refills_to_the_fresh_values(
         rational_geometry_12, compute_name, key, m3_loop_done):
@@ -442,12 +451,14 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
     assert (("m3", 3, 1, 3) in engine.memo) is m3_loop_done
     assert ("m3", 2, 2, 3) in engine.memo and (compute_name[3:], *key) not in engine.memo
     # level 7 holds numerators over D_7 > 1 from the start of its m3 loop,
+    # and over its two-degree denominators from the start of its pair loop,
     # so the memo reads of its stored keys are already the values
     assert engine._m3[6][0] > 1 and engine._m3[7][0] > 1
     fresh = Engine(rational_geometry_12)
     fresh.chern_integral(7)
-    stored = {k: v for k, v in engine.memo.items() if k[0] == "m3" and sum(k[1:]) == 7}
+    stored = {k: v for k, v in engine.memo.items() if sum(k[1:]) == 7}
     assert ("m3", 2, 2, 3) in stored
+    assert (("n2B", 3, 4) in stored) is (compute_name in ("_c_n2C", "_c_n1C"))
     assert all(fresh.memo[k] == v for k, v in stored.items())
     engine.chern_integral(12)
     _assert_m3_table_is_the_memo(engine)
@@ -456,15 +467,52 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
         assert engine.chern_integral(d) == fresh.chern_integral(d)
     assert engine.memo == fresh.memo
     assert [level[0] for level in engine._m3] == [level[0] for level in fresh._m3]
+    assert _level_denominators(engine) == _level_denominators(fresh)
+
+
+@pytest.mark.parametrize("compute_name,key", [("_c_n2C", (2, 2)), ("_c_n1B", (4,))])
+def test_interrupted_int_level_holding_a_rat_refills_to_the_fresh_values(compute_name, key):
+    # every term of level 4 is an integer, but n2B(2, 2) is not: the level
+    # stores it as a Rat, and its close puts n2B's level 4 over 2
+    geometry = inexact_int_geometry(6)
+    engine = Engine(geometry)
+    _interrupt(engine, compute_name, key)
+    with pytest.raises(KeyboardInterrupt):
+        engine.chern_integral(4)
+    delattr(engine, compute_name)
+    assert engine.memo["n2B", 2, 2] == Fraction(-447, 2)
+    fresh = Engine(geometry)
+    for d in range(1, 7):
+        assert engine.chern_integral(d) == fresh.chern_integral(d)
+    assert engine.memo == fresh.memo
+    assert _level_denominators(engine) == _level_denominators(fresh)
+    assert engine._n2B[0][4] == 2 and type(engine._n2B[2][2]) is int
+
+
+def test_cold_gamma2_call_returns_its_value(rational_geometry_12):
+    # gamma2(3, 4) is filled at level 11: a call on a fresh engine fills
+    # level 7, its own, and computes it there
+    cold = Engine(rational_geometry_12)
+    value = cold.gamma2(3, 4)
+    assert cold._level == 7 and ("gamma2", 3, 4) in cold.memo
+    c2 = rational_geometry_12.c2
+    assert value == (c2 * cold.n2A(3, 4) + 2 * cold.n2E(3, 4) + cold.n2C(3, 4) + cold.n2C(4, 3))
+    warm = Engine(rational_geometry_12)
+    warm.chern_integral(12)
+    assert type(value) is Rat and value == warm.gamma2(3, 4) == cold.gamma2(3, 4)
 
 
 # rational_geometry_12 is seed 5 of random_gw_text; the levels that the
 # close reduces are 9 on seed 0, 6 and 7 on seed 1, 3, 4, 6 and 9 on seed 2,
 # and 7, 8 and 9 on seed 5
-@pytest.mark.parametrize("source", ["synthetic_geometry", 0, 1, 2, "rational_geometry_12"])
+@pytest.mark.parametrize("source", ["synthetic_geometry", 0, 1, 2, "rational_geometry_12",
+                                    "c2-eleventh"])
 def test_level_denominators_are_cumulative_and_least(request, write_gw_file, source):
-    geometry = (request.getfixturevalue(source) if isinstance(source, str) else
-                load_hypersurface_geometry(write_gw_file(random_gw_text(source, 12)), 12))
+    if source in ("synthetic_geometry", "rational_geometry_12"):
+        geometry = request.getfixturevalue(source)
+    else:
+        text = c2_eleventh_gw_text(12) if source == "c2-eleventh" else random_gw_text(source, 12)
+        geometry = load_hypersurface_geometry(write_gw_file(text), 12)
     engine = Engine(geometry)
     engine.chern_integral(geometry.max_degree)
     dens = [level[0] for level in engine._m3]
@@ -476,6 +524,12 @@ def test_level_denominators_are_cumulative_and_least(request, write_gw_file, sou
         stored = [Fraction(v).denominator for key, v in engine.memo.items()
                   if key[0] == "m3" and sum(key[1:]) <= t]
         assert dens[t] == lcm(*stored)
+    # a closed two-degree level is over the lcm of its values' reduced
+    # denominators, so none of its headroom is left
+    for kind in ("n2A", "n2B", "n2C", "n2D", "n2E"):
+        for t in range(2, geometry.max_degree + 1):
+            stored = [Fraction(engine.memo[kind, d1, t - d1]).denominator for d1 in range(1, t)]
+            assert getattr(engine, "_" + kind)[0][t] == lcm(*stored), (kind, t)
 
 
 @pytest.fixture(scope="module")
@@ -492,6 +546,8 @@ def test_integer_levels_are_never_sealed(local_engine_100):
     assert all(level[0] == 1 for level in local_engine_100._m3)
     assert all(type(v) is int for level in local_engine_100._m3[1:]
                for row in level[1:] for v in row[1:])
+    # every two-degree level is on the int path
+    assert all(den == 1 for dens in _level_denominators(local_engine_100) for den in dens[1:])
 
 
 # -- the memo view over the kinds' index tables ---------------------------------
@@ -584,6 +640,16 @@ def test_memo_holds_no_unstored_key(local_geometry_12, key):
     assert engine.memo.get(key) is None
     with pytest.raises(KeyError):
         engine.memo[key]
+
+
+@pytest.mark.parametrize("fixture", ["local_geometry_12", "rational_geometry_12"])
+def test_a_filled_engine_has_at_most_29_attributes(request, fixture):
+    # CPython 3.11 shares the keys of instance dicts, and specializes the
+    # fill's attribute reads on them, only below 30 keys; past that every
+    # read is a dict lookup, about 5 % of a local P^2 fill
+    engine = Engine(request.getfixturevalue(fixture))
+    engine.chern_integral(12)
+    assert len(vars(engine)) <= 29
 
 
 def test_memo_is_read_only(local_geometry_12):
@@ -703,7 +769,12 @@ def test_every_public_call_validates_its_degrees(local_geometry_12, method, warm
 _rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
 
 
-@settings(max_examples=15, deadline=None)
+# no shrink phase: a failing example is reported as found.  Shrinking would
+# run 30 ms examples for up to five minutes, and hypothesis keeps each
+# failing one's exception, whose traceback holds that example's engine, so
+# a wrong count would take minutes and more than a gigabyte to be reported
+@settings(max_examples=15, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     t5=_rationals.filter(lambda q: q != 0),
     c2=_rationals,
@@ -787,8 +858,7 @@ def test_row_sums_match_fraction_sums(nums, den):
     values = [Fraction(n, den) for n in nums]
     s0, s1, s2 = (sum((Fraction(p) ** k * v for p, v in enumerate(values, 1)), Fraction(0))
                   for k in range(3))
-    num_C, num_D, num_E, row_den = engine._row(1, d2)
-    assert row_den == den
+    num_C, num_D, num_E = engine._row(1, d2)
     assert all(type(n) is int for n in (num_C, num_D, num_E))
     assert [Fraction(num_C, den), Fraction(num_D, den), Fraction(num_E, den)] == [
         s2, d2 * (d2 * s1 - s2), s0]

@@ -10,7 +10,10 @@ helper existed, so they do not depend on the code they check.  The
 formula checks evaluate each m3, n2B, n2C, n2D and n2E from the public
 counts it is defined by, with plain Fraction arithmetic and builtin sum;
 the excess corrections come from the test-side oracle in
-``corrections.py``.
+``corrections.py``.  n2A, gamma2, the 1-component counts and the Chern
+integral are checked the same way.  Every check also runs on a geometry
+with c2 = 1/11 on sparse integer columns, and on a local one with
+integer inputs whose level 4 holds a non-integral n2B.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ from cy5bps.cli import main
 from cy5bps.engine import Engine
 from cy5bps.geometry import load_hypersurface_geometry
 
-from conftest import random_gw_text
+from conftest import c2_eleventh_gw_text, inexact_int_geometry, random_gw_text
 from corrections import correction_C2, m3_formula
 
 SEED = 2
@@ -56,12 +59,15 @@ ORACLE_SEEDS = {"random-rational": SEED, "random-rational-0": 0, "random-rationa
                 "random-rational-5": 5}
 
 
-@pytest.fixture(params=[*ORACLE_SEEDS, "local-p2"])
+@pytest.fixture(params=[*ORACLE_SEEDS, "local-p2", "c2-eleventh", "local-inexact"])
 def oracle_engine(request, write_gw_file, local_geometry_12):
     if request.param == "local-p2":
         return Engine(local_geometry_12)
-    path = write_gw_file(random_gw_text(ORACLE_SEEDS[request.param], ORACLE_DEGREE))
-    return Engine(load_hypersurface_geometry(path, ORACLE_DEGREE))
+    if request.param == "local-inexact":
+        return Engine(inexact_int_geometry(ORACLE_DEGREE))
+    text = (c2_eleventh_gw_text(ORACLE_DEGREE) if request.param == "c2-eleventh"
+            else random_gw_text(ORACLE_SEEDS[request.param], ORACLE_DEGREE))
+    return Engine(load_hypersurface_geometry(write_gw_file(text), ORACLE_DEGREE))
 
 
 def _is_normalised(value):
@@ -119,4 +125,64 @@ def test_n2B_matches_its_formula(oracle_engine):
             chains = sum(c * Fraction(engine.m3(d1 - c, c, d2 - c)) for c in range(1, min(d1, d2)))
             value = engine.n2B(d1, d2, H)
             assert value == base - chains - correction_C2(engine, d1, d2), (d1, d2)
+            assert _is_normalised(value)
+
+
+def test_n2A_gamma2_and_1_component_counts_match_their_formulas(oracle_engine):
+    """Every n2A, gamma2, n1B-n1G, gamma1 and Chern integral to total degree
+    12 against its defining formula, evaluated with plain Fraction
+    arithmetic over the public counts."""
+    engine = oracle_engine
+    g = engine.geometry
+    H, H2 = g.ring.H(1), g.ring.H(2)
+    t5 = g.ring.top_integral
+    c2, c3 = Fraction(g.c2), Fraction(g.c3)
+    for t in range(2, ORACLE_DEGREE + 1):
+        for d1 in range(1, t):
+            d2 = t - d1
+            if d2 > d1:
+                expected = engine.n2A(d1, d2 - d1) + engine.n2A(d2 - d1, d1)
+            elif d2 < d1:
+                expected = Fraction(engine.n2A(d1 - d2, d2))
+            else:
+                expected = c2 * engine.n1B(d1) + 2 * engine.n1F(d1)
+            if t5 is not None:
+                expected += Fraction(g.n1pt[d1]) * g.n2pt[d2] / t5
+            values = {
+                "n2A": (engine.n2A(d1, d2, H2), expected),
+                "gamma2": (engine.gamma2(d1, d2),
+                           c2 * engine.n2A(d1, d2) + 2 * Fraction(engine.n2E(d1, d2))
+                           + engine.n2C(d1, d2) + engine.n2C(d2, d1)),
+            }
+            for kind, (value, expected) in values.items():
+                assert value == expected, (kind, d1, d2)
+                assert _is_normalised(value)
+
+    def pairs(kind, weight=lambda a: a * a):
+        """The sum of weight(a) kind(a, d - a) over a = 1..d-1."""
+        return sum((weight(a) * Fraction(getattr(engine, kind)(a, d - a)) for a in range(1, d)),
+                   Fraction(0))
+
+    for d in range(1, ORACLE_DEGREE + 1):
+        n1pt = Fraction(g.n1pt[d])
+        n1B, n1C = engine.n1B(d, H2, H2), engine.n1C(d, H2)
+        n1D, n1E, n1F, n1G = engine.n1D(d, H, H2), engine.n1E(d, H), engine.n1F(d), engine.n1G(d)
+        expected = {
+            "n1B": (n1B, g.n2pt[d]),
+            "n1C": (n1C, (n1B - 2 * d * n1pt + pairs("n2A")) / (d * d)),
+            "n1D": (n1D, (-d * n1B + pairs("n2A", lambda a: a * (d - a) ** 2 + (d - a) * a * a))
+                    / (d * d)),
+            "n1E": (n1E, (n1D - 2 * d * n1C + pairs("n2D") + pairs("n2B")) / (d * d)),
+            "n1F": (n1F, -pairs("n2A", lambda a: 1)),
+            "n1G": (n1G, (n1F - 2 * d * n1E + pairs("n2E") + pairs("n2C")) / (d * d)),
+            "gamma1": (engine.gamma1(d),
+                       (c3 * n1pt + n1G + c2 * n1C + c2 * c2 * n1B + 4 * c2 * n1F
+                        - pairs("n2E", lambda a: 4) - pairs("n2C", lambda a: 5)) / 2),
+            "chern": (engine.chern_integral(d),
+                      (-2 * n1G - 2 * c3 * n1pt - 2 * c2 * n1C
+                       + sum((engine.n2C(a, d - a) + engine.n2C(d - a, a) for a in range(1, d)),
+                             Fraction(0))) / 2),
+        }
+        for kind, (value, formula) in expected.items():
+            assert value == formula, (kind, d)
             assert _is_normalised(value)
