@@ -20,16 +20,17 @@ integrand has a factor that is a pure multiple of lam, so every other
 factor contributes only its constant term, and the integral is one
 exact scalar product.
 
-Both fixed-point formulas run on integer weights.  Each fixed-point
-value is homogeneous of degree 0 in the torus weights, so scaling x, y
-and z by their common denominator changes nothing; on the integer
-weights every factor is an integer numerator over a power of d, the
-numerators and denominators are multiplied out separately, and each
-call normalises its whole value once, by one gcd.
+Both fixed-point formulas and the cover factor run on integer weights:
+each value is homogeneous of degree 0 in the torus weights, so a call
+scales x, y and z once by their common denominator and checks them
+there.  Every factor is then an integer numerator over a power of d;
+each power is raised once, the per-degree constants once per degree,
+and each call normalises its whole value once, by one gcd.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -56,21 +57,14 @@ class WeightDegeneracyError(ValueError):
     """A fixed-point denominator vanished for this weight triple."""
 
 
-def _distinct_weights(x, y, z):
-    """x, y, z as exact rationals; coincident weights leave no isolated fixed locus."""
-    x, y, z = exact(x), exact(y), exact(z)
-    if x == y or y == z or x == z:
-        raise WeightDegeneracyError("weights must be pairwise distinct")
-    return x, y, z
-
-
 class WeightTriple(FrozenRecord):
     """Torus weights (a, b, c) on C^3; must be pairwise distinct."""
 
     __slots__ = __match_args__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        self._freeze(*_distinct_weights(a, b, c))
+        _integer_weights(a, b, c)
+        self._freeze(exact(a), exact(b), exact(c))
 
 
 def localp2_geometry(max_degree: int) -> Geometry:
@@ -88,23 +82,43 @@ def localp2_geometry(max_degree: int) -> Geometry:
     )
 
 
-def _integer_weights(d: int, x, y, z) -> tuple[int, int, int, int]:
-    """x, y, z scaled by their common denominator to the integers X, Y, Z,
-    and the numerator of the interior cover-weight product, prod over
-    r=1..d-1 of (Z - ((d-r)X + rY)/d), whose denominator is d^(d-1); a
-    vanishing factor raises WeightDegeneracyError."""
+def _integer_weights(x, y, z) -> tuple[int, int, int]:
+    """x, y, z scaled by their common denominator to the integers X, Y, Z:
+    a call's one weight step.  ``exact`` runs only if a weight is not a
+    :data:`Rat`; coincident weights raise WeightDegeneracyError."""
+    if not (type(x) is type(y) is type(z) is Rat):
+        x, y, z = exact(x), exact(y), exact(z)
     L = math.lcm(x.denominator, y.denominator, z.denominator)
     X, Y, Z = (v.numerator * (L // v.denominator) for v in (x, y, z))
-    # factor r is A + rB, an arithmetic progression; B = X - Y is nonzero on
-    # every public path (distinct weights), and with B = 0 every factor is A
+    if X == Y or Y == Z or X == Z:
+        raise WeightDegeneracyError("weights must be pairwise distinct")
+    return X, Y, Z
+
+
+def _interior(d: int, X: int, Y: int, Z: int) -> int:
+    """The numerator of the interior cover-weight product, prod over
+    r=1..d-1 of (Z - ((d-r)X + rY)/d), over d^(d-1); a vanishing factor
+    raises WeightDegeneracyError.  Factor r is A + rB, with B != 0."""
     A, B = d * (Z - X), X - Y
-    r, rest = divmod(-A, B) if B else (1, A)
+    r, rest = divmod(-A, B)
     if rest == 0 and 0 < r < d:
-        raise WeightDegeneracyError(
-            f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}"
-        )
-    num = math.prod(range(A + B, A + d * B, B)) if B else A ** (d - 1)
-    return X, Y, Z, num
+        raise WeightDegeneracyError(f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}")
+    return _symmetric_interior(d, min(X, Y), max(X, Y), Z)
+
+
+@functools.lru_cache(maxsize=1)
+def _symmetric_interior(d: int, X: int, Y: int, Z: int) -> int:
+    """_interior's product on sorted X, Y (a swap takes factor r to d - r),
+    kept for the next call: in verify_localization, g0 and loci (a, b, c),
+    (b, a, c) share it, as do (a, c, b), (c, a, b) and (b, c, a), (c, b, a)."""
+    return math.prod(range(d * (Z - X) + X - Y, d * (Z - Y), X - Y))
+
+
+@functools.lru_cache(maxsize=1)
+def _per_degree(d: int) -> tuple[int, int, int, int, int]:
+    """(-1)^(d-1), (d-1)!, d^(d-1), (d-1)!^2 and d^(3d-3), for the 21 calls a degree."""
+    fact, dd = math.factorial(d - 1), d ** (d - 1)
+    return (-1) ** (d - 1), fact, dd, fact * fact, dd * dd * dd
 
 
 def _quotient(factors, divisor) -> Rat:
@@ -128,18 +142,20 @@ def localization_g0(d: int, w: WeightTriple):
     must equal (-1)^(d-1)/d independently of the weights.
     """
     check_degree(d)
-    sign = (-1) ** (d - 1)
-    fact = math.factorial(d - 1)
-    dd = d ** (d - 1)
-    A, B, _, i_num = _integer_weights(d, w.a, w.b, w.c)
-    p = A - B
+    if not isinstance(w, WeightTriple):
+        raise ValueError(f"expected a WeightTriple, got {w!r}")
+    sign, fact, dd, ff, dd3 = _per_degree(d)
+    X, Y, Z = _integer_weights(w.a, w.b, w.c)
+    i_num = _interior(d, X, Y, Z)
+    p = X - Y
+    pd = p ** (d - 1)
 
-    # each factor as an integer (numerator, denominator) pair, with
-    # scale = (d-1)!/d^(d-1) and the interior product i_num/d^(d-1)
-    h1_first = (sign * fact * p ** (d - 1), dd)
-    h1_second = (sign * fact * (-p) ** (d - 1), dd)
+    # each factor as an integer (numerator, denominator) pair, with scale =
+    # (d-1)!/d^(d-1), the interior product i_num/d^(d-1), (-p)^(d-1) = sign*pd
+    h1_first = (sign * fact * pd, dd)
+    h1_second = (sign * fact * sign * pd, dd)
     h1_third = (sign * i_num, dd)
-    tangent = (sign * fact * fact * p ** (2 * (d - 1)) * i_num, dd * dd * dd)
+    tangent = (sign * ff * pd * pd * i_num, dd3)
     return _quotient((h1_first, h1_second, h1_third, (1, d)), tangent)
 
 
@@ -157,32 +173,29 @@ def localization_g1_locus(d: int, x, y, z):
     the result must equal (-1)^d/(24d) * (z-x)/(z-y).
     """
     check_degree(d)
-    x, y, z = _distinct_weights(x, y, z)
-    sign = (-1) ** (d - 1)
-    fact = math.factorial(d - 1)
-    dd = d ** (d - 1)
-    X, Y, Z, i_num = _integer_weights(d, x, y, z)
+    X, Y, Z = _integer_weights(x, y, z)
+    sign, fact, dd, ff, dd3 = _per_degree(d)
+    i_num = _interior(d, X, Y, Z)
     p, s, u = X - Y, Z - X, Z - Y
+    pd = p ** (d - 1)
 
     # the lam coefficient of h1_first, then the constant terms of the rest,
-    # each an integer (numerator, denominator) pair; on the integer weights
-    # x - z is -s and y - x is -p
-    h1_first = (-sign * fact * p ** (d - 1), dd)
-    h1_second = (sign * fact * (-p) ** (d - 1) * p, dd)
+    # as integer (numerator, denominator) pairs: x - z is -s, y - x is -p,
+    # (-p)^(d-1) is sign*pd, p^(2d-1) is pd*pd*p and d^(2d-1) * dd * d is dd3*d*d
+    h1_first = (-sign * fact * pd, dd)
+    h1_second = (sign * fact * sign * pd * p, dd)
     h1_third = (sign * i_num * -s, dd)
     obstruction = (-p * s, 1)
-    tangent = (
-        (-1) ** d * (fact * d) ** 2 * p ** (2 * d - 1) * s * u * i_num * -p,
-        d ** (2 * d - 1) * dd * d,
-    )
+    tangent = (-sign * ff * d * d * pd * pd * p * s * u * i_num * -p, dd3 * d * d)
     return _quotient((h1_first, h1_second, h1_third, obstruction, (1, 24 * d)), tangent)
 
 
 def cover_factor(d: int, x, y, z):
-    """The closed-form single-locus value (-1)^d/(24d) * (z-x)/(z-y)."""
+    """The closed-form single-locus value (-1)^d/(24d) * (z-x)/(z-y), one
+    :data:`Rat` on the integer weights, as (z-x)/(z-y) = (Z-X)/(Z-Y)."""
     check_degree(d)
-    x, y, z = _distinct_weights(x, y, z)
-    return Rat((-1) ** d, 24 * d) * (z - x) / (z - y)
+    X, Y, Z = _integer_weights(x, y, z)
+    return Rat((-1) ** d * (Z - X), 24 * d * (Z - Y))
 
 
 def _loci(w: WeightTriple):
@@ -197,6 +210,8 @@ def localization_g1(d: int, w: WeightTriple):
     vertex at the first).  Must equal (-1)^d/(8d) for any admissible
     weights."""
     check_degree(d)
+    if not isinstance(w, WeightTriple):
+        raise ValueError(f"expected a WeightTriple, got {w!r}")
     return sum((localization_g1_locus(d, x, y, z) for x, y, z in _loci(w)), Rat(0))
 
 

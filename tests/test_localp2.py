@@ -14,6 +14,7 @@ from cy5bps.localp2 import (
     WeightDegeneracyError,
     WeightTriple,
     _integer_weights,
+    _interior,
     cover_factor,
     localization_g0,
     localization_g1,
@@ -282,12 +283,16 @@ def _naive_g1_locus(d, x, y, z):
 
 
 def _interior_product(d, x, y, z):
-    """The interior product rebuilt from _integer_weights: over the common
-    denominator L of x, y and z, each factor is an integer over d*L."""
+    """The interior product rebuilt from _integer_weights and _interior:
+    over the common denominator L of x, y and z, each factor is an
+    integer over d*L."""
     L = math.lcm(x.denominator, y.denominator, z.denominator)
-    X, Y, Z, num = _integer_weights(d, x, y, z)
+    X, Y, Z = _integer_weights(x, y, z)
     assert (X, Y, Z) == (x * L, y * L, z * L)
-    return Rat(num, (d * L) ** (d - 1))
+    return Rat(_interior(d, X, Y, Z), (d * L) ** (d - 1))
+
+
+COINCIDENT = "weights must be pairwise distinct"
 
 
 def _outcome(func, *args):
@@ -303,7 +308,8 @@ _weights = st.builds(Rat, st.integers(-10**6, 10**6), st.integers(1, 10**4))
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 40), x=_weights, y=_weights, z=_weights)
 def test_interior_product_matches_per_factor_product(d, x, y, z):
-    expected = _outcome(_naive_interior_product, d, x, y, z)
+    # coincident weights are refused before the interior product is taken
+    expected = _outcome(_naive_interior_product, d, x, y, z) if len({x, y, z}) == 3 else COINCIDENT
     assert _outcome(_interior_product, d, x, y, z) == expected
 
 
@@ -314,7 +320,7 @@ def test_interior_product_degenerate_weights_raise(d, r, x, y):
     z = ((d - r) * x + r * y) / Rat(d)
     expected = _outcome(_naive_interior_product, d, x, y, z)
     assert isinstance(expected, str)
-    assert _outcome(_interior_product, d, x, y, z) == expected
+    assert _outcome(_interior_product, d, x, y, z) == (expected if x != y else COINCIDENT)
 
 
 # -- the integer-weight fixed-point formulas against per-factor products --------
@@ -357,6 +363,66 @@ def test_g1_locus_coincident_weights_raise(d, x, y, pattern):
     expected = _outcome(_naive_g1_locus, d, *args)
     assert isinstance(expected, str)
     assert _outcome(localization_g1_locus, d, *args) == expected
+
+
+# -- the closed-form cover factor and the weight checks ---------------------------
+
+_PATTERNS = [(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 60), x=_weights, y=_weights, z=_weights,
+       pattern=st.sampled_from(_PATTERNS))
+def test_cover_factor_matches_literal_formula(d, x, y, z, pattern):
+    x, y, z = ((x, y, z)[i] for i in pattern)
+    if len({x, y, z}) < 3:
+        with pytest.raises(WeightDegeneracyError, match=COINCIDENT):
+            cover_factor(d, x, y, z)
+    else:
+        assert cover_factor(d, x, y, z) == Rat((-1) ** d, 24 * d) * (z - x) / (z - y)
+
+
+def _weight_check_calls(x, y, z):
+    """The three entry points that check a weight triple themselves."""
+    return (lambda: WeightTriple(x, y, z), lambda: localization_g1_locus(3, x, y, z),
+            lambda: cover_factor(3, x, y, z))
+
+
+@pytest.mark.parametrize("weights", [(1, Rat(2, 2), 5), (Rat(2, 2), 5, 1), (5, 1, Rat(2, 2)),
+                                     (Rat(6, 4), 3, Rat(3, 2))])
+def test_equal_weights_of_different_types_are_coincident(weights):
+    for call in _weight_check_calls(*weights):
+        with pytest.raises(WeightDegeneracyError, match=f"^{COINCIDENT}$"):
+            call()
+
+
+@pytest.mark.parametrize("weights", [(0.5, 1, 3), (0, 1.0, 3), (0, 1, 3.0), ("1/2", 1, 3)])
+def test_non_exact_weights_are_refused(weights):
+    for call in _weight_check_calls(*weights):
+        with pytest.raises(ValueError, match="expected an exact rational") as info:
+            call()
+        assert not isinstance(info.value, WeightDegeneracyError)
+
+
+@pytest.mark.parametrize("w", [(0, 1, 3), [0, 1, 3], None])
+@pytest.mark.parametrize("func", [localization_g0, localization_g1])
+def test_fixed_point_sums_refuse_a_non_triple(func, w):
+    with pytest.raises(ValueError, match=r"expected a WeightTriple, got "):
+        func(2, w)
+
+
+def test_weight_step_skips_exact_when_every_weight_is_a_rat(monkeypatch):
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return Rat(value)
+    monkeypatch.setattr(localp2, "exact", spy)
+    assert localization_g1_locus(2, Rat(0), Rat(1), Rat(3)) == Rat(1, 32)
+    assert cover_factor(2, Rat(0), Rat(1), Rat(3)) == Rat(1, 32)
+    assert seen == []
+    assert cover_factor(2, 0, 1, 3) == Rat(1, 32)
+    assert seen == [0, 1, 3]
 
 
 # -- pinned verifier output -----------------------------------------------------
