@@ -74,14 +74,15 @@ their common factor, so D_t is least and no headroom spreads to the
 levels that read it.  gamma2(a, b), filled at level a + 2b, is over
 ``_gamma2[0][a + b]``, fixed when level a + b closes.  A read through a
 count method or the memo divides, so it returns the reduced value; the
-fill's own call of m3 or of a two-degree kind returns None.  A level
-whose terms are all integral, as every level of local P^2, is on the int
-path: every denominator is 1 and each value is stored as it is.
+fill's own call of m3 or of a two-degree kind returns None.  Every level
+takes this path.  A two-degree level is opened with its headroom even
+when all its terms are integral, as on local P^2, where each closes back
+to denominator 1; an m3 level at D_t = 1 sums its reads unscaled.
 
-A 1-component count is one weighted sum of stored values, its two-degree
-reads summed first on their numerators, reduced once when stored.  n2C,
-n2D and n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a
-one-slot cache since the fill computes them in a row.
+A 1-component count is one exact expression in stored values, each
+two-degree sum taken on its numerators and divided once.  n2C, n2D and
+n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a one-slot
+cache since the fill computes them in a row.
 
 Every insertion the formulas use is one power of H, so the geometry
 enters only as the scalars c2 and c3, its two base tables, and 1/t5:
@@ -115,27 +116,14 @@ def _ratio(num: int, den: int):
     return Rat(num, den) if r else q
 
 
+def _div(x, n: int):
+    """The exact quotient x / n of an int or Rat x, normalised."""
+    return _ratio(x, n) if type(x) is int else _norm(x / n)
+
+
 def _numerator(den: int, x, y=1) -> int:
     """The numerator of x * y over den, a multiple of their denominators."""
     return x.numerator * y.numerator * (den // (x.denominator * y.denominator))
-
-
-def _weighted_sum(terms, divisor: int = 1, num: int = 0, den: int = 1):
-    """(num/den + the sum of w*v over the (w, v) terms) / divisor, normalised.
-
-    Weights and values are exact numbers.  An int term is added on int
-    arithmetic, a rational one folded in as an integer numerator over the
-    running common denominator.  The result is reduced once.
-    """
-    for w, v in terms:
-        if type(v) is int and type(w) is int:
-            num += w * v if den == 1 else w * v * den
-        else:
-            n, d = w.numerator * v.numerator, w.denominator * v.denominator
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return _ratio(num, den * divisor)
 
 
 # each stored kind and its number of degrees, in the memo's iteration order
@@ -247,9 +235,8 @@ class Engine:
         # the m3 loop's factors, _factors[s] = D_t // D_s (None while D_t is
         # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3}
         self._factors = self._q = None
-        # the pair loop's (b, L / d^2 or None on an int-path level, n2C's and
-        # n2D's scales), and the mark of an int-path level that stored a Rat
-        self._scales = self._rats = None
+        # the pair loop's (b, L / d^2, n2C's and n2D's scales)
+        self._scales = None
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E])
         self._last_row = (None, None)
 
@@ -407,15 +394,16 @@ class Engine:
 
         A_t and b are the lcms of the denominators of n2A's and n2B's terms,
         D_t included in b; B_t = 2b, C_t = lcm(A_t, B_t, D_t) L, N_t =
-        lcm(A_t, D_t) L with L = lcm(d^2 for d < t), and E_t = D_t.  A level
-        with A_t = b = 1 is on the int path: every denominator is 1, and a
-        value is stored as it is, a Rat where a division leaves a remainder."""
+        lcm(A_t, D_t) L with L = lcm(d^2 for d < t) = lcm(1, .., t-1)^2, and
+        E_t = D_t, on every level: n2B's halving and n2C's and n2D's division
+        by d2^2 are exact on the numerators, and the close takes out the
+        headroom."""
         A, B, C, N, E, G = (table[0] for table in (self._n2A, self._n2B, self._n2C, self._n2D,
                                                    self._n2E, self._gamma2))
         c2, n1pt, t5, D = self._c2, self._n1pt, self._n1pt_t5, self._m3[t][0]
         # n2A reads n2A, and n2B gamma2, at levels > h; n2B reads n2B and n2D
         # at levels >= t/2
-        h, half = t // 2, (t + 1) // 2
+        h, half, squares = t // 2, (t + 1) // 2, lcm(*range(1, t)) ** 2
         if A[t] is None:
             dens_A, dens_b = A[h + 1:t], [D, *B[half:t], *N[half:t], *G[h + 1:t]]
             if t5 is not None:
@@ -428,46 +416,29 @@ class Engine:
                            c2.denominator * n1pt[h].denominator,
                            c2.denominator * self._n1D[h].denominator)
             A[t], b, E[t] = lcm(*dens_A), lcm(*dens_b), D
-            B[t] = 1 if A[t] == b == 1 else 2 * b
-            squares = 1 if B[t] == 1 else lcm(*[d * d for d in range(1, t)])
+            B[t] = 2 * b
             C[t], N[t] = lcm(A[t], B[t], D) * squares, lcm(A[t], D) * squares
         a, lcm_C, lcm_D = A[t], lcm(A[t], B[t], D), lcm(A[t], D)
-        lam = None if B[t] == 1 else [0] + [C[t] // lcm_C // (d * d) for d in range(1, t)]
-        self._scales = (B[t] // 2 or 1, lam, (lcm_C // a, lcm_C // B[t], lcm_C // D),
+        lam = [0] + [squares // (d * d) for d in range(1, t)]
+        self._scales = (B[t] // 2, lam, (lcm_C // a, lcm_C // B[t], lcm_C // D),
                         (lcm_D // a, lcm_D // D))
 
     def _close_pairs(self, t: int):
         """Divide each of n2A-n2E's level-t numerators and denominator by
-        their gcd, an int-path level holding a Rat first put over a
-        denominator, and fix gamma2's G_t = lcm(c2's * A_t, E_t, C_t).
-        Closing a closed level changes nothing."""
-        tables = (self._n2A, self._n2B, self._n2C, self._n2D, self._n2E)
-        for table in tables if self._scales[1] or self._rats else ():
+        their gcd, and fix gamma2's G_t = lcm(c2's * A_t, E_t, C_t).  Each
+        kind's reduced cells are computed before any is stored, so an
+        exception leaves the kind as it was.  Closing a closed level changes
+        nothing."""
+        for table in (self._n2A, self._n2B, self._n2C, self._n2D, self._n2E):
             dens = table[0]
-            den = dens[t]
             cells = [table[d1][t - d1] for d1 in range(1, t)]
-            if den == 1:
-                den = lcm(*[v.denominator for v in cells])
-                if den == 1:
-                    continue
-                cells = [v.numerator * (den // v.denominator) for v in cells]
-            h = gcd(den, *cells)
-            if h > 1 or den != dens[t]:
-                dens[t] = den // h
+            h = gcd(dens[t], *cells)
+            if h > 1:
+                dens[t], cells = dens[t] // h, [v // h for v in cells]
                 for d1, v in enumerate(cells, 1):
-                    table[d1][t - d1] = v // h
+                    table[d1][t - d1] = v
         self._gamma2[0][t] = lcm(self._c2.denominator * self._n2A[0][t], self._n2E[0][t],
                                  self._n2C[0][t])
-        self._rats = None
-
-    def _exact(self, num, divisor: int):
-        """num / divisor on an int-path level: an int, or a Rat that marks
-        the level for its close to put over a denominator."""
-        q, r = divmod(num, divisor)
-        if r:
-            self._rats = True
-            return Rat(num, divisor)
-        return q
 
     # -- public counts -----------------------------------------------------
 
@@ -566,46 +537,44 @@ class Engine:
 
     # -- canonical computations (unit insertions) ---------------------------
     #
-    # A 1-component count returns the weighted sum of its (weight, value)
-    # terms and its two-degree reads, summed on their numerators; a
-    # two-degree count returns its numerator over its level's denominator.
+    # A 1-component count returns its exact value, each two-degree sum taken
+    # on its numerators; a two-degree count returns its numerator over its
+    # level's denominator.
 
     def _level_sum(self, d: int, kind: str, w=lambda a: a * a):
-        """The sum of w(a) kind(a, d - a) over a = 1..d-1, as (num, den): an
-        int numerator over the kind's level-d denominator."""
+        """The sum of w(a) kind(a, d - a) over a = 1..d-1: an int numerator
+        over the kind's level-d denominator, divided once."""
         table = self.memo._tables[kind]
-        return sum(w(a) * table[a][d - a] for a in range(1, d)), table[0][d]
+        return _ratio(sum(w(a) * table[a][d - a] for a in range(1, d)), table[0][d])
 
     def _c_n1B(self, d: int):
         return _norm(self.geometry.n2pt[d])
 
     def _c_n1C(self, d: int):
-        terms = ((1, self._n1B[d]), (-2 * d, self._n1pt[d]))
-        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2A"))
+        return _div(self._n1B[d] - 2 * d * self._n1pt[d] + self._level_sum(d, "n2A"), d * d)
 
     def _c_n1D(self, d: int):
         # d * n1B - 2d * n1B (insertions H*H and H^2); n2A's a(d-a)^2 + (d-a)a^2
-        return _weighted_sum(((-d, self._n1B[d]),), d * d,
-                             *self._level_sum(d, "n2A", lambda a: a * (d - a) * d))
+        return _div(self._level_sum(d, "n2A", lambda a: a * (d - a) * d) - d * self._n1B[d], d * d)
 
     def _c_n1E(self, d: int):
-        terms = ((1, self._n1D[d]), (-2 * d, self._n1C[d]), (1, _ratio(*self._level_sum(d, "n2D"))))
-        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2B"))
+        return _div(self._n1D[d] - 2 * d * self._n1C[d] + self._level_sum(d, "n2D")
+                    + self._level_sum(d, "n2B"), d * d)
 
     def _c_n1F(self, d: int):
-        return _ratio(*self._level_sum(d, "n2A", lambda a: -1))
+        return self._level_sum(d, "n2A", lambda a: -1)
 
     def _c_n1G(self, d: int):
-        terms = ((1, self._n1F[d]), (-2 * d, self._n1E[d]), (1, _ratio(*self._level_sum(d, "n2E"))))
-        return _weighted_sum(terms, d * d, *self._level_sum(d, "n2C"))
+        return _div(self._n1F[d] - 2 * d * self._n1E[d] + self._level_sum(d, "n2E")
+                    + self._level_sum(d, "n2C"), d * d)
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
         c2 = self._c2
-        terms = ((self._c3, self._n1pt[d]), (1, self._n1G[d]), (c2, self._n1C[d]),
-                 (c2 * c2, self._n1B[d]), (4 * c2, self._n1F[d]),
-                 (-4, _ratio(*self._level_sum(d, "n2E", lambda a: 1))))
-        return _weighted_sum(terms, 2, *self._level_sum(d, "n2C", lambda a: -5))
+        return _div(self._c3 * self._n1pt[d] + self._n1G[d] + c2 * self._n1C[d]
+                    + c2 * c2 * self._n1B[d] + 4 * c2 * self._n1F[d]
+                    + self._level_sum(d, "n2E", lambda a: -4)
+                    + self._level_sum(d, "n2C", lambda a: -5), 2)
 
     def _c_n2A(self, d1: int, d2: int):
         n2A, A, den = self._n2A, self._n2A[0], self._n2A[0][d1 + d2]
@@ -620,7 +589,7 @@ class Engine:
         # base - sum - C2 as -(2 C2 + 2 sum - 2 base) / 2: x over b = B_t / 2,
         # with both m3 sums summed first over D_{d1 + d2}
         n2B, n2D, m3, factors = self._n2B, self._n2D, self._m3, self._factors
-        B, N, (b, lam, _, _), num = n2B[0], n2D[0], self._scales, 0
+        B, N, b, num = n2B[0], n2D[0], self._scales[0], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
         lo, hi = min(d1, d2), max(d1, d2)
@@ -647,7 +616,7 @@ class Engine:
         if self._n1pt_t5 is not None:
             x -= 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])
         x += num * (b // m3[t][0])
-        return self._exact(-x, 2) if lam is None else -x
+        return -x
 
     def _row(self, d1: int, d2: int):
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
@@ -676,7 +645,7 @@ class Engine:
         _, lam, (scale_A, scale_B, scale_m3), _ = self._scales
         num = (self._n2A[d1][d2] * scale_A - 2 * d2 * self._n2B[d1][d2] * scale_B
                + self._row(d1, d2)[0] * scale_m3)
-        return self._exact(num, d2 * d2) if lam is None else num * lam[d2]
+        return num * lam[d2]
 
     def _c_n2D(self, d1: int, d2: int):
         # the cotangent reduction on the second component pairs the divisor
@@ -684,7 +653,7 @@ class Engine:
         # -2 d2 * n2A, has the insertion H*H
         _, lam, _, (scale_A, scale_m3) = self._scales
         num = self._row(d1, d2)[1] * scale_m3 - d2 * self._n2A[d1][d2] * scale_A
-        return self._exact(num, d2 * d2) if lam is None else num * lam[d2]
+        return num * lam[d2]
 
     def _c_n2E(self, d1: int, d2: int):
         return -self._row(d1, d2)[2]
@@ -752,6 +721,5 @@ class Engine:
         return num + self._n2A[d1][d2] * self._q[d3]
 
     def _c_chern(self, d: int):
-        # twice the integral, halved once at the end
-        terms = ((-2, self._n1G[d]), (-2 * self._c3, self._n1pt[d]), (-2 * self._c2, self._n1C[d]))
-        return _weighted_sum(terms, 2, *self._level_sum(d, "n2C", lambda a: 2))
+        return _norm(self._level_sum(d, "n2C", lambda a: 1) - self._n1G[d]
+                     - self._c3 * self._n1pt[d] - self._c2 * self._n1C[d])

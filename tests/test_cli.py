@@ -370,3 +370,13 @@ def test_table_output_is_pinned(capsys, command, fmt):
     code, out, _ = run_cli(capsys, command, "--max-degree", "30", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TABLE_DIGESTS[command, fmt]
+
+
+def test_degree_200_table_is_pinned(local_p2_200_gate):
+    # the table of the session's one ``local-p2 --max-degree 200`` run, byte
+    # for byte: the acceptance criteria read only its n1 and ñ cells, its
+    # match column and its zeros, and no other test reads its chern_d column
+    # past degree 60
+    _, out = local_p2_200_gate
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ac649def0138d8661dd40c806452ffc4ccfec9c47d3aa63ce186d7a78556e706")

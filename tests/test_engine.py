@@ -10,7 +10,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from cy5bps.cohomology import InsertionDegreeError, Ring, RingMismatchError
-from cy5bps.engine import Engine, _weighted_sum
+from cy5bps.engine import Engine
 from cy5bps.geometry import load_hypersurface_geometry
 from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
@@ -473,7 +473,8 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
 @pytest.mark.parametrize("compute_name,key", [("_c_n2C", (2, 2)), ("_c_n1B", (4,))])
 def test_interrupted_int_level_holding_a_rat_refills_to_the_fresh_values(compute_name, key):
     # every term of level 4 is an integer, but n2B(2, 2) is not: the level
-    # stores it as a Rat, and its close puts n2B's level 4 over 2
+    # stores n2B's numerators over B_4 = 2, and its close keeps that
+    # denominator
     geometry = inexact_int_geometry(6)
     engine = Engine(geometry)
     _interrupt(engine, compute_name, key)
@@ -487,6 +488,42 @@ def test_interrupted_int_level_holding_a_rat_refills_to_the_fresh_values(compute
     assert engine.memo == fresh.memo
     assert _level_denominators(engine) == _level_denominators(fresh)
     assert engine._n2B[0][4] == 2 and type(engine._n2B[2][2]) is int
+
+
+class _NoFloorDiv(int):
+    """An int whose floor division runs out of memory."""
+
+    def __floordiv__(self, other):
+        raise MemoryError
+
+
+def _values_at(engine, t):
+    return {key: value for key, value in engine.memo.items() if sum(key[1:]) == t}
+
+
+def test_a_failed_close_leaves_its_level_as_it_was(rational_geometry_12):
+    # level 7's two-degree numerators and denominators put back over 6 times
+    # their closed denominators, so the values stay, and one n2B numerator
+    # made to fail its division: the close stores nothing of that kind
+    engine = Engine(rational_geometry_12)
+    engine.chern_integral(12)
+    t = 7
+    for kind in ("n2A", "n2B", "n2C", "n2D", "n2E"):
+        table = getattr(engine, "_" + kind)
+        table[0][t] *= 6
+        for d1 in range(1, t):
+            table[d1][t - d1] *= 6
+    values = _values_at(engine, t)
+    engine._n2B[1][t - 1] = _NoFloorDiv(engine._n2B[1][t - 1])
+    with pytest.raises(MemoryError):
+        engine._close_pairs(t)
+    assert _values_at(engine, t) == values
+    engine._n2B[1][t - 1] = int(engine._n2B[1][t - 1])
+    engine._close_pairs(t)
+    fresh = Engine(rational_geometry_12)
+    fresh.chern_integral(12)
+    assert _values_at(engine, t) == _values_at(fresh, t)
+    assert _level_denominators(engine) == _level_denominators(fresh)
 
 
 def test_cold_gamma2_call_returns_its_value(rational_geometry_12):
@@ -546,8 +583,12 @@ def test_integer_levels_are_never_sealed(local_engine_100):
     assert all(level[0] == 1 for level in local_engine_100._m3)
     assert all(type(v) is int for level in local_engine_100._m3[1:]
                for row in level[1:] for v in row[1:])
-    # every two-degree level is on the int path
+    # every two-degree level is opened with headroom (B_t = 2, C_t = 2L) and
+    # closes back to denominator 1; a level left above 1 would change no
+    # output, but would raise the next m3 levels' D_t off 1, and m3 would
+    # scale every read by its level's factor
     assert all(den == 1 for dens in _level_denominators(local_engine_100) for den in dens[1:])
+    assert local_engine_100._factors is None
 
 
 # -- the memo view over the kinds' index tables ---------------------------------
@@ -805,46 +846,6 @@ def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
     assert all(type(v) is int or v.denominator != 1 for v in engine.memo.values())
 
 
-_ints = st.integers(-(10**30), 10**30)
-_rats = st.builds(Rat, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
-_weights = st.integers(-(10**6), 10**6)
-
-
-@given(st.lists(st.tuples(_weights, st.one_of(_ints, _rats))))
-@example([])
-@example([(1, 3), (1, -7), (1, 12)])
-@example([(1, Rat(1, 2)), (1, Rat(3, 4)), (1, Rat(3, 4))])
-@example([(1, Rat(1, 6)), (1, Rat(1, 3))])
-@example([(1, 1), (1, Rat(1, 2)), (1, Rat(1, 2))])
-@example([(1, 1), (1, Rat(1, 2))])
-@example([(0, Rat(1, 3)), (0, 5), (0, Rat(2, 7))])  # zero weights
-@example([(3, Rat(1, 4)), (5, Rat(3, 4)), (-1, Rat(1, 4))])  # equal denominators
-@example([(2, Rat(1, 4)), (1, Rat(1, 2)), (3, 7)])  # reduces to the integer 22
-@example([(-3, Rat(5, 6)), (-2, Rat(1, 3)), (-1, 4)])  # negative weights
-def test_exact_sum_matches_builtin_sum(terms):
-    total = _weighted_sum(iter(terms))
-    expected = sum(w * v for w, v in terms)
-    assert total == expected
-    assert (type(total) is int) == (Rat(expected).denominator == 1)
-
-
-@given(
-    st.lists(st.tuples(st.one_of(_weights, _rats), st.one_of(_ints, _rats))),
-    st.integers(-50, 50).filter(bool),
-    _ints,
-    st.integers(1, 10**6),
-)
-@example([], -1, 6, 3)
-@example([(Rat(1, 2), Rat(1, 2))], 2, 3, 4)
-def test_weighted_sum_with_start_and_divisor(terms, divisor, num, den):
-    # rational weights, a running start num/den and a negative divisor are
-    # the forms n2A's base term, the row sums and n2B's sum take
-    total = _weighted_sum(terms, divisor, num, den)
-    expected = (Rat(num, den) + sum(w * v for w, v in terms)) / divisor
-    assert total == expected
-    assert (type(total) is int) == (expected.denominator == 1)
-
-
 @given(st.lists(st.integers(-(10**30), 10**30), max_size=12), st.integers(1, 10**12))
 @example([], 1)
 @example([3, -7], 1)  # a level whose denominator is 1
@@ -862,3 +863,33 @@ def test_row_sums_match_fraction_sums(nums, den):
     assert all(type(n) is int for n in (num_C, num_D, num_E))
     assert [Fraction(num_C, den), Fraction(num_D, den), Fraction(num_E, den)] == [
         s2, d2 * (d2 * s1 - s2), s0]
+
+
+def test_close_reads_every_row_of_its_level():
+    # level 5 at D_5 = 6 over D_4 = 1, planted with only row 1's numerators
+    # prime to 6: their gcd with D_5 / D_4 is 1, so the close keeps every
+    # value.  Row d1 holds m3(d1, d2, 5 - d1 - d2); row 2's second entry and
+    # row 3 are the reversed chains, the objects of row 1
+    engine = Engine(localp2_geometry(5))
+    level = [6, [None, 1, 5, 7], [None, 12, 5], [None, 1]]
+    engine._m3 = [[1] for _ in range(5)] + [level]
+    # D_5 / D_s, which a close that divides by a common factor rescales
+    engine._factors = [6] * 5 + [1]
+    values = {(a, b): Fraction(v, 6) for a, row in enumerate(level[1:], 1)
+              for b, v in enumerate(row[1:], 1)}
+    engine._close(5)
+    closed = engine._m3[5]
+    assert {(a, b): Fraction(closed[a][b], closed[0]) for a, b in values} == values
+
+
+def test_open_reads_the_gamma2_key_of_the_level_below():
+    # level 7 of a local geometry whose only denominator below it is
+    # gamma2(5, 1) = 1/11, over G_6 = 11: m3(1, 5, 1)'s correction reads it,
+    # so D_7 must take its 11
+    engine = Engine(localp2_geometry(7))
+    engine._m3 = [[1] for _ in range(7)]
+    engine._n2A[0][1:7] = [1] * 6
+    engine._gamma2[0][1:7] = [1] * 5 + [11]
+    engine._gamma2[5][1], engine._gamma2[3][2], engine._gamma2[1][3] = 1, 4, 0
+    engine._open(7)
+    assert engine._m3[7][0] % 11 == 0
