@@ -25,7 +25,12 @@ each value is homogeneous of degree 0 in the torus weights, so a call
 scales x, y and z once by their common denominator and checks them
 there.  Every factor is then an integer numerator over a power of d;
 each power is raised once, the per-degree constants once per degree,
-and each call normalises its whole value once, by one gcd.
+and each call normalises its whole value once, by one gcd.  The loci
+(x, y, z) and (y, x, z) differ only by p = x - y -> -p and s = z - x <->
+u = z - y, so their shared products (h1_first*h1_second, the interior
+product, p^2 and the tangent without s*u) are taken once per pair; each
+call still checks its weights and its interior product, and multiplies
+in its own signs, s^2 and s*u.
 """
 
 from __future__ import annotations
@@ -121,15 +126,23 @@ def _per_degree(d: int) -> tuple[int, int, int, int, int]:
     return (-1) ** (d - 1), fact, dd, fact * fact, dd * dd * dd
 
 
-def _quotient(factors, divisor) -> Rat:
-    """The product of the integer (numerator, denominator) pairs in
-    factors, divided by the pair divisor, as one :data:`Rat`: the only
-    normalisation, so the gcd does all the cancelling."""
-    den, num = divisor
-    for n, m in factors:
-        num *= n
-        den *= m
-    return Rat(num, den)
+@functools.lru_cache(maxsize=1)
+def _swap_pair(d: int, X: int, Y: int, Z: int) -> tuple[int, int]:
+    """The factors localization_g1_locus shares with its swap, on sorted
+    X, Y, as an integer (numerator, denominator): h1_first*h1_second up to
+    sign, the interior product, the obstruction's p and the tangent
+    without its s*u, each multiplied in and nothing cancelled."""
+    _, _, dd, ff, dd3 = _per_degree(d)
+    i_num = _symmetric_interior(d, X, Y, Z)
+    p = X - Y
+    pd = p ** (d - 1)
+    p2, pd2 = p * p, pd * pd
+    h1_pair = ff * pd2 * p
+    tangent = ff * d * d * pd2 * p2 * i_num
+    # numerator: the tangent's denominator d^(3d-1), then the numerators of
+    # the h1 factors and the obstruction; denominator: the tangent's
+    # numerator, then the h1 factors' three d^(d-1) and the 24d
+    return dd3 * d * d * h1_pair * i_num * p, tangent * dd * dd * dd * 24 * d
 
 
 def localization_g0(d: int, w: WeightTriple):
@@ -155,8 +168,13 @@ def localization_g0(d: int, w: WeightTriple):
     h1_first = (sign * fact * pd, dd)
     h1_second = (sign * fact * sign * pd, dd)
     h1_third = (sign * i_num, dd)
-    tangent = (sign * ff * pd * pd * i_num, dd3)
-    return _quotient((h1_first, h1_second, h1_third, (1, d)), tangent)
+    # over the tangent, sign*(d-1)!^2 p^(2d-2) times the interior product
+    # over d^(3d-3), and d; Rat's gcd does all the cancelling
+    num, den = dd3, sign * ff * pd * pd * i_num
+    for n, m in (h1_first, h1_second, h1_third, (1, d)):
+        num *= n
+        den *= m
+    return Rat(num, den)
 
 
 def localization_g1_locus(d: int, x, y, z):
@@ -171,23 +189,20 @@ def localization_g1_locus(d: int, x, y, z):
     lam times the ratio of the other four constant terms.  Divided by
     the automorphism factor d and integrated (lam integrates to 1/24),
     the result must equal (-1)^d/(24d) * (z-x)/(z-y).
+
+    Every call checks its weights and its interior product; the factors
+    the swap x <-> y leaves alone come from the pair's one _swap_pair
+    product, and the call multiplies in its signs, s^2 and s*u.
     """
     check_degree(d)
     X, Y, Z = _integer_weights(x, y, z)
-    sign, fact, dd, ff, dd3 = _per_degree(d)
-    i_num = _interior(d, X, Y, Z)
-    p, s, u = X - Y, Z - X, Z - Y
-    pd = p ** (d - 1)
-
-    # the lam coefficient of h1_first, then the constant terms of the rest,
-    # as integer (numerator, denominator) pairs: x - z is -s, y - x is -p,
-    # (-p)^(d-1) is sign*pd, p^(2d-1) is pd*pd*p and d^(2d-1) * dd * d is dd3*d*d
-    h1_first = (-sign * fact * pd, dd)
-    h1_second = (sign * fact * sign * pd * p, dd)
-    h1_third = (sign * i_num * -s, dd)
-    obstruction = (-p * s, 1)
-    tangent = (-sign * ff * d * d * pd * pd * p * s * u * i_num * -p, dd3 * d * d)
-    return _quotient((h1_first, h1_second, h1_third, obstruction, (1, 24 * d)), tangent)
+    _interior(d, X, Y, Z)
+    num, den = _swap_pair(d, min(X, Y), max(X, Y), Z)
+    s, u = Z - X, Z - Y
+    # the signs of h1_first (-sign), h1_third (sign*(x - z) = -sign*s), the
+    # obstruction ((y - x)(z - x) = -p*s) and the tangent (-sign*(y - x));
+    # p enters squared, so the pair shares it in either orientation
+    return Rat(-s * s * num, _per_degree(d)[0] * s * u * den)
 
 
 def cover_factor(d: int, x, y, z):

@@ -15,6 +15,7 @@ from cy5bps.localp2 import (
     WeightTriple,
     _integer_weights,
     _interior,
+    _loci,
     cover_factor,
     localization_g0,
     localization_g1,
@@ -365,6 +366,41 @@ def test_g1_locus_coincident_weights_raise(d, x, y, pattern):
     assert _outcome(localization_g1_locus, d, *args) == expected
 
 
+def _pair_products(d, X, Y, Z):
+    """The products localp2._swap_pair must hold for integer weights X, Y,
+    Z: d^(3d-1) (d-1)!^2 p^(2d) I over 24 d^(3d) (d-1)!^2 p^(2d) I, with I
+    the interior product."""
+    shared = math.factorial(d - 1) ** 2 * (X - Y) ** (2 * d)
+    shared *= math.prod(d * Z - (d - r) * X - r * Y for r in range(1, d))
+    return d ** (3 * d - 1) * shared, 24 * d ** (3 * d) * shared
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights, other_z=_weights,
+       r=st.integers(0, 29))
+def test_swap_pair_products_hold_in_any_call_order(d, x, y, z, other_z, r):
+    # the loci share cached products across calls: run them in the verifier's
+    # order, then swap back and forth, change only z (onto an interior node of
+    # the x-y line when 0 < r < d), and change only d.  The pair's numerator
+    # and denominator share I, so a stale I leaves the value right: after
+    # each locus, the cached products must also be those of its own weights
+    assume(len({x, y, z}) == 3)
+    if 0 < r < d:
+        other_z = ((d - r) * x + r * y) / Rat(d)
+    w = WeightTriple(x, y, z)
+    assert _outcome(localization_g0, d, w) == _outcome(_naive_g0, d, w)
+    loci = [(d, *xyz) for xyz in _loci(w)] + [
+        (d, x, y, z), (d, y, x, z), (d, x, y, z), (d, x, y, other_z), (d, y, x, other_z),
+        (d, x, y, z), (d + 1, x, y, z), (d, x, y, z), (d + 1, y, x, z)]
+    for args in loci:
+        value = _outcome(localization_g1_locus, *args)
+        assert value == _outcome(_naive_g1_locus, *args)
+        if not isinstance(value, str):
+            d_, X, Y, Z = args[0], *_integer_weights(*args[1:])
+            cached = localp2._swap_pair(d_, min(X, Y), max(X, Y), Z)
+            assert cached == _pair_products(d_, X, Y, Z)
+
+
 # -- the closed-form cover factor and the weight checks ---------------------------
 
 _PATTERNS = [(0, 1, 2), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 0)]
@@ -442,3 +478,15 @@ def test_verify_localization_output_is_pinned(capsys, fmt):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[fmt]
+
+
+# SHA-256 of the CSV stdout of ``verify-localization --max-degree 150 --seed 3``,
+# the benchmark's verifier workload, recorded before the two loci of a swap
+# pair shared their products.
+VERIFY_150_DIGEST = "3d363218d53828ea57eaedb7e007830eae3324f0ec7b460fd6f9250b2f48be3a"
+
+
+def test_verify_localization_degree_150_output_is_pinned(capsys):
+    assert main(["verify-localization", "--max-degree", "150", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_150_DIGEST
