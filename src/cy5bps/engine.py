@@ -48,7 +48,8 @@ and the recursion limit is never touched.
 
 m3 is symmetric under reversing the chain, so m3(d1, d2, d3) with
 d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
-earlier in the same level: the formula runs for d1 <= d3 only.
+earlier in the same level: the fill stores that object, and the formula
+runs for the canonical chains d1 <= d3 only.
 
 A public call is a validated lookup: the degrees are checked in one
 pass and index the kind's table, and an insertion passed is checked to
@@ -75,9 +76,9 @@ levels that read it.  gamma2(a, b), filled at level a + 2b, is over
 ``_gamma2[0][a + b]``, fixed when level a + b closes.  A read through a
 count method or the memo divides, so it returns the reduced value; the
 fill's own call of m3 or of a two-degree kind returns None.  Every level
-takes this path.  A two-degree level is opened with its headroom even
-when all its terms are integral, as on local P^2, where each closes back
-to denominator 1; an m3 level at D_t = 1 sums its reads unscaled.
+takes this path, even when all its terms are integral, as on local P^2:
+a two-degree level is opened with its headroom and closes back to
+denominator 1, and an m3 level at D_t = 1 scales each read by 1.
 
 A 1-component count is one exact expression in stored values, each
 two-degree sum taken on its numerators and divided once.  n2C, n2D and
@@ -110,8 +111,6 @@ def _norm(x):
 
 def _ratio(num: int, den: int):
     """The exact quotient of two ints, normalised and reduced once."""
-    if den == 1:
-        return num
     q, r = divmod(num, den)
     return Rat(num, den) if r else q
 
@@ -214,8 +213,9 @@ class Engine:
     only, which stores at most its own key, so a wrapper on a public
     method sees each stored key exactly once.  A fill call costs its
     validation, one read of an empty slot, the compute function (looked
-    up on the instance) and the store; the fill's call of m3 or of a
-    two-degree kind returns None, as it stores a numerator.  An
+    up on the instance; a reversed m3 chain reads its canonical row
+    instead) and the store; the fill's call of m3 or of a two-degree
+    kind returns None, as it stores a numerator.  An
     interrupted level stays unfilled, its values stored over the
     denominators its refill reuses.
     """
@@ -232,7 +232,7 @@ class Engine:
         # misses at total degree <= _level compute from the memo: the levels
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
-        # the m3 loop's factors, _factors[s] = D_t // D_s (None while D_t is
+        # the m3 loop's factors, _factors[s] = D_t // D_s (all 1 while D_t is
         # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3}
         self._factors = self._q = None
         # the pair loop's (b, L / d^2, n2C's and n2D's scales)
@@ -359,7 +359,7 @@ class Engine:
             table.append([lcm(table[t - 1][0], *dens)]
                          + [[None] * (t - d1) for d1 in range(1, t - 1)])
         den = table[t][0]
-        self._factors = None if den == 1 else [den // level[0] for level in table[:t + 1]]
+        self._factors = [den // level[0] for level in table[:t + 1]]
         if t5 is not None:
             self._q = [0] + [p.numerator * (den // (A[t - d3] * p.denominator))
                              for d3, p in enumerate(t5[1:t - 1], 1)]
@@ -520,8 +520,9 @@ class Engine:
             value = row[beta2]
             if value is not None:
                 return _ratio(value, level[0])
-            # only the fill's own call misses here: the levels below are whole
-            row[beta2] = self._c_m3(beta1, beta2, beta3)
+            # only the fill's own call misses here: the levels below are whole,
+            # and a reversed chain is the object of its row, filled earlier
+            row[beta2] = level[beta3][beta2] if beta1 > beta3 else self._c_m3(beta1, beta2, beta3)
             self.memo._size += 1
             return None
         # anything else is refused, or lies above the filled level, and the
@@ -600,7 +601,7 @@ class Engine:
             level = m3[hi]
             for p in range(1, gap):
                 num += level[p][lo]
-            num *= lo if factors is None else lo * factors[hi]
+            num *= lo * factors[hi]
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
@@ -611,8 +612,7 @@ class Engine:
                   + 5 * (b // B[hi]) * sum(n2B[p][hi - p] for p in range(1, hi)))
         t = d1 + d2
         for c in range(1, lo):
-            v = m3[t - c][d1 - c][c]
-            num += 2 * c * (v if factors is None else v * factors[t - c])
+            num += 2 * c * m3[t - c][d1 - c][c] * factors[t - c]
         if self._n1pt_t5 is not None:
             x -= 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])
         x += num * (b // m3[t][0])
@@ -667,53 +667,35 @@ class Engine:
                 + (n2C[d1][d2] + n2C[d2][d1]) * (den // n2C[0][s]))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
-        # base - C1 - C2 - C12 as a numerator over D_t, with the excess
-        # corrections C1 = x1, C2 = -(x2 + x3) and C12 = -x4: each x is an m3
-        # read from level l < t (m3(a, b, c) is m3[a + b + c][a][b], a
-        # numerator over D_l) or, where its correction has no m3 chain, the
-        # numerator over D_t of stored values (l = t)
-        m3 = self._m3
-        if d1 > d3:
-            # the reversed chain, stored earlier in this level's ascending rows
-            return m3[d1 + d2 + d3][d3][d2]
-        den = m3[d1 + d2 + d3][0]
-        x1 = x2 = x3 = x4 = l1 = l2 = l3 = l4 = 0
+        # base - C1 - C2 - C12 for d1 <= d3, as a numerator over D_t: each
+        # correction term is an m3 read from level l < t (m3(a, b, c) is
+        # m3[a + b + c][a][b], a numerator over D_l) times _factors[l], or,
+        # where it has no m3 chain, the numerator over D_t of stored values
+        m3, factors = self._m3, self._factors
 
-        if d3 > d1:
-            l1 = d3 + d2
-            x1 = m3[l1][d3 - d1][d1]
+        if d3 > d1:  # -C1
+            num = -m3[d3 + d2][d3 - d1][d1] * factors[d3 + d2]
         else:
-            l1 = d1 + d2 + d3
-            x1 = self._gamma2[d2][d1] * den // self._gamma2[0][d1 + d2]
+            num = -(self._gamma2[d2][d1] * m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2])
 
-        if d3 > d2:
-            l2 = d1 + d3
-            x2 = m3[l2][d1][d2]
+        if d3 > d2:  # -C2
+            num += m3[d1 + d3][d1][d2] * factors[d1 + d3]
         elif d3 < d2:
-            l2 = l3 = d1 + d2
-            row = m3[l2][d1]
-            x2, x3 = row[d3], row[d2 - d3]
+            row = m3[d1 + d2][d1]
+            num += (row[d3] + row[d2 - d3]) * factors[d1 + d2]
         else:
             # n2A(d1, d2, c2) + 2 n2E(d1, d2)
-            c2, s, l2 = self._c2, d1 + d2, d1 + d2 + d3
-            x2 = (self._n2A[d1][d2] * c2.numerator * (den // (c2.denominator * self._n2A[0][s]))
-                  + 2 * self._n2E[d1][d2] * (den // self._n2E[0][s]))
+            c2, s, den = self._c2, d1 + d2, m3[d1 + d2 + d3][0]
+            num += (self._n2A[d1][d2] * c2.numerator * (den // (c2.denominator * self._n2A[0][s]))
+                    + 2 * self._n2E[d1][d2] * (den // self._n2E[0][s]))
 
-        if d3 > d1 + d2:
-            l4 = d3
-            x4 = m3[d3][d3 - d1 - d2][d1]
+        if d3 > d1 + d2:  # -C12
+            num += m3[d3][d3 - d1 - d2][d1] * factors[d3]
         elif d2 < d3 < d1 + d2:
-            l4 = d1 + d2
-            x4 = m3[l4][d1 + d2 - d3][d3 - d2]
+            num += m3[d1 + d2][d1 + d2 - d3][d3 - d2] * factors[d1 + d2]
         elif d3 == d1 + d2:
-            l4 = 2 * d3
-            x4 = self._gamma2[d2][d1] * den // self._gamma2[0][d3]
+            num += self._gamma2[d2][d1] * m3[2 * d3][0] // self._gamma2[0][d3]
 
-        factors = self._factors
-        if factors is None:
-            num = x2 + x3 + x4 - x1
-        else:
-            num = x2 * factors[l2] + x3 * factors[l3] + x4 * factors[l4] - x1 * factors[l1]
         if self._q is None:
             return num
         # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}

@@ -31,6 +31,15 @@ u = z - y, so their shared products (h1_first*h1_second, the interior
 product, p^2 and the tangent without s*u) are taken once per pair; each
 call still checks its weights and its interior product, and multiplies
 in its own signs, s^2 and s*u.
+
+What the verifier's run can catch: for admissible weights each locus
+equals ``cover_factor`` identically, since the pair's shared products
+reduce to 1/(24d) whatever the weights, and the six cover factors sum to
+(-1)^d/(8d) identically.  So ``verify_localization``'s per-locus
+comparison and its g1 sum check only this module's arithmetic.  The
+fixed-point formula itself is checked against an independent symbolic
+integration of the five-factor integrand
+(``tests/test_localp2.py::test_locus_matches_five_factor_integrand``).
 """
 
 from __future__ import annotations

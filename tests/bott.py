@@ -23,12 +23,27 @@ dimension 2, and three such integrals enter the genus-1 pipeline:
 * the integral of 2 c_2 - c_1^2 of T_B = T_G - E over B_1, the degree-1
   Chern integral: sum(mu^2) - sum(x^2).
 
+The plane cubics of X_a in P^n (a = n + 1, so that they are finite in
+number) are counted the same way over P = P(Sym^3 S*), the bundle of
+cubic forms over the planes G(3, n+1).  A fixed point is a coordinate
+triple V with one of its 10 cubic monomials m; w(nu) is the weight of a
+monomial nu, the sum of its variables' weights.  At (V, m):
+
+* the tangent weights are x = {w_a - w_b : a in V, b not in V} and
+  w(m') - w(m) for the 9 other cubic monomials m';
+* E = Sym^a S* / (O(-1) (x) Sym^(a-3) S*), the degree-a equations on the
+  plane modulo the multiples of its cubic, has the weights {w(nu) :
+  deg nu = a} minus the multiset {w(m) + w(nu') : deg nu' = a - 3}.
+
+The count is the sum over the fixed points of prod(mu) / prod(x).
+
 Everything is an exact ``Fraction``; a different set of weights gives
 the same sums, which is the formula's own check.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 # two weight sets for P^6, each pairwise distinct
@@ -65,3 +80,26 @@ def septic_line_integrals(weights):
     """(N_{0,1}(H^3), N_{0,1}(H^2, H^2), the degree-1 Chern integral) of
     the septic X_7 in P^6."""
     return tuple(line_integral(7, 6, weights, alpha) for alpha in (_c2, _c1_squared, _chern))
+
+
+def _monomial_weights(weights, variables, degree):
+    """The weight w(nu) of each degree-``degree`` monomial nu in ``variables``."""
+    return [sum(weights[v] for v in nu)
+            for nu in combinations_with_replacement(variables, degree)]
+
+
+def plane_cubic_count(a, n, weights):
+    """The number of plane cubics on X_a in P^n, for a = n + 1."""
+    total = Fraction(0)
+    for plane in combinations(range(n + 1), 3):
+        rest = [b for b in range(n + 1) if b not in plane]
+        tangent = [weights[s] - weights[b] for s in plane for b in rest]
+        cubics = _monomial_weights(weights, plane, 3)
+        equations = _monomial_weights(weights, plane, a)
+        cofactors = _monomial_weights(weights, plane, a - 3)
+        for i, m in enumerate(cubics):
+            x = tangent + [w - m for w in cubics[:i] + cubics[i + 1:]]
+            mu = Counter(equations)
+            mu.subtract(m + w for w in cofactors)
+            total += Fraction(prod(mu.elements()), prod(x))
+    return total

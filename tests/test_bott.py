@@ -1,14 +1,25 @@
-"""The engine's degree-1 Chern integral against Bott's formula on the septic."""
+"""The engine's degree-1 Chern integral and the septic's genus-1 degree-3
+count against Bott's formula."""
 
 from cy5bps import DegreeSeries, Engine, Geometry, Ring, hypersurface_chern
 
-from bott import WEIGHTS, line_integral, septic_line_integrals
+from bott import WEIGHTS, line_integral, plane_cubic_count, septic_line_integrals
+from golden import GENUS1_SEPTIC
 
 
 def test_quintic_threefold_has_2875_lines():
     # the classical count, a calibration of the fixed-point sum
     for weights in WEIGHTS:
         assert line_integral(5, 4, weights[:5], lambda x, mu, q: 1) == 2875
+
+
+def test_plane_cubics_recover_the_published_genus_1_degree_3_counts():
+    # Ellingsrud and Stromme's 609,250 plane cubics on the quintic threefold
+    # calibrate the sum; on the septic, each plane cubic is an elliptic curve
+    # of degree 3, the paper's n_{1,3}
+    for weights in WEIGHTS:
+        assert plane_cubic_count(5, 4, weights[:5]) == 609_250
+        assert plane_cubic_count(7, 6, weights) == GENUS1_SEPTIC[2] == 26_123_172_457_235
 
 
 def test_septic_line_integrals_do_not_depend_on_the_weights():

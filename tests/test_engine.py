@@ -360,23 +360,32 @@ def rational_geometry_12(write_gw_file):
 def test_each_key_is_stored_by_one_public_call(request, monkeypatch, fixture):
     # every public count method wrapped on the class, recording its key when
     # the memo grows during the call: what a tracer counting the stored
-    # entries of each kind by wrapping the public names relies on
+    # entries of each kind by wrapping the public names relies on; each
+    # recorded with what the storing call returned
     geometry = request.getfixturevalue(fixture)
-    recorded = []
+    recorded, returned = [], []
     for method, (kind, ndeg, _) in COUNT_METHODS.items():
         def traced(engine, *args, _fn=getattr(Engine, method), _kind=kind, _ndeg=ndeg):
             before = len(engine.memo)
-            try:
-                return _fn(engine, *args)
-            finally:
-                if len(engine.memo) > before:
-                    recorded.append((_kind, *args[:_ndeg]))
+            value = _fn(engine, *args)
+            if len(engine.memo) > before:
+                recorded.append((_kind, *args[:_ndeg]))
+                returned.append(value)
+            return value
         monkeypatch.setattr(Engine, method, traced)
     engine = Engine(geometry)
     for d in range(1, geometry.max_degree + 1):
         engine.chern_integral(d)
     assert len(set(recorded)) == len(recorded)
     assert Counter(recorded) == Counter(iter(engine.memo))
+    # the fill's call of m3 or of a two-degree kind stores a numerator and
+    # returns None; a one-degree kind's call returns the value it stored
+    for key, value in zip(recorded, returned):
+        if len(key) > 2:
+            assert value is None, key
+        else:
+            stored = engine.memo[key]
+            assert value == stored and type(value) is type(stored), key
 
 
 def _assert_m3_table_is_the_memo(engine):
@@ -585,10 +594,10 @@ def test_integer_levels_are_never_sealed(local_engine_100):
                for row in level[1:] for v in row[1:])
     # every two-degree level is opened with headroom (B_t = 2, C_t = 2L) and
     # closes back to denominator 1; a level left above 1 would change no
-    # output, but would raise the next m3 levels' D_t off 1, and m3 would
-    # scale every read by its level's factor
+    # output, but would raise the next m3 levels' D_t off 1, and m3's reads,
+    # each scaled by D_t / D_l, would carry numerators over D_t > 1
     assert all(den == 1 for dens in _level_denominators(local_engine_100) for den in dens[1:])
-    assert local_engine_100._factors is None
+    assert set(local_engine_100._factors) == {1}
 
 
 # -- the memo view over the kinds' index tables ---------------------------------
