@@ -69,16 +69,18 @@ denominators of the terms its formula reads: D_t = ``_m3[t][0]`` for m3
 at t = d1 + d2 + d3, D_s dividing D_t for s <= t, and ``_n2A[0][t]``
 .. ``_n2E[0][t]`` for n2A-n2E at t = d1 + d2, with headroom for n2B's
 divisor -2 and n2C's and n2D's d2^2.  So every formula is an int
-multiply-add, each read scaled by one factor per level.  When its loop
-ends a level is closed: its numerators and denominator are divided by
-their common factor, so D_t is least and no headroom spreads to the
-levels that read it.  gamma2(a, b), filled at level a + 2b, is over
-``_gamma2[0][a + b]``, fixed when level a + b closes.  A read through a
-count method or the memo divides, so it returns the reduced value; the
-fill's own call of m3 or of a two-degree kind returns None.  Every level
-takes this path, even when all its terms are integral, as on local P^2:
-a two-degree level is opened with its headroom and closes back to
-denominator 1, and an m3 level at D_t = 1 scales each read by 1.
+multiply-add, each read scaled by one factor per level.  An m3 level is
+written once: D_t is the lcm of D_{t-1} and the level denominators its
+chains read, and is not reduced, so it may lie above the least one.  A
+two-degree level is closed when its loop ends: its numerators and
+denominator are divided by their common factor, so the headroom does not
+spread to the levels that read it.  gamma2(a, b), filled at level a +
+2b, is over ``_gamma2[0][a + b]``, fixed when level a + b closes.  A read
+through a count method or the memo divides, so it returns the reduced
+value; the fill's own call of m3 or of a two-degree kind returns None.
+Every level takes this path, even when all its terms are integral, as
+on local P^2: a two-degree level is opened with its headroom and closes
+back to denominator 1, and an m3 level at D_t = 1 scales each read by 1.
 
 A 1-component count is one exact expression in stored values, each
 two-degree sum taken on its numerators and divided once.  n2C, n2D and
@@ -318,7 +320,6 @@ class Engine:
                 for d1 in range(1, t - 1):
                     for d2 in range(1, t - d1):
                         m3(d1, d2, t - d1 - d2)
-                self._close(t)
                 self._open_pairs(t)
                 for d1 in range(1, t):
                     d2 = t - d1
@@ -342,19 +343,19 @@ class Engine:
         """Allocate level t at D_t, unless an interrupted fill left it, and
         set what its m3 loop sums over: ``_factors`` and ``_q``.
 
-        D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, the denominators
-        of the diagonal terms of ``_c_m3``), A_s = ``_n2A[0][s]`` and P_d
-        n1pt_t5[d]'s.  A level left by an interrupted fill keeps its stored
-        D_t: its numerators are over it, and once closed it may be below."""
+        D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, G_s for s =
+        ceil(t/2)..t-1, c2's * A_s for s = t-d2, ceil(t/3) <= d2 < t/2), the
+        denominators of the terms of ``_c_m3``, with A_s = ``_n2A[0][s]``,
+        G_s = ``_gamma2[0][s]`` and P_d n1pt_t5[d]'s.  Nothing rewrites a
+        stored level, so a level left by an interrupted fill keeps D_t and
+        its numerators over it."""
         table, t5, A, G = self._m3, self._n1pt_t5, self._n2A[0], self._gamma2[0]
         if len(table) == t:
             # the base terms, then the diagonal ones: gamma2 at level t - d1
-            # (d3 = d1) and t/2 (d3 = d1 + d2), each key's G_s reduced, and c2
-            # n2A at level t - d2 (d3 = d2 >= d1; n2E's divides D_{t-d2})
+            # (d3 = d1) and t/2 (d3 = d1 + d2), and c2 n2A at level t - d2
+            # (d3 = d2 >= d1; n2E's divides D_{t-d2})
             dens = [] if t5 is None else [A[s] * t5[t - s].denominator for s in range(2, t)]
-            keys = [(t - d1, t - 2 * d1, d1) for d1 in range(1, (t + 1) // 2)]
-            keys += [(t // 2, t // 2 - d1, d1) for d1 in range(1, t // 2)] if t % 2 == 0 else []
-            dens += [G[s] // gcd(G[s], self._gamma2[a][b]) for s, a, b in keys]
+            dens += G[(t + 1) // 2:t]
             dens += [self._c2.denominator * A[t - d2] for d2 in range((t + 2) // 3, (t + 1) // 2)]
             table.append([lcm(table[t - 1][0], *dens)]
                          + [[None] * (t - d1) for d1 in range(1, t - 1)])
@@ -363,30 +364,6 @@ class Engine:
         if t5 is not None:
             self._q = [0] + [p.numerator * (den // (A[t - d3] * p.denominator))
                              for d3, p in enumerate(t5[1:t - 1], 1)]
-
-    def _close(self, t: int):
-        """Divide level t's numerators and D_t by h = gcd(D_t / D_{t-1}, the
-        numerators), so that D_t is the least denominator of the values at
-        levels <= t.  The level is replaced by one store."""
-        table = self._m3
-        level = table[t]
-        h = level[0] // table[t - 1][0]
-        # row d1 holds the chains with d1 <= d3 at d2 = 1..t - 2 d1
-        for d1 in range(1, (t + 1) // 2):
-            if h == 1:
-                return
-            h = gcd(h, *level[d1][1:t - 2 * d1 + 1])
-        if h == 1:
-            return
-        closed = [level[0] // h]
-        for d1 in range(1, t - 1):
-            # the chains with d1 <= d3, then the reversed ones, each the
-            # object of its chain (d3, d2, d1), in a row already closed
-            row = [None] + [v // h for v in level[d1][1:max(t - 2 * d1 + 1, 1)]]
-            row += [closed[t - d1 - d2][d2] for d2 in range(len(row), t - d1)]
-            closed.append(row)
-        table[t] = closed
-        self._factors = [f // h for f in self._factors[:t]] + [1]
 
     def _open_pairs(self, t: int):
         """Fix level t's n2A-n2E denominators, unless an interrupted fill
@@ -622,7 +599,7 @@ class Engine:
         """The m3 row v_p = m3(d1, d2 - p, p), p = 1..d2-1, summed in one pass
         with the weights of n2C (p^2), n2D (p(d2-p)^2 + (d2-p)p^2 = d2 p (d2-p))
         and n2E (1): ``[num_C, num_D, num_E]`` over D_{d1 + d2}, from the sums
-        s_k = sum p^k v_p of the closed level's numerators as s2, d2 (d2 s1 -
+        s_k = sum p^k v_p of the level's numerators as s2, d2 (d2 s1 -
         s2), s0.  The fill computes n2C, n2D and n2E of one (d1, d2) back to
         back, so one cached row serves all three."""
         key, row = self._last_row
@@ -676,7 +653,7 @@ class Engine:
         if d3 > d1:  # -C1
             num = -m3[d3 + d2][d3 - d1][d1] * factors[d3 + d2]
         else:
-            num = -(self._gamma2[d2][d1] * m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2])
+            num = -self._gamma2[d2][d1] * (m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2])
 
         if d3 > d2:  # -C2
             num += m3[d1 + d3][d1][d2] * factors[d1 + d3]
@@ -694,7 +671,7 @@ class Engine:
         elif d2 < d3 < d1 + d2:
             num += m3[d1 + d2][d1 + d2 - d3][d3 - d2] * factors[d1 + d2]
         elif d3 == d1 + d2:
-            num += self._gamma2[d2][d1] * m3[2 * d3][0] // self._gamma2[0][d3]
+            num += self._gamma2[d2][d1] * (m3[2 * d3][0] // self._gamma2[0][d3])
 
         if self._q is None:
             return num

@@ -23,19 +23,23 @@ dimension 2, and three such integrals enter the genus-1 pipeline:
 * the integral of 2 c_2 - c_1^2 of T_B = T_G - E over B_1, the degree-1
   Chern integral: sum(mu^2) - sum(x^2).
 
-The plane cubics of X_a in P^n (a = n + 1, so that they are finite in
-number) are counted the same way over P = P(Sym^3 S*), the bundle of
-cubic forms over the planes G(3, n+1).  A fixed point is a coordinate
-triple V with one of its 10 cubic monomials m; w(nu) is the weight of a
-monomial nu, the sum of its variables' weights.  At (V, m):
+The plane curves of degree k = 2 or 3 on X_a in P^n (a = n + 1, so that
+the cubics are finite in number and the conics form a surface) are
+summed the same way over P = P(Sym^k S*), the bundle of degree-k forms
+over the planes G(3, n+1).  A fixed point is a coordinate triple V with
+one of its degree-k monomials m; w(nu) is the weight of a monomial nu,
+the sum of its variables' weights.  At (V, m):
 
 * the tangent weights are x = {w_a - w_b : a in V, b not in V} and
-  w(m') - w(m) for the 9 other cubic monomials m';
-* E = Sym^a S* / (O(-1) (x) Sym^(a-3) S*), the degree-a equations on the
-  plane modulo the multiples of its cubic, has the weights {w(nu) :
-  deg nu = a} minus the multiset {w(m) + w(nu') : deg nu' = a - 3}.
+  w(m') - w(m) for the other degree-k monomials m';
+* E = Sym^a S* / (O(-1) (x) Sym^(a-k) S*), the degree-a equations on the
+  plane modulo the multiples of its curve's form, has the weights
+  {w(nu) : deg nu = a} minus the multiset {w(m) + w(nu') : deg nu' =
+  a - k}.
 
-The count is the sum over the fixed points of prod(mu) / prod(x).
+The plane cubics are counted by the sum of prod(mu) / prod(x); the
+conics carry the degree-2 Chern integral, the sum of (sum(mu^2) -
+sum(x^2)) prod(mu) / prod(x).
 
 Everything is an exact ``Fraction``; a different set of weights gives
 the same sums, which is the formula's own check.
@@ -88,18 +92,35 @@ def _monomial_weights(weights, variables, degree):
             for nu in combinations_with_replacement(variables, degree)]
 
 
-def plane_cubic_count(a, n, weights):
-    """The number of plane cubics on X_a in P^n, for a = n + 1."""
+def plane_curve_integral(a, n, weights, k, alpha):
+    """The integral over the plane curves of degree k on X_a in P^n of the
+    class alpha, given at each fixed point as ``alpha(x, mu)`` of its
+    tangent and E weights."""
     total = Fraction(0)
     for plane in combinations(range(n + 1), 3):
         rest = [b for b in range(n + 1) if b not in plane]
         tangent = [weights[s] - weights[b] for s in plane for b in rest]
-        cubics = _monomial_weights(weights, plane, 3)
+        forms = _monomial_weights(weights, plane, k)
         equations = _monomial_weights(weights, plane, a)
-        cofactors = _monomial_weights(weights, plane, a - 3)
-        for i, m in enumerate(cubics):
-            x = tangent + [w - m for w in cubics[:i] + cubics[i + 1:]]
+        cofactors = _monomial_weights(weights, plane, a - k)
+        for i, m in enumerate(forms):
+            x = tangent + [w - m for w in forms[:i] + forms[i + 1:]]
             mu = Counter(equations)
             mu.subtract(m + w for w in cofactors)
-            total += Fraction(prod(mu.elements()), prod(x))
+            # elements() skips a negative count, so a multiple of m that is
+            # not among the equations would give a plausible wrong product
+            assert min(mu.values()) >= 0, (plane, i)
+            mu = list(mu.elements())
+            total += Fraction(alpha(x, mu) * prod(mu), prod(x))
     return total
+
+
+def plane_cubic_count(a, n, weights):
+    """The number of plane cubics on X_a in P^n, for a = n + 1."""
+    return plane_curve_integral(a, n, weights, 3, lambda x, mu: 1)
+
+
+def conic_chern(a, n, weights):
+    """The integral of 2 c_2 - c_1^2 over the conics of X_a in P^n, for
+    a = n + 1: the degree-2 Chern integral."""
+    return plane_curve_integral(a, n, weights, 2, lambda x, mu: _chern(x, mu, ()))

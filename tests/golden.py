@@ -11,7 +11,8 @@ GENUS1_LOCAL_P2 = [
 ]
 
 # Genus-1 integer counts for the degree-7 hypersurface in P^6, degrees
-# 1..10; reproducible only from externally supplied Gromov-Witten data.
+# 1..10; acceptance criterion 8 reproduces them from the Gromov-Witten
+# input that tests/mirror.py computes from the septic's mirror series.
 GENUS1_SEPTIC = [
     0,
     0,
@@ -26,7 +27,7 @@ GENUS1_SEPTIC = [
 ]
 
 # Node-on-divisor meeting numbers n_{d1 d2}(H|;) for the septic,
-# rows d1 = 1..3, columns d2 = 1..2; same conditionality as above.
+# rows d1 = 1..3, columns d2 = 1..2; reproduced as above.
 MEETING_SEPTIC = {
     (1, 1): 145366465734,
     (1, 2): 17628837973096812,

@@ -25,6 +25,7 @@ from cy5bps.series import DegreeSeries, invert_multi_cover
 
 from conftest import gw_file_text
 from golden import GENUS1_LOCAL_P2, GENUS1_SEPTIC, MEETING_SEPTIC
+from mirror import septic_gw_text
 
 FULL_DEGREE = 200
 
@@ -241,23 +242,23 @@ def test_criterion_8_septic_mode(tmp_path):
         and [g2.gw_genus1[d] for d in (1, 2)] == [1, 2]
     )
 
-    detail = "zero input gives zero output; file format round-trips"
-    data_path = os.environ.get("CY5BPS_SEPTIC_GW")
-    if data_path:
-        needed = max(len(GENUS1_SEPTIC), 5)
-        septic = load_hypersurface_geometry(data_path, needed)
-        septic_report = compute_bps_table(septic, len(GENUS1_SEPTIC))
-        table_ok = all(
-            septic_report.n1[d] == GENUS1_SEPTIC[d - 1]
-            for d in range(1, len(GENUS1_SEPTIC) + 1)
-        )
+    def reproduces_the_tables(path):
+        septic = load_hypersurface_geometry(path, len(GENUS1_SEPTIC))
+        report = compute_bps_table(septic, len(GENUS1_SEPTIC))
         engine = Engine(septic)
         H = septic.ring.H(1)
-        meeting_ok = all(
-            engine.n2B(d1, d2, H) == value for (d1, d2), value in MEETING_SEPTIC.items()
-        )
-        detail += "; supplied data reproduces the published genus-1 and meeting tables"
-        _report(8, zero_ok and round_trip_ok and table_ok and meeting_ok, detail)
-    else:
-        detail += " (no external data file supplied; published-table check skipped)"
-        _report(8, zero_ok and round_trip_ok, detail)
+        return (all(report.n1[d] == value for d, value in enumerate(GENUS1_SEPTIC, 1))
+                and all(engine.n2B(d1, d2, H) == value
+                        for (d1, d2), value in MEETING_SEPTIC.items()))
+
+    # the septic's input from its mirror series, through the parser
+    mirror_path = tmp_path / "septic.gw"
+    mirror_path.write_text(septic_gw_text(len(GENUS1_SEPTIC)), encoding="utf-8")
+    table_ok = reproduces_the_tables(mirror_path)
+    detail = ("zero input gives zero output; file format round-trips; the mirror series "
+              "reproduces the published genus-1 and meeting tables")
+    data_path = os.environ.get("CY5BPS_SEPTIC_GW")
+    if data_path:
+        table_ok = table_ok and reproduces_the_tables(data_path)
+        detail += ", and so does the supplied data file"
+    _report(8, zero_ok and round_trip_ok and table_ok, detail)

@@ -1,10 +1,12 @@
-"""The engine's degree-1 Chern integral and the septic's genus-1 degree-3
-count against Bott's formula."""
+"""The engine's degree-1 and degree-2 Chern integrals and the septic's
+genus-1 degree-3 count against Bott's formula."""
 
 from cy5bps import DegreeSeries, Engine, Geometry, Ring, hypersurface_chern
+from cy5bps.geometry import load_hypersurface_geometry
 
-from bott import WEIGHTS, line_integral, plane_cubic_count, septic_line_integrals
+from bott import WEIGHTS, conic_chern, line_integral, plane_cubic_count, septic_line_integrals
 from golden import GENUS1_SEPTIC
+from mirror import septic_gw_text
 
 
 def test_quintic_threefold_has_2875_lines():
@@ -34,3 +36,14 @@ def test_engine_chern_1_equals_bott():
                         DegreeSeries({1: n2pt}, 1), DegreeSeries.zero(1), 1)
     # the degree-1 formula reads the c2 and c3 terms of the compact path
     assert Engine(geometry).chern_integral(1) == chern
+
+
+def test_engine_chern_2_equals_bott_on_the_mirror_data(tmp_path):
+    # chern(2) reads n2A(1, 1) and n2B(1, 1) with their diagonal 1/t5 terms,
+    # so the conics check every kind but m3, gamma1 and gamma2 at total
+    # degree <= 2 on the compact path
+    first, second = (conic_chern(7, 6, weights) for weights in WEIGHTS)
+    assert first == second == 12_185_661_480_951
+    path = tmp_path / "septic.gw"
+    path.write_text(septic_gw_text(2), encoding="utf-8")
+    assert Engine(load_hypersurface_geometry(path, 2)).chern_integral(2) == first

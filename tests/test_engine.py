@@ -443,7 +443,7 @@ def _level_denominators(engine):
 
 @pytest.mark.parametrize("compute_name,key,m3_loop_done", [
     ("_c_m3", (2, 3, 2), False),  # in level 7's m3 loop
-    ("_c_n2A", (3, 4), True),  # in its n2A loop, after the level is closed
+    ("_c_n2A", (3, 4), True),  # in its n2A loop, after its m3 loop
     # in its pair loop, n2A(3, 4) and n2B(3, 4) stored over the denominators
     # the level was opened at
     ("_c_n2C", (3, 4), True),
@@ -548,9 +548,10 @@ def test_cold_gamma2_call_returns_its_value(rational_geometry_12):
     assert type(value) is Rat and value == warm.gamma2(3, 4) == cold.gamma2(3, 4)
 
 
-# rational_geometry_12 is seed 5 of random_gw_text; the levels that the
-# close reduces are 9 on seed 0, 6 and 7 on seed 1, 3, 4, 6 and 9 on seed 2,
-# and 7, 8 and 9 on seed 5
+# rational_geometry_12 is seed 5 of random_gw_text.  The two-degree levels
+# are least; an m3 level is never reduced, and its D_t lies above the least
+# denominator of its values on every source here but synthetic_geometry: on
+# seed 5 by up to a factor 105 (level 8), on c2-eleventh by 1694 (level 5)
 @pytest.mark.parametrize("source", ["synthetic_geometry", 0, 1, 2, "rational_geometry_12",
                                     "c2-eleventh"])
 def test_level_denominators_are_cumulative_and_least(request, write_gw_file, source):
@@ -563,13 +564,18 @@ def test_level_denominators_are_cumulative_and_least(request, write_gw_file, sou
     engine.chern_integral(geometry.max_degree)
     dens = [level[0] for level in engine._m3]
     assert dens[-1] > 1
-    # D_{t-1} divides D_t, and D_t is the lcm of the reduced denominators
-    # of the m3 values stored at levels <= t
+    # D_{t-1} divides D_t, and D_t is the lcm of D_{t-1} and the level
+    # denominators of the terms m3's formula reads at level t: A_s times the
+    # denominator of n1pt[t - s] / t5 (the base term), G_s for s >= t/2
+    # (gamma2 in C1 and C12) and c2's times A_{t-d2} (n2A(d1, d2, c2) in C2)
+    A, G = engine._n2A[0], engine._gamma2[0]
+    t5, c2 = geometry.ring.top_integral, Fraction(geometry.c2)
     assert all(dens[t] % dens[t - 1] == 0 for t in range(1, len(dens)))
-    for t in range(len(dens)):
-        stored = [Fraction(v).denominator for key, v in engine.memo.items()
-                  if key[0] == "m3" and sum(key[1:]) <= t]
-        assert dens[t] == lcm(*stored)
+    for t in range(1, len(dens)):
+        read = [A[s] * (Fraction(geometry.n1pt[t - s]) / t5).denominator for s in range(2, t)]
+        read += [G[s] for s in range(-(-t // 2), t)]
+        read += [c2.denominator * A[t - d2] for d2 in range(1, t) if t / 3 <= d2 < t / 2]
+        assert dens[t] == lcm(dens[t - 1], *read), t
     # a closed two-degree level is over the lcm of its values' reduced
     # denominators, so none of its headroom is left
     for kind in ("n2A", "n2B", "n2C", "n2D", "n2E"):
@@ -861,7 +867,7 @@ def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
 @example([1, 3, -2, 5], 12)
 def test_row_sums_match_fraction_sums(nums, den):
     # _row against plain Fraction sums: v_p is nums[p - 1] / den, planted as
-    # the closed m3 row m3(1, d2 - p, p) of numerators over the level's den
+    # the m3 row m3(1, d2 - p, p) of numerators over the level's den
     engine = Engine(localp2_geometry(2))
     d2 = len(nums) + 1
     engine._m3 = [None] * (d2 + 1) + [[den, [None] + nums[::-1]]]
@@ -872,23 +878,6 @@ def test_row_sums_match_fraction_sums(nums, den):
     assert all(type(n) is int for n in (num_C, num_D, num_E))
     assert [Fraction(num_C, den), Fraction(num_D, den), Fraction(num_E, den)] == [
         s2, d2 * (d2 * s1 - s2), s0]
-
-
-def test_close_reads_every_row_of_its_level():
-    # level 5 at D_5 = 6 over D_4 = 1, planted with only row 1's numerators
-    # prime to 6: their gcd with D_5 / D_4 is 1, so the close keeps every
-    # value.  Row d1 holds m3(d1, d2, 5 - d1 - d2); row 2's second entry and
-    # row 3 are the reversed chains, the objects of row 1
-    engine = Engine(localp2_geometry(5))
-    level = [6, [None, 1, 5, 7], [None, 12, 5], [None, 1]]
-    engine._m3 = [[1] for _ in range(5)] + [level]
-    # D_5 / D_s, which a close that divides by a common factor rescales
-    engine._factors = [6] * 5 + [1]
-    values = {(a, b): Fraction(v, 6) for a, row in enumerate(level[1:], 1)
-              for b, v in enumerate(row[1:], 1)}
-    engine._close(5)
-    closed = engine._m3[5]
-    assert {(a, b): Fraction(closed[a][b], closed[0]) for a, b in values} == values
 
 
 def test_open_reads_the_gamma2_key_of_the_level_below():
