@@ -49,19 +49,21 @@ and the recursion limit is never touched.
 m3 is symmetric under reversing the chain, so m3(d1, d2, d3) with
 d1 > d3 is the object already stored for m3(d3, d2, d1), a row filled
 earlier in the same level: the fill stores that object, and the formula
-runs for the canonical chains d1 <= d3 only.
+runs for the canonical chains d1 <= d3 only.  n2B is symmetric too: for
+d1 > d2, n2B(d1, d2) takes the numerator that n2B(d2, d1) stored earlier
+in the level, and the formula runs for d1 <= d2 only.
 
 A public call is a validated lookup: the degrees are checked in one
 pass and index the kind's table, and an insertion passed is checked to
 be the unit class that leaving it out (or None) means; every formula
 reads its terms by index.  m3, most of the keys (161,700 of 189,650 at
 degree 100), answers a valid call at or below the filled level in its
-own frame.  The fill stores every key, reversed m3 chains too, by one
-call of its public method, looked up on the class, and that call stores
-its own key: ``perfbench/tracer.py`` counts the entries of each kind by
-wrapping those methods and watching ``len(engine.memo)`` grow.  An
-interrupted level keeps the values it stored, and its refill stores the
-rest over the same denominators.
+own frame.  The fill stores every key, reversed m3 chains and swapped
+n2B pairs too, by one call of its public method, looked up on the
+class, and that call stores its own key: ``perfbench/tracer.py`` counts
+the entries of each kind by wrapping those methods and watching
+``len(engine.memo)`` grow.  An interrupted level keeps the values it
+stored, and its refill stores the rest over the same denominators.
 
 m3 and the two-degree kinds store an integer numerator over one
 denominator per kind and level, fixed before the level's loop from the
@@ -564,31 +566,33 @@ class Engine:
         return num + _numerator(den, self._c2, self._n1B[d1]) + _numerator(den, 2, self._n1F[d1])
 
     def _c_n2B(self, d1: int, d2: int):
+        # n2B is symmetric, and n2B(d2, d1) was stored earlier in the level
+        if d1 > d2:
+            return self._n2B[d2][d1]
         # base - sum - C2 as -(2 C2 + 2 sum - 2 base) / 2: x over b = B_t / 2,
         # with both m3 sums summed first over D_{d1 + d2}
         n2B, n2D, m3, factors = self._n2B, self._n2D, self._m3, self._factors
         B, N, b, num = n2B[0], n2D[0], self._scales[0], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
-        lo, hi = min(d1, d2), max(d1, d2)
-        if hi > lo:
-            gap = hi - lo
-            x = 2 * (n2D[gap][lo] * (b // N[hi]) + n2B[gap][lo] * (b // B[hi])
-                     + lo * self._gamma2[gap][lo] * (b // self._gamma2[0][hi]))
-            level = m3[hi]
+        if d2 > d1:
+            gap = d2 - d1
+            x = 2 * (n2D[gap][d1] * (b // N[d2]) + n2B[gap][d1] * (b // B[d2])
+                     + d1 * self._gamma2[gap][d1] * (b // self._gamma2[0][d2]))
+            level = m3[d2]
             for p in range(1, gap):
-                num += level[p][lo]
-            num *= lo * factors[hi]
+                num += level[p][d1]
+            num *= d1 * factors[d2]
         else:
             # the 1-pointed count against c2*H, which is c2 * n1pt[d1], and
             # n1D(d1, H, c2): both linear in c2
             c2 = self._c2
-            x = 2 * (_numerator(b, self._n1E[lo]) + _numerator(b, lo, self._gamma1[lo])
-                     + _numerator(b, c2, self._n1pt[lo]) + _numerator(b, c2, self._n1D[lo]))
-            x -= (4 * (b // N[hi]) * sum(n2D[p][hi - p] for p in range(1, hi))
-                  + 5 * (b // B[hi]) * sum(n2B[p][hi - p] for p in range(1, hi)))
+            x = 2 * (_numerator(b, self._n1E[d1]) + _numerator(b, d1, self._gamma1[d1])
+                     + _numerator(b, c2, self._n1pt[d1]) + _numerator(b, c2, self._n1D[d1]))
+            x -= (4 * (b // N[d2]) * sum(n2D[p][d2 - p] for p in range(1, d2))
+                  + 5 * (b // B[d2]) * sum(n2B[p][d2 - p] for p in range(1, d2)))
         t = d1 + d2
-        for c in range(1, lo):
+        for c in range(1, d1):
             num += 2 * c * m3[t - c][d1 - c][c] * factors[t - c]
         if self._n1pt_t5 is not None:
             x -= 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])

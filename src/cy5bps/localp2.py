@@ -27,8 +27,8 @@ there.  Every factor is then an integer numerator over a power of d;
 each power is raised once, the per-degree constants once per degree,
 and each call normalises its whole value once, by one gcd.  The loci
 (x, y, z) and (y, x, z) differ only by p = x - y -> -p and s = z - x <->
-u = z - y, so their shared products (h1_first*h1_second, the interior
-product, p^2 and the tangent without s*u) are taken once per pair; each
+u = z - y.  One cache per line holds the interior product, shared by g0
+and the line's two genus-1 loci, and those loci's shared products; each
 call still checks its weights and its interior product, and multiplies
 in its own signs, s^2 and s*u.
 
@@ -110,22 +110,14 @@ def _integer_weights(x, y, z) -> tuple[int, int, int]:
 
 
 def _interior(d: int, X: int, Y: int, Z: int) -> int:
-    """The numerator of the interior cover-weight product, prod over
-    r=1..d-1 of (Z - ((d-r)X + rY)/d), over d^(d-1); a vanishing factor
-    raises WeightDegeneracyError.  Factor r is A + rB, with B != 0."""
+    """The numerator over d^(d-1) of the interior cover-weight product, prod
+    over r=1..d-1 of (Z - ((d-r)X + rY)/d), from the line's cache once no
+    factor A + rB (B != 0) vanishes; else WeightDegeneracyError."""
     A, B = d * (Z - X), X - Y
     r, rest = divmod(-A, B)
     if rest == 0 and 0 < r < d:
         raise WeightDegeneracyError(f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}")
-    return _symmetric_interior(d, min(X, Y), max(X, Y), Z)
-
-
-@functools.lru_cache(maxsize=1)
-def _symmetric_interior(d: int, X: int, Y: int, Z: int) -> int:
-    """_interior's product on sorted X, Y (a swap takes factor r to d - r),
-    kept for the next call: in verify_localization, g0 and loci (a, b, c),
-    (b, a, c) share it, as do (a, c, b), (c, a, b) and (b, c, a), (c, b, a)."""
-    return math.prod(range(d * (Z - X) + X - Y, d * (Z - Y), X - Y))
+    return _line_products(d, min(X, Y), max(X, Y), Z)[0]
 
 
 @functools.lru_cache(maxsize=1)
@@ -136,13 +128,15 @@ def _per_degree(d: int) -> tuple[int, int, int, int, int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _swap_pair(d: int, X: int, Y: int, Z: int) -> tuple[int, int]:
-    """The factors localization_g1_locus shares with its swap, on sorted
-    X, Y, as an integer (numerator, denominator): h1_first*h1_second up to
-    sign, the interior product, the obstruction's p and the tangent
-    without its s*u, each multiplied in and nothing cancelled."""
+def _line_products(d: int, X: int, Y: int, Z: int) -> tuple[int, int, int]:
+    """The line through the fixed points of weights X < Y: _interior's
+    product (a swap takes factor r to d - r), then the integer numerator and
+    denominator of what localization_g1_locus shares with its swap (the h1
+    pair up to sign, the interior product, the obstruction's p, the tangent
+    without its s*u, nothing cancelled); kept for the next call, as
+    verify_localization calls g0 and the line's two loci in a row."""
     _, _, dd, ff, dd3 = _per_degree(d)
-    i_num = _symmetric_interior(d, X, Y, Z)
+    i_num = math.prod(range(d * (Z - X) + X - Y, d * (Z - Y), X - Y))
     p = X - Y
     pd = p ** (d - 1)
     p2, pd2 = p * p, pd * pd
@@ -151,7 +145,7 @@ def _swap_pair(d: int, X: int, Y: int, Z: int) -> tuple[int, int]:
     # numerator: the tangent's denominator d^(3d-1), then the numerators of
     # the h1 factors and the obstruction; denominator: the tangent's
     # numerator, then the h1 factors' three d^(d-1) and the 24d
-    return dd3 * d * d * h1_pair * i_num * p, tangent * dd * dd * dd * 24 * d
+    return i_num, dd3 * d * d * h1_pair * i_num * p, tangent * dd * dd * dd * 24 * d
 
 
 def localization_g0(d: int, w: WeightTriple):
@@ -200,13 +194,13 @@ def localization_g1_locus(d: int, x, y, z):
     the result must equal (-1)^d/(24d) * (z-x)/(z-y).
 
     Every call checks its weights and its interior product; the factors
-    the swap x <-> y leaves alone come from the pair's one _swap_pair
-    product, and the call multiplies in its signs, s^2 and s*u.
+    the swap x <-> y leaves alone come from its line's _line_products,
+    and the call multiplies in its signs, s^2 and s*u.
     """
     check_degree(d)
     X, Y, Z = _integer_weights(x, y, z)
     _interior(d, X, Y, Z)
-    num, den = _swap_pair(d, min(X, Y), max(X, Y), Z)
+    _, num, den = _line_products(d, min(X, Y), max(X, Y), Z)
     s, u = Z - X, Z - Y
     # the signs of h1_first (-sign), h1_third (sign*(x - z) = -sign*s), the
     # obstruction ((y - x)(z - x) = -p*s) and the tangent (-sign*(y - x));

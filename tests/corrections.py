@@ -36,6 +36,15 @@ def correction_C2(engine, d1, d2):
             + g.c2 * engine.n1D(d1, H, H2) - splits / 2)
 
 
+def n2B_formula(engine, d1, d2):
+    """n2B(d1, d2, H) as base - sum - C2, in the order of its degrees given."""
+    g = engine.geometry
+    t5 = g.ring.top_integral
+    base = 0 if t5 is None else Fraction(g.n1pt[d1]) * g.n1pt[d2] / t5
+    chains = sum(c * Fraction(engine.m3(d1 - c, c, d2 - c)) for c in range(1, min(d1, d2)))
+    return base - chains - correction_C2(engine, d1, d2)
+
+
 def corrections_C3(engine, d1, d2, d3):
     """(C1, C2, C12)(d1, d2, d3) for the 3-component meeting number."""
     g = engine.geometry

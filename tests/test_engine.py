@@ -16,7 +16,7 @@ from cy5bps.localp2 import localp2_geometry
 from cy5bps.rational import Rat, parse_rational
 
 from conftest import c2_eleventh_gw_text, gw_file_text, inexact_int_geometry, random_gw_text
-from corrections import correction_C2, corrections_C3, m3_formula
+from corrections import correction_C2, corrections_C3, m3_formula, n2B_formula
 from golden import LOCAL_P2_COUNTS, SYNTHETIC_COUNTS
 
 
@@ -235,20 +235,23 @@ def _interrupt(engine, compute_name, key):
 
 
 def test_interrupted_fill_leaves_its_level_unfilled(local_geometry_12):
-    engine = Engine(local_geometry_12)
-    _interrupt(engine, "_c_n2B", (3, 4))
-    with pytest.raises(KeyboardInterrupt):
-        engine.chern_integral(7)
-    del engine._c_n2B
-    # level 7 was partly filled: the n2B keys before the interrupted one
-    # are stored, it and everything after it are not
-    assert ("n2B", 2, 5) in engine.memo
-    assert ("n2B", 3, 4) not in engine.memo and ("n1G", 7) not in engine.memo
-    fresh = Engine(local_geometry_12)
-    assert engine.n1G(7) == fresh.n1G(7)
-    for d in range(1, 13):
-        assert engine.chern_integral(d) == fresh.chern_integral(d)
-    assert engine.memo == fresh.memo
+    # n2B(4, 3) is stored from n2B(3, 4), which its interrupted level keeps
+    for key in ((3, 4), (4, 3)):
+        engine = Engine(local_geometry_12)
+        _interrupt(engine, "_c_n2B", key)
+        with pytest.raises(KeyboardInterrupt):
+            engine.chern_integral(7)
+        del engine._c_n2B
+        # level 7 was partly filled: the n2B keys before the interrupted one
+        # are stored, it and everything after it are not
+        assert ("n2B", 2, 5) in engine.memo
+        assert ("n2B", *key) not in engine.memo and ("n1G", 7) not in engine.memo
+        fresh = Engine(local_geometry_12)
+        assert engine.n1G(7) == fresh.n1G(7)
+        for d in range(1, 13):
+            assert engine.chern_integral(d) == fresh.chern_integral(d)
+        assert engine.memo == fresh.memo
+        assert _level_denominators(engine) == _level_denominators(fresh)
 
 
 def test_determinism_across_fresh_stores(local_geometry_12):
@@ -448,6 +451,7 @@ def _level_denominators(engine):
     # the level was opened at
     ("_c_n2C", (3, 4), True),
     ("_c_n1C", (7,), True),  # after its two-degree values are closed
+    ("_c_n2B", (4, 3), True),  # at a key stored from n2B(3, 4)
 ])
 def test_interrupted_rational_fill_refills_to_the_fresh_values(
         rational_geometry_12, compute_name, key, m3_loop_done):
@@ -467,7 +471,7 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
     fresh.chern_integral(7)
     stored = {k: v for k, v in engine.memo.items() if sum(k[1:]) == 7}
     assert ("m3", 2, 2, 3) in stored
-    assert (("n2B", 3, 4) in stored) is (compute_name in ("_c_n2C", "_c_n1C"))
+    assert (("n2B", 3, 4) in stored) is (compute_name in ("_c_n2B", "_c_n2C", "_c_n1C"))
     assert all(fresh.memo[k] == v for k, v in stored.items())
     engine.chern_integral(12)
     _assert_m3_table_is_the_memo(engine)
@@ -854,6 +858,8 @@ def test_random_compact_geometry_symmetries(t5, c2, c3, columns):
     for a in range(1, 8):
         for b in range(1, 9 - a):
             assert engine.n2B(a, b, H) == engine.n2B(b, a, H)
+            if a > b:
+                assert engine.n2B(a, b, H) == n2B_formula(engine, a, b)
             for c in range(1, min(a, 9 - a - b)):
                 assert engine.m3(a, b, c) == m3_formula(engine, a, b, c)
     for d in range(1, 9):

@@ -367,28 +367,38 @@ def test_g1_locus_coincident_weights_raise(d, x, y, pattern):
 
 
 def _pair_products(d, X, Y, Z):
-    """The products localp2._swap_pair must hold for integer weights X, Y,
-    Z: d^(3d-1) (d-1)!^2 p^(2d) I over 24 d^(3d) (d-1)!^2 p^(2d) I, with I
-    the interior product."""
-    shared = math.factorial(d - 1) ** 2 * (X - Y) ** (2 * d)
-    shared *= math.prod(d * Z - (d - r) * X - r * Y for r in range(1, d))
-    return d ** (3 * d - 1) * shared, 24 * d ** (3 * d) * shared
+    """The products localp2._line_products must hold for integer weights X,
+    Y, Z: the interior product I, then d^(3d-1) (d-1)!^2 p^(2d) I over
+    24 d^(3d) (d-1)!^2 p^(2d) I."""
+    interior = math.prod(d * Z - (d - r) * X - r * Y for r in range(1, d))
+    shared = math.factorial(d - 1) ** 2 * (X - Y) ** (2 * d) * interior
+    return interior, d ** (3 * d - 1) * shared, 24 * d ** (3 * d) * shared
+
+
+def _assert_line_cache(d, x, y, z):
+    """The line cache, read at a call's own key, holds that call's products."""
+    X, Y, Z = _integer_weights(x, y, z)
+    assert localp2._line_products(d, min(X, Y), max(X, Y), Z) == _pair_products(d, X, Y, Z)
 
 
 @settings(max_examples=150, deadline=None)
 @given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights, other_z=_weights,
        r=st.integers(0, 29))
 def test_swap_pair_products_hold_in_any_call_order(d, x, y, z, other_z, r):
-    # the loci share cached products across calls: run them in the verifier's
-    # order, then swap back and forth, change only z (onto an interior node of
-    # the x-y line when 0 < r < d), and change only d.  The pair's numerator
-    # and denominator share I, so a stale I leaves the value right: after
-    # each locus, the cached products must also be those of its own weights
+    # g0 and the loci share cached products across calls: run them in the
+    # verifier's order, then swap back and forth, change only z (onto an
+    # interior node of the x-y line when 0 < r < d), and change only d.  A
+    # value's numerator and denominator share I, so a stale I leaves the
+    # value right: after g0 and after each locus, the cached products,
+    # interior product included, must also be those of its own weights
     assume(len({x, y, z}) == 3)
     if 0 < r < d:
         other_z = ((d - r) * x + r * y) / Rat(d)
     w = WeightTriple(x, y, z)
-    assert _outcome(localization_g0, d, w) == _outcome(_naive_g0, d, w)
+    g0 = _outcome(localization_g0, d, w)
+    assert g0 == _outcome(_naive_g0, d, w)
+    if not isinstance(g0, str):
+        _assert_line_cache(d, x, y, z)
     loci = [(d, *xyz) for xyz in _loci(w)] + [
         (d, x, y, z), (d, y, x, z), (d, x, y, z), (d, x, y, other_z), (d, y, x, other_z),
         (d, x, y, z), (d + 1, x, y, z), (d, x, y, z), (d + 1, y, x, z)]
@@ -396,9 +406,7 @@ def test_swap_pair_products_hold_in_any_call_order(d, x, y, z, other_z, r):
         value = _outcome(localization_g1_locus, *args)
         assert value == _outcome(_naive_g1_locus, *args)
         if not isinstance(value, str):
-            d_, X, Y, Z = args[0], *_integer_weights(*args[1:])
-            cached = localp2._swap_pair(d_, min(X, Y), max(X, Y), Z)
-            assert cached == _pair_products(d_, X, Y, Z)
+            _assert_line_cache(*args)
 
 
 # -- the closed-form cover factor and the weight checks ---------------------------
