@@ -66,7 +66,7 @@ the entries of each kind by wrapping those methods and watching
 stored, and its refill stores the rest over the same denominators.
 
 m3 and the two-degree kinds store an integer numerator over one
-denominator per kind and level, fixed before the level's loop from the
+denominator per kind and level, fixed when the level opens from the
 denominators of the terms its formula reads: D_t = ``_m3[t][0]`` for m3
 at t = d1 + d2 + d3, D_s dividing D_t for s <= t, and ``_n2A[0][t]``
 .. ``_n2E[0][t]`` for n2A-n2E at t = d1 + d2, with headroom for n2B's
@@ -90,10 +90,11 @@ n2E sum the same m3 row m3(d1, d2-p, p) in one pass, kept in a one-slot
 cache since the fill computes them in a row.
 
 Every insertion the formulas use is one power of H, so the geometry
-enters only as the scalars c2 and c3, its two base tables, and 1/t5:
-a compact ring's Kunneth diagonal pairs H^2 with H^3/t5, so each
-diagonal term is one product of base-table entries divided by t5, and
-a local ring has no diagonal terms.
+enters only as the scalars c2 and c3, its two base tables, and their
+1/t5 multiples: a compact ring's Kunneth diagonal pairs H^2 with H^3/t5,
+so each diagonal term is one product of base-table entries divided by
+t5.  A local ring's 1/t5 tables are zeros, so no formula branches on
+the geometry.
 """
 
 from __future__ import annotations
@@ -238,6 +239,7 @@ class Engine:
         self._level = 0
         # the m3 loop's factors, _factors[s] = D_t // D_s (all 1 while D_t is
         # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3}
+        # (all 0 on a local ring)
         self._factors = self._q = None
         # the pair loop's (b, L / d^2, n2C's and n2D's scales)
         self._scales = None
@@ -247,15 +249,14 @@ class Engine:
         self._c2 = _norm(geometry.c2)
         self._c3 = _norm(geometry.c3)
         # base tables indexed by degree (entry 0 unused), and their 1/t5
-        # multiples for the diagonal terms (None when there is no diagonal)
+        # multiples for the diagonal terms: zeros on a local ring, which has
+        # no diagonal
         degrees = range(1, geometry.max_degree + 1)
         self._n1pt = [0] + [_norm(geometry.n1pt[d]) for d in degrees]
         t5 = geometry.ring.top_integral
-        if t5 is None:
-            self._n1pt_t5 = self._n2pt_t5 = None
-        else:
-            self._n1pt_t5 = [0] + [_norm(self._n1pt[d] / t5) for d in degrees]
-            self._n2pt_t5 = [0] + [_norm(geometry.n2pt[d] / t5) for d in degrees]
+        inverse = 0 if t5 is None else 1 / t5
+        self._n1pt_t5 = [0] + [_norm(self._n1pt[d] * inverse) for d in degrees]
+        self._n2pt_t5 = [0] + [_norm(geometry.n2pt[d] * inverse) for d in degrees]
 
     # -- validation, the memo and the fill -----------------------------------
 
@@ -322,7 +323,6 @@ class Engine:
                 for d1 in range(1, t - 1):
                     for d2 in range(1, t - d1):
                         m3(d1, d2, t - d1 - d2)
-                self._open_pairs(t)
                 for d1 in range(1, t):
                     d2 = t - d1
                     self.n2A(d1, d2)
@@ -342,53 +342,47 @@ class Engine:
                 raise
 
     def _open(self, t: int):
-        """Allocate level t at D_t, unless an interrupted fill left it, and
-        set what its m3 loop sums over: ``_factors`` and ``_q``.
+        """Fix every level-t denominator, unless an interrupted fill left
+        them, and set what the level's loops scale by: the m3 loop's
+        ``_factors`` and ``_q``, and the pair loop's ``_scales``.
 
         D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, G_s for s =
         ceil(t/2)..t-1, c2's * A_s for s = t-d2, ceil(t/3) <= d2 < t/2), the
         denominators of the terms of ``_c_m3``, with A_s = ``_n2A[0][s]``,
-        G_s = ``_gamma2[0][s]`` and P_d n1pt_t5[d]'s.  Nothing rewrites a
-        stored level, so a level left by an interrupted fill keeps D_t and
-        its numerators over it."""
-        table, t5, A, G = self._m3, self._n1pt_t5, self._n2A[0], self._gamma2[0]
-        if len(table) == t:
-            # the base terms, then the diagonal ones: gamma2 at level t - d1
-            # (d3 = d1) and t/2 (d3 = d1 + d2), and c2 n2A at level t - d2
-            # (d3 = d2 >= d1; n2E's divides D_{t-d2})
-            dens = [] if t5 is None else [A[s] * t5[t - s].denominator for s in range(2, t)]
-            dens += G[(t + 1) // 2:t]
-            dens += [self._c2.denominator * A[t - d2] for d2 in range((t + 2) // 3, (t + 1) // 2)]
-            table.append([lcm(table[t - 1][0], *dens)]
-                         + [[None] * (t - d1) for d1 in range(1, t - 1)])
-        den = table[t][0]
-        self._factors = [den // level[0] for level in table[:t + 1]]
-        if t5 is not None:
-            self._q = [0] + [p.numerator * (den // (A[t - d3] * p.denominator))
-                             for d3, p in enumerate(t5[1:t - 1], 1)]
-
-    def _open_pairs(self, t: int):
-        """Fix level t's n2A-n2E denominators, unless an interrupted fill
-        left them, and set its pair loop's ``_scales``.
-
-        A_t and b are the lcms of the denominators of n2A's and n2B's terms,
-        D_t included in b; B_t = 2b, C_t = lcm(A_t, B_t, D_t) L, N_t =
-        lcm(A_t, D_t) L with L = lcm(d^2 for d < t) = lcm(1, .., t-1)^2, and
-        E_t = D_t, on every level: n2B's halving and n2C's and n2D's division
-        by d2^2 are exact on the numerators, and the close takes out the
-        headroom."""
+        G_s = ``_gamma2[0][s]`` and P_d n1pt_t5[d]'s.  A_t and b are the
+        lcms of the denominators of n2A's and n2B's terms, D_t included in
+        b; B_t = 2b, C_t = lcm(A_t, B_t, D_t) L, N_t = lcm(A_t, D_t) L with
+        L = lcm(d^2 for d < t) = lcm(1, .., t-1)^2, and E_t = D_t: n2B's
+        halving and n2C's and n2D's division by d2^2 are exact on the
+        numerators, and the close takes out the headroom.  None of these
+        reads a count of level t but D_t, so all are fixed before the
+        level's first count.  Nothing rewrites a stored level, so a level
+        left by an interrupted fill keeps D_t, A_t-E_t and its numerators
+        over them."""
+        m3, c2, n1pt, t5 = self._m3, self._c2, self._n1pt, self._n1pt_t5
         A, B, C, N, E, G = (table[0] for table in (self._n2A, self._n2B, self._n2C, self._n2D,
                                                    self._n2E, self._gamma2))
-        c2, n1pt, t5, D = self._c2, self._n1pt, self._n1pt_t5, self._m3[t][0]
+        # the base terms' denominators A_{t-d3} * P_{d3}, d3 = 1..t-2
+        base = [A[t - d3] * p.denominator for d3, p in enumerate(t5[1:t - 1], 1)]
+        if len(m3) == t:
+            # then the diagonal terms': gamma2 at level t - d1 (d3 = d1) and
+            # t/2 (d3 = d1 + d2), and c2 n2A at level t - d2 (d3 = d2 >= d1;
+            # n2E's divides D_{t-d2})
+            dens = base + G[(t + 1) // 2:t]
+            dens += [c2.denominator * A[t - d2] for d2 in range((t + 2) // 3, (t + 1) // 2)]
+            m3.append([lcm(m3[t - 1][0], *dens)]
+                      + [[None] * (t - d1) for d1 in range(1, t - 1)])
+        D = m3[t][0]
+        self._factors = [D // level[0] for level in m3[:t + 1]]
+        self._q = [0] + [p.numerator * (D // den) for p, den in zip(t5[1:t - 1], base)]
         # n2A reads n2A, and n2B gamma2, at levels > h; n2B reads n2B and n2D
         # at levels >= t/2
         h, half, squares = t // 2, (t + 1) // 2, lcm(*range(1, t)) ** 2
         if A[t] is None:
-            dens_A, dens_b = A[h + 1:t], [D, *B[half:t], *N[half:t], *G[h + 1:t]]
-            if t5 is not None:
-                for d1 in range(1, t):
-                    dens_A.append(n1pt[d1].denominator * self._n2pt_t5[t - d1].denominator)
-                    dens_b.append(n1pt[d1].denominator * t5[t - d1].denominator)
+            dens_A = A[h + 1:t] + [n1pt[d1].denominator * self._n2pt_t5[t - d1].denominator
+                                   for d1 in range(1, t)]
+            dens_b = [D, *B[half:t], *N[half:t], *G[h + 1:t],
+                      *(n1pt[d1].denominator * t5[t - d1].denominator for d1 in range(1, t))]
             if t % 2 == 0:
                 dens_A += (c2.denominator * self._n1B[h].denominator, self._n1F[h].denominator)
                 dens_b += (self._n1E[h].denominator, self._gamma1[h].denominator,
@@ -558,7 +552,7 @@ class Engine:
 
     def _c_n2A(self, d1: int, d2: int):
         n2A, A, den = self._n2A, self._n2A[0], self._n2A[0][d1 + d2]
-        num = 0 if self._n2pt_t5 is None else _numerator(den, self._n1pt[d1], self._n2pt_t5[d2])
+        num = _numerator(den, self._n1pt[d1], self._n2pt_t5[d2])
         if d2 > d1:
             return num + (n2A[d1][d2 - d1] + n2A[d2 - d1][d1]) * (den // A[d2])
         if d2 < d1:
@@ -594,9 +588,7 @@ class Engine:
         t = d1 + d2
         for c in range(1, d1):
             num += 2 * c * m3[t - c][d1 - c][c] * factors[t - c]
-        if self._n1pt_t5 is not None:
-            x -= 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])
-        x += num * (b // m3[t][0])
+        x += num * (b // m3[t][0]) - 2 * _numerator(b, self._n1pt[d1], self._n1pt_t5[d2])
         return -x
 
     def _row(self, d1: int, d2: int):
@@ -653,11 +645,14 @@ class Engine:
         # m3[a + b + c][a][b], a numerator over D_l) times _factors[l], or,
         # where it has no m3 chain, the numerator over D_t of stored values
         m3, factors = self._m3, self._factors
+        # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}
+        # times _q[d3]
+        num = self._n2A[d1][d2] * self._q[d3]
 
         if d3 > d1:  # -C1
-            num = -m3[d3 + d2][d3 - d1][d1] * factors[d3 + d2]
+            num -= m3[d3 + d2][d3 - d1][d1] * factors[d3 + d2]
         else:
-            num = -self._gamma2[d2][d1] * (m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2])
+            num -= self._gamma2[d2][d1] * (m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2])
 
         if d3 > d2:  # -C2
             num += m3[d1 + d3][d1][d2] * factors[d1 + d3]
@@ -676,12 +671,7 @@ class Engine:
             num += m3[d1 + d2][d1 + d2 - d3][d3 - d2] * factors[d1 + d2]
         elif d3 == d1 + d2:
             num += self._gamma2[d2][d1] * (m3[2 * d3][0] // self._gamma2[0][d3])
-
-        if self._q is None:
-            return num
-        # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}
-        # times _q[d3]
-        return num + self._n2A[d1][d2] * self._q[d3]
+        return num
 
     def _c_chern(self, d: int):
         return _norm(self._level_sum(d, "n2C", lambda a: 1) - self._n1G[d]

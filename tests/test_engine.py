@@ -149,6 +149,17 @@ def test_homogeneity_zero_inputs_zero_outputs(zero_geometry):
     assert engine.m3(2, 1, 1) == 0
 
 
+def test_a_local_ring_counts_as_a_compact_one_with_its_base_tables(local_geometry_12):
+    # every diagonal term carries an n1pt factor, and local P^2's n1pt is 0:
+    # a top integral for its ring adds only zeros, so the engine may read a
+    # local ring's 1/t5 tables as zeros
+    compact = local_geometry_12.replace(ring=Ring(2, top_integral=7))
+    local, engine = Engine(local_geometry_12), Engine(compact)
+    for d in range(1, 13):
+        assert local.chern_integral(d) == engine.chern_integral(d)
+    assert local.memo == engine.memo
+
+
 def _stack_depth():
     frame, depth = sys._getframe(1), 0
     while frame is not None:
@@ -463,10 +474,11 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
     assert engine._level == 6
     assert (("m3", 3, 1, 3) in engine.memo) is m3_loop_done
     assert ("m3", 2, 2, 3) in engine.memo and (compute_name[3:], *key) not in engine.memo
-    # level 7 holds numerators over D_7 > 1 from the start of its m3 loop,
-    # and over its two-degree denominators from the start of its pair loop,
-    # so the memo reads of its stored keys are already the values
+    # level 7's D_7 > 1 and its two-degree denominators are fixed when it
+    # opens, before its m3 loop, so the memo reads of its stored keys are
+    # already the values, and its refill reuses those denominators
     assert engine._m3[6][0] > 1 and engine._m3[7][0] > 1
+    assert None not in [dens[7] for dens in _level_denominators(engine)[:5]]
     fresh = Engine(rational_geometry_12)
     fresh.chern_integral(7)
     stored = {k: v for k, v in engine.memo.items() if sum(k[1:]) == 7}
@@ -608,6 +620,8 @@ def test_integer_levels_are_never_sealed(local_engine_100):
     # each scaled by D_t / D_l, would carry numerators over D_t > 1
     assert all(den == 1 for dens in _level_denominators(local_engine_100) for den in dens[1:])
     assert set(local_engine_100._factors) == {1}
+    # a local ring's 1/t5 tables are zeros, so every base term factor is 0
+    assert set(local_engine_100._q) == {0}
 
 
 # -- the memo view over the kinds' index tables ---------------------------------
@@ -894,6 +908,8 @@ def test_open_reads_the_gamma2_key_of_the_level_below():
     engine._m3 = [[1] for _ in range(7)]
     engine._n2A[0][1:7] = [1] * 6
     engine._gamma2[0][1:7] = [1] * 5 + [11]
+    # _open fixes level 7's pair denominators too, from n2B's and n2D's below
+    engine._n2B[0][1:7] = engine._n2D[0][1:7] = [1] * 6
     engine._gamma2[5][1], engine._gamma2[3][2], engine._gamma2[1][3] = 1, 4, 0
     engine._open(7)
     assert engine._m3[7][0] % 11 == 0
