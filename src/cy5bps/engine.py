@@ -66,20 +66,21 @@ the entries of each kind by wrapping those methods and watching
 stored, and its refill stores the rest over the same denominators.
 
 m3 and the two-degree kinds store an integer numerator over one
-denominator per kind and level, fixed when the level opens from the
-denominators of the terms its formula reads: D_t = ``_m3[t][0]`` for m3
-at t = d1 + d2 + d3, D_s dividing D_t for s <= t, and ``_n2A[0][t]``
-.. ``_n2E[0][t]`` for n2A-n2E at t = d1 + d2, with headroom for n2B's
-divisor -2 and n2C's and n2D's d2^2.  So every formula is an int
-multiply-add, each read scaled by one factor per level.  An m3 level is
-written once: D_t is the lcm of D_{t-1} and the level denominators its
-chains read, and is not reduced, so it may lie above the least one.  A
-two-degree level is closed when its loop ends: its numerators and
-denominator are divided by their common factor, so the headroom does not
-spread to the levels that read it.  gamma2(a, b), filled at level a +
-2b, is over ``_gamma2[0][a + b]``, fixed when level a + b closes.  A read
-through a count method or the memo divides, so it returns the reduced
-value; the fill's own call of m3 or of a two-degree kind returns None.
+denominator per level, fixed when the level opens from the denominators
+of the terms its formulas read: D_t = ``_m3[t][0]`` for m3 at t = d1 +
+d2 + d3, D_s dividing D_t for s <= t, and P_t = ``_n2A[0][t]``, a row
+that n2A-n2E share, at t = d1 + d2, with headroom for n2B's divisor -2
+and n2C's and n2D's d2^2.  So every formula is an int multiply-add, each
+read scaled by one factor per level.  An m3 level is written once: D_t
+is the lcm of D_{t-1} and the level denominators its chains read, and is
+not reduced, so it may lie above the least one.  A two-degree level is
+closed when its loop ends: all five kinds' numerators and P_t are
+divided by their common factor, so the headroom does not spread to the
+levels that read it.  gamma2(a, b), filled at level a + 2b, is over
+G_{a+b} = ``_gamma2[0][a + b]``, c2's denominator times the closed
+P_{a+b}.  A read through a count method or the memo divides, so it
+returns the reduced value; the fill's own call of m3 or of a two-degree
+kind returns None.
 Every level takes this path, even when all its terms are integral, as
 on local P^2: a two-degree level is opened with its headroom and closes
 back to denominator 1, and an m3 level at D_t = 1 scales each read by 1.
@@ -140,9 +141,9 @@ class _Memo(Mapping):
     to the count with unit insertions.
 
     ``_tables`` holds each kind's index table: ``[d]``, ``[d1][d2]`` with
-    d1 + d2 <= max_degree over the level's denominator ``[0][d1 + d2]``,
-    or m3's levels, starting from level 0.  The engine writes the tables
-    and counts each value it stores in ``_size``.
+    d1 + d2 <= max_degree over the level's denominator ``[0][d1 + d2]``, a
+    row 0 that n2A-n2E share, or m3's levels, starting from level 0.  The
+    engine writes the tables and counts each value it stores in ``_size``.
     A key is found only with a known kind, its number of ``int`` degrees,
     each at least 1 and summing to at most max_degree, and a stored value.
     Iteration goes kind by kind, each kind's keys by ascending degrees.
@@ -157,6 +158,8 @@ class _Memo(Mapping):
                                else [[None] * (max_degree + 1)]
                                + [[None] * (max_degree + 1 - d1) for d1 in rows])
                         for kind, ndeg in _KINDS.items()}
+        for kind in ("n2B", "n2C", "n2D", "n2E"):
+            self._tables[kind][0] = self._tables["n2A"][0]
 
     def __len__(self) -> int:
         return self._size
@@ -238,10 +241,10 @@ class Engine:
         # below it are filled, and _level itself is filled or being filled
         self._level = 0
         # the m3 loop's factors, _factors[s] = D_t // D_s (all 1 while D_t is
-        # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / A_{t-d3}
+        # 1) and the base term factors _q[d3] = n1pt_t5[d3] * D_t / P_{t-d3}
         # (all 0 on a local ring)
         self._factors = self._q = None
-        # the pair loop's (b, L / d^2, n2C's and n2D's scales)
+        # the pair loop's (P_t / 2, P_t / D_t)
         self._scales = None
         # the last m3 row summed: ((d1, d2), [num_C, num_D, num_E])
         self._last_row = (None, None)
@@ -346,72 +349,59 @@ class Engine:
         them, and set what the level's loops scale by: the m3 loop's
         ``_factors`` and ``_q``, and the pair loop's ``_scales``.
 
-        D_t = lcm(D_{t-1}, A_s * P_{t-s} for s = 2..t-1, G_s for s =
-        ceil(t/2)..t-1, c2's * A_s for s = t-d2, ceil(t/3) <= d2 < t/2), the
-        denominators of the terms of ``_c_m3``, with A_s = ``_n2A[0][s]``,
-        G_s = ``_gamma2[0][s]`` and P_d n1pt_t5[d]'s.  A_t and b are the
-        lcms of the denominators of n2A's and n2B's terms, D_t included in
-        b; B_t = 2b, C_t = lcm(A_t, B_t, D_t) L, N_t = lcm(A_t, D_t) L with
-        L = lcm(d^2 for d < t) = lcm(1, .., t-1)^2, and E_t = D_t: n2B's
-        halving and n2C's and n2D's division by d2^2 are exact on the
-        numerators, and the close takes out the headroom.  None of these
-        reads a count of level t but D_t, so all are fixed before the
-        level's first count.  Nothing rewrites a stored level, so a level
-        left by an interrupted fill keeps D_t, A_t-E_t and its numerators
-        over them."""
+        D_t = lcm(D_{t-1}, P_s * p_{t-s} for s = 2..t-1, G_s for s =
+        ceil(t/2)..t-1), the denominators of the terms of ``_c_m3``, with P_s
+        = ``_n2A[0][s]``, G_s = ``_gamma2[0][s]`` and p_d n1pt_t5[d]'s.  So
+        D_t holds every P_s and G_s the pair formulas read, and P_t = 2 L
+        lcm(D_t, the denominators of n2A's and n2B's n1pt products and, for
+        even t, of their level-t/2 1-component terms) with L = lcm(d^2 for
+        d < t) = lcm(1, .., t-1)^2: n2B's halving and n2C's and n2D's
+        division by d2^2 are exact on the numerators, and the close takes
+        out the headroom.
+        Neither reads a count of level t but D_t, so both are fixed before
+        the level's first count.  Nothing rewrites a stored level, so a level
+        left by an interrupted fill keeps D_t, P_t and its numerators over
+        them."""
         m3, c2, n1pt, t5 = self._m3, self._c2, self._n1pt, self._n1pt_t5
-        A, B, C, N, E, G = (table[0] for table in (self._n2A, self._n2B, self._n2C, self._n2D,
-                                                   self._n2E, self._gamma2))
-        # the base terms' denominators A_{t-d3} * P_{d3}, d3 = 1..t-2
-        base = [A[t - d3] * p.denominator for d3, p in enumerate(t5[1:t - 1], 1)]
+        P, G = self._n2A[0], self._gamma2[0]
+        # the base terms' denominators P_{t-d3} * p_{d3}, d3 = 1..t-2
+        base = [P[t - d3] * p.denominator for d3, p in enumerate(t5[1:t - 1], 1)]
         if len(m3) == t:
-            # then the diagonal terms': gamma2 at level t - d1 (d3 = d1) and
-            # t/2 (d3 = d1 + d2), and c2 n2A at level t - d2 (d3 = d2 >= d1;
-            # n2E's divides D_{t-d2})
-            dens = base + G[(t + 1) // 2:t]
-            dens += [c2.denominator * A[t - d2] for d2 in range((t + 2) // 3, (t + 1) // 2)]
-            m3.append([lcm(m3[t - 1][0], *dens)]
+            # then the diagonal terms': gamma2 at levels t - d1 (d3 = d1) and
+            # t/2 (d3 = d1 + d2); c2 n2A + 2 n2E at level t - d2 (d3 = d2 >= d1)
+            # is over G_{t-d2} too, and t/2 < t - d2 < t
+            m3.append([lcm(m3[t - 1][0], *base, *G[(t + 1) // 2:t])]
                       + [[None] * (t - d1) for d1 in range(1, t - 1)])
         D = m3[t][0]
         self._factors = [D // level[0] for level in m3[:t + 1]]
         self._q = [0] + [p.numerator * (D // den) for p, den in zip(t5[1:t - 1], base)]
-        # n2A reads n2A, and n2B gamma2, at levels > h; n2B reads n2B and n2D
-        # at levels >= t/2
-        h, half, squares = t // 2, (t + 1) // 2, lcm(*range(1, t)) ** 2
-        if A[t] is None:
-            dens_A = A[h + 1:t] + [n1pt[d1].denominator * self._n2pt_t5[t - d1].denominator
-                                   for d1 in range(1, t)]
-            dens_b = [D, *B[half:t], *N[half:t], *G[h + 1:t],
-                      *(n1pt[d1].denominator * t5[t - d1].denominator for d1 in range(1, t))]
+        if P[t] is None:
+            dens = [n1pt[d1].denominator
+                    * lcm(self._n2pt_t5[t - d1].denominator, t5[t - d1].denominator)
+                    for d1 in range(1, t)]
             if t % 2 == 0:
-                dens_A += (c2.denominator * self._n1B[h].denominator, self._n1F[h].denominator)
-                dens_b += (self._n1E[h].denominator, self._gamma1[h].denominator,
-                           c2.denominator * n1pt[h].denominator,
-                           c2.denominator * self._n1D[h].denominator)
-            A[t], b, E[t] = lcm(*dens_A), lcm(*dens_b), D
-            B[t] = 2 * b
-            C[t], N[t] = lcm(A[t], B[t], D) * squares, lcm(A[t], D) * squares
-        a, lcm_C, lcm_D = A[t], lcm(A[t], B[t], D), lcm(A[t], D)
-        lam = [0] + [squares // (d * d) for d in range(1, t)]
-        self._scales = (B[t] // 2, lam, (lcm_C // a, lcm_C // B[t], lcm_C // D),
-                        (lcm_D // a, lcm_D // D))
+                h = t // 2
+                dens += (c2.denominator * self._n1B[h].denominator, self._n1F[h].denominator,
+                         self._n1E[h].denominator, self._gamma1[h].denominator,
+                         c2.denominator * n1pt[h].denominator,
+                         c2.denominator * self._n1D[h].denominator)
+            P[t] = 2 * lcm(*range(1, t)) ** 2 * lcm(D, *dens)
+        self._scales = (P[t] // 2, P[t] // D)
 
     def _close_pairs(self, t: int):
-        """Divide each of n2A-n2E's level-t numerators and denominator by
-        their gcd, and fix gamma2's G_t = lcm(c2's * A_t, E_t, C_t).  Each
-        kind's reduced cells are computed before any is stored, so an
-        exception leaves the kind as it was.  Closing a closed level changes
-        nothing."""
-        for table in (self._n2A, self._n2B, self._n2C, self._n2D, self._n2E):
-            dens = table[0]
-            cells = [table[d1][t - d1] for d1 in range(1, t)]
-            h = gcd(dens[t], *cells)
-            if h > 1:
-                dens[t], cells = dens[t] // h, [v // h for v in cells]
-                for d1, v in enumerate(cells, 1):
-                    table[d1][t - d1] = v
-        self._gamma2[0][t] = lcm(self._c2.denominator * self._n2A[0][t], self._n2E[0][t],
-                                 self._n2C[0][t])
+        """Divide n2A-n2E's level-t numerators and their shared P_t by one
+        gcd, and fix gamma2's G_t = c2's denominator * P_t.  Every reduced
+        cell is computed before any is stored, so an exception leaves the
+        level as it was.  Closing a closed level changes nothing."""
+        tables, P = (self._n2A, self._n2B, self._n2C, self._n2D, self._n2E), self._n2A[0]
+        cells = [table[d1][t - d1] for table in tables for d1 in range(1, t)]
+        h = gcd(P[t], *cells)
+        if h > 1:
+            P[t], cells = P[t] // h, iter([v // h for v in cells])
+            for table in tables:
+                for d1 in range(1, t):
+                    table[d1][t - d1] = next(cells)
+        self._gamma2[0][t] = self._c2.denominator * P[t]
 
     # -- public counts -----------------------------------------------------
 
@@ -515,11 +505,13 @@ class Engine:
     # on its numerators; a two-degree count returns its numerator over its
     # level's denominator.
 
-    def _level_sum(self, d: int, kind: str, w=lambda a: a * a):
-        """The sum of w(a) kind(a, d - a) over a = 1..d-1: an int numerator
-        over the kind's level-d denominator, divided once."""
-        table = self.memo._tables[kind]
-        return _ratio(sum(w(a) * table[a][d - a] for a in range(1, d)), table[0][d])
+    def _level_sum(self, d: int, kinds: str, w=lambda a: a * a):
+        """The sum of w(a) kind(a, d - a) over a = 1..d-1 and the two-degree
+        kinds named in ``kinds``: an int numerator over their shared level-d
+        denominator P_d, divided once."""
+        tables = [self.memo._tables[kind] for kind in kinds.split()]
+        return _ratio(sum(w(a) * table[a][d - a] for table in tables for a in range(1, d)),
+                      self._n2A[0][d])
 
     def _c_n1B(self, d: int):
         return _norm(self.geometry.n2pt[d])
@@ -532,15 +524,13 @@ class Engine:
         return _div(self._level_sum(d, "n2A", lambda a: a * (d - a) * d) - d * self._n1B[d], d * d)
 
     def _c_n1E(self, d: int):
-        return _div(self._n1D[d] - 2 * d * self._n1C[d] + self._level_sum(d, "n2D")
-                    + self._level_sum(d, "n2B"), d * d)
+        return _div(self._n1D[d] - 2 * d * self._n1C[d] + self._level_sum(d, "n2D n2B"), d * d)
 
     def _c_n1F(self, d: int):
         return self._level_sum(d, "n2A", lambda a: -1)
 
     def _c_n1G(self, d: int):
-        return _div(self._n1F[d] - 2 * d * self._n1E[d] + self._level_sum(d, "n2E")
-                    + self._level_sum(d, "n2C"), d * d)
+        return _div(self._n1F[d] - 2 * d * self._n1E[d] + self._level_sum(d, "n2E n2C"), d * d)
 
     def _c_gamma1(self, d: int):
         # twice the count, so that its halves stay integral until one division
@@ -551,27 +541,27 @@ class Engine:
                     + self._level_sum(d, "n2C", lambda a: -5), 2)
 
     def _c_n2A(self, d1: int, d2: int):
-        n2A, A, den = self._n2A, self._n2A[0], self._n2A[0][d1 + d2]
+        n2A, P, den = self._n2A, self._n2A[0], self._n2A[0][d1 + d2]
         num = _numerator(den, self._n1pt[d1], self._n2pt_t5[d2])
         if d2 > d1:
-            return num + (n2A[d1][d2 - d1] + n2A[d2 - d1][d1]) * (den // A[d2])
+            return num + (n2A[d1][d2 - d1] + n2A[d2 - d1][d1]) * (den // P[d2])
         if d2 < d1:
-            return num + n2A[d1 - d2][d2] * (den // A[d1])
+            return num + n2A[d1 - d2][d2] * (den // P[d1])
         return num + _numerator(den, self._c2, self._n1B[d1]) + _numerator(den, 2, self._n1F[d1])
 
     def _c_n2B(self, d1: int, d2: int):
         # n2B is symmetric, and n2B(d2, d1) was stored earlier in the level
         if d1 > d2:
             return self._n2B[d2][d1]
-        # base - sum - C2 as -(2 C2 + 2 sum - 2 base) / 2: x over b = B_t / 2,
+        # base - sum - C2 as -(2 C2 + 2 sum - 2 base) / 2: x over b = P_t / 2,
         # with both m3 sums summed first over D_{d1 + d2}
         n2B, n2D, m3, factors = self._n2B, self._n2D, self._m3, self._factors
-        B, N, b, num = n2B[0], n2D[0], self._scales[0], 0
+        P, b, num = n2B[0], self._scales[0], 0
         # the excess correction C2 with mu = H (linear in mu like everything
         # else), symmetric in its degrees, as the terms of 2 C2
         if d2 > d1:
             gap = d2 - d1
-            x = 2 * (n2D[gap][d1] * (b // N[d2]) + n2B[gap][d1] * (b // B[d2])
+            x = 2 * ((n2D[gap][d1] + n2B[gap][d1]) * (b // P[d2])
                      + d1 * self._gamma2[gap][d1] * (b // self._gamma2[0][d2]))
             level = m3[d2]
             for p in range(1, gap):
@@ -583,8 +573,7 @@ class Engine:
             c2 = self._c2
             x = 2 * (_numerator(b, self._n1E[d1]) + _numerator(b, d1, self._gamma1[d1])
                      + _numerator(b, c2, self._n1pt[d1]) + _numerator(b, c2, self._n1D[d1]))
-            x -= (4 * (b // N[d2]) * sum(n2D[p][d2 - p] for p in range(1, d2))
-                  + 5 * (b // B[d2]) * sum(n2B[p][d2 - p] for p in range(1, d2)))
+            x -= (b // P[d2]) * sum(4 * n2D[p][d2 - p] + 5 * n2B[p][d2 - p] for p in range(1, d2))
         t = d1 + d2
         for c in range(1, d1):
             num += 2 * c * m3[t - c][d1 - c][c] * factors[t - c]
@@ -615,29 +604,24 @@ class Engine:
         return row
 
     def _c_n2C(self, d1: int, d2: int):
-        _, lam, (scale_A, scale_B, scale_m3), _ = self._scales
-        num = (self._n2A[d1][d2] * scale_A - 2 * d2 * self._n2B[d1][d2] * scale_B
-               + self._row(d1, d2)[0] * scale_m3)
-        return num * lam[d2]
+        # n2C's and n2D's divisions by d2^2 are exact: P_t holds lcm(1..t-1)^2
+        return ((self._n2A[d1][d2] - 2 * d2 * self._n2B[d1][d2]
+                 + self._row(d1, d2)[0] * self._scales[1]) // (d2 * d2))
 
     def _c_n2D(self, d1: int, d2: int):
         # the cotangent reduction on the second component pairs the divisor
         # with that component's class, hence d2 * n2A; the second term,
         # -2 d2 * n2A, has the insertion H*H
-        _, lam, _, (scale_A, scale_m3) = self._scales
-        num = self._row(d1, d2)[1] * scale_m3 - d2 * self._n2A[d1][d2] * scale_A
-        return num * lam[d2]
+        return (self._row(d1, d2)[1] * self._scales[1] - d2 * self._n2A[d1][d2]) // (d2 * d2)
 
     def _c_n2E(self, d1: int, d2: int):
-        return -self._row(d1, d2)[2]
+        return -self._row(d1, d2)[2] * self._scales[1]
 
     def _c_gamma2(self, d1: int, d2: int):
-        # c2 n2A + 2 n2E + n2C + its swap, over G_s of level s = d1 + d2
-        s, c2, n2A, n2C, n2E = d1 + d2, self._c2, self._n2A, self._n2C, self._n2E
-        den = self._gamma2[0][s]
-        return (n2A[d1][d2] * c2.numerator * (den // (c2.denominator * n2A[0][s]))
-                + 2 * n2E[d1][d2] * (den // n2E[0][s])
-                + (n2C[d1][d2] + n2C[d2][d1]) * (den // n2C[0][s]))
+        # c2 n2A + 2 n2E + n2C + its swap, over G_s = c2's denominator * P_s
+        c2, n2C = self._c2, self._n2C
+        return (self._n2A[d1][d2] * c2.numerator
+                + c2.denominator * (2 * self._n2E[d1][d2] + n2C[d1][d2] + n2C[d2][d1]))
 
     def _c_m3(self, d1: int, d2: int, d3: int):
         # base - C1 - C2 - C12 for d1 <= d3, as a numerator over D_t: each
@@ -645,7 +629,7 @@ class Engine:
         # m3[a + b + c][a][b], a numerator over D_l) times _factors[l], or,
         # where it has no m3 chain, the numerator over D_t of stored values
         m3, factors = self._m3, self._factors
-        # the base term n2A * n1pt[d3] / t5: n2A's numerator over A_{d1+d2}
+        # the base term n2A * n1pt[d3] / t5: n2A's numerator over P_{d1+d2}
         # times _q[d3]
         num = self._n2A[d1][d2] * self._q[d3]
 
@@ -660,10 +644,10 @@ class Engine:
             row = m3[d1 + d2][d1]
             num += (row[d3] + row[d2 - d3]) * factors[d1 + d2]
         else:
-            # n2A(d1, d2, c2) + 2 n2E(d1, d2)
-            c2, s, den = self._c2, d1 + d2, m3[d1 + d2 + d3][0]
-            num += (self._n2A[d1][d2] * c2.numerator * (den // (c2.denominator * self._n2A[0][s]))
-                    + 2 * self._n2E[d1][d2] * (den // self._n2E[0][s]))
+            # n2A(d1, d2, c2) + 2 n2E(d1, d2), over G_{d1 + d2}
+            c2 = self._c2
+            num += ((self._n2A[d1][d2] * c2.numerator + 2 * c2.denominator * self._n2E[d1][d2])
+                    * (m3[d1 + d2 + d3][0] // self._gamma2[0][d1 + d2]))
 
         if d3 > d1 + d2:  # -C12
             num += m3[d3][d3 - d1 - d2][d1] * factors[d3]

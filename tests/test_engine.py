@@ -450,9 +450,13 @@ def test_interrupted_m3_loop_leaves_no_stale_table_entry(local_geometry_12):
     assert engine.memo == fresh.memo
 
 
+_PAIR_KINDS = ("n2A", "n2B", "n2C", "n2D", "n2E")
+
+
 def _level_denominators(engine):
-    """The level denominators of the two-degree kinds, each table's entry 0."""
-    return [getattr(engine, "_" + kind)[0] for kind in ("n2A", "n2B", "n2C", "n2D", "n2E", "gamma2")]
+    """The level denominators of the two-degree kinds: the row P that n2A-n2E
+    share as their tables' entry 0, and gamma2's."""
+    return [engine._n2A[0], engine._gamma2[0]]
 
 
 @pytest.mark.parametrize("compute_name,key,m3_loop_done", [
@@ -478,7 +482,7 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
     # opens, before its m3 loop, so the memo reads of its stored keys are
     # already the values, and its refill reuses those denominators
     assert engine._m3[6][0] > 1 and engine._m3[7][0] > 1
-    assert None not in [dens[7] for dens in _level_denominators(engine)[:5]]
+    assert _level_denominators(engine)[0][7] is not None
     fresh = Engine(rational_geometry_12)
     fresh.chern_integral(7)
     stored = {k: v for k, v in engine.memo.items() if sum(k[1:]) == 7}
@@ -498,8 +502,7 @@ def test_interrupted_rational_fill_refills_to_the_fresh_values(
 @pytest.mark.parametrize("compute_name,key", [("_c_n2C", (2, 2)), ("_c_n1B", (4,))])
 def test_interrupted_int_level_holding_a_rat_refills_to_the_fresh_values(compute_name, key):
     # every term of level 4 is an integer, but n2B(2, 2) is not: the level
-    # stores n2B's numerators over B_4 = 2, and its close keeps that
-    # denominator
+    # stores its numerators over a multiple of 2, and its close leaves P_4 = 2
     geometry = inexact_int_geometry(6)
     engine = Engine(geometry)
     _interrupt(engine, compute_name, key)
@@ -526,24 +529,30 @@ def _values_at(engine, t):
     return {key: value for key, value in engine.memo.items() if sum(key[1:]) == t}
 
 
+def _level_cells(engine, t):
+    return [getattr(engine, "_" + kind)[d1][t - d1] for kind in _PAIR_KINDS for d1 in range(1, t)]
+
+
 def test_a_failed_close_leaves_its_level_as_it_was(rational_geometry_12):
-    # level 7's two-degree numerators and denominators put back over 6 times
-    # their closed denominators, so the values stay, and one n2B numerator
-    # made to fail its division: the close stores nothing of that kind
+    # level 7's two-degree numerators and shared denominator put back over 6
+    # times its closed P_7, so the values stay, and the last numerator the
+    # close divides, n2E(6, 1)'s, made to fail its division: the close stores
+    # nothing, of any kind
     engine = Engine(rational_geometry_12)
     engine.chern_integral(12)
-    t = 7
-    for kind in ("n2A", "n2B", "n2C", "n2D", "n2E"):
+    t, P = 7, engine._n2A[0]
+    P[t] *= 6
+    for kind in _PAIR_KINDS:
         table = getattr(engine, "_" + kind)
-        table[0][t] *= 6
         for d1 in range(1, t):
             table[d1][t - d1] *= 6
-    values = _values_at(engine, t)
-    engine._n2B[1][t - 1] = _NoFloorDiv(engine._n2B[1][t - 1])
+    values, cells, den = _values_at(engine, t), _level_cells(engine, t), P[t]
+    engine._n2E[t - 1][1] = _NoFloorDiv(engine._n2E[t - 1][1])
     with pytest.raises(MemoryError):
         engine._close_pairs(t)
     assert _values_at(engine, t) == values
-    engine._n2B[1][t - 1] = int(engine._n2B[1][t - 1])
+    assert _level_cells(engine, t) == cells and P[t] == den
+    engine._n2E[t - 1][1] = int(engine._n2E[t - 1][1])
     engine._close_pairs(t)
     fresh = Engine(rational_geometry_12)
     fresh.chern_integral(12)
@@ -581,23 +590,28 @@ def test_level_denominators_are_cumulative_and_least(request, write_gw_file, sou
     dens = [level[0] for level in engine._m3]
     assert dens[-1] > 1
     # D_{t-1} divides D_t, and D_t is the lcm of D_{t-1} and the level
-    # denominators of the terms m3's formula reads at level t: A_s times the
-    # denominator of n1pt[t - s] / t5 (the base term), G_s for s >= t/2
-    # (gamma2 in C1 and C12) and c2's times A_{t-d2} (n2A(d1, d2, c2) in C2)
-    A, G = engine._n2A[0], engine._gamma2[0]
+    # denominators of the terms m3's formula reads at level t: P_s times the
+    # denominator of n1pt[t - s] / t5 (the base term) and G_s for s >= t/2
+    # (gamma2 in C1 and C12, and n2A(d1, d2, c2) + 2 n2E(d1, d2) in C2)
+    P, G = engine._n2A[0], engine._gamma2[0]
     t5, c2 = geometry.ring.top_integral, Fraction(geometry.c2)
     assert all(dens[t] % dens[t - 1] == 0 for t in range(1, len(dens)))
     for t in range(1, len(dens)):
-        read = [A[s] * (Fraction(geometry.n1pt[t - s]) / t5).denominator for s in range(2, t)]
+        read = [P[s] * (Fraction(geometry.n1pt[t - s]) / t5).denominator for s in range(2, t)]
         read += [G[s] for s in range(-(-t // 2), t)]
-        read += [c2.denominator * A[t - d2] for d2 in range(1, t) if t / 3 <= d2 < t / 2]
         assert dens[t] == lcm(dens[t - 1], *read), t
-    # a closed two-degree level is over the lcm of its values' reduced
-    # denominators, so none of its headroom is left
-    for kind in ("n2A", "n2B", "n2C", "n2D", "n2E"):
-        for t in range(2, geometry.max_degree + 1):
-            stored = [Fraction(engine.memo[kind, d1, t - d1]).denominator for d1 in range(1, t)]
-            assert getattr(engine, "_" + kind)[0][t] == lcm(*stored), (kind, t)
+        # so D_t holds every lower two-degree level
+        assert all(dens[t] % P[s] == 0 for s in range(2, t)), t
+    # n2A-n2E share one row of level denominators, and gamma2's is c2's
+    # denominator times it
+    assert all(getattr(engine, "_" + kind)[0] is P for kind in _PAIR_KINDS)
+    # a closed two-degree level is over the lcm of the reduced denominators of
+    # all five kinds' values, so none of its headroom is left
+    for t in range(2, geometry.max_degree + 1):
+        stored = [Fraction(engine.memo[kind, d1, t - d1]).denominator
+                  for kind in _PAIR_KINDS for d1 in range(1, t)]
+        assert P[t] == lcm(*stored), t
+        assert G[t] == c2.denominator * P[t], t
 
 
 @pytest.fixture(scope="module")
@@ -614,8 +628,8 @@ def test_integer_levels_are_never_sealed(local_engine_100):
     assert all(level[0] == 1 for level in local_engine_100._m3)
     assert all(type(v) is int for level in local_engine_100._m3[1:]
                for row in level[1:] for v in row[1:])
-    # every two-degree level is opened with headroom (B_t = 2, C_t = 2L) and
-    # closes back to denominator 1; a level left above 1 would change no
+    # every two-degree level is opened with headroom (P_t = 2L) and closes
+    # back to denominator 1; a level left above 1 would change no
     # output, but would raise the next m3 levels' D_t off 1, and m3's reads,
     # each scaled by D_t / D_l, would carry numerators over D_t > 1
     assert all(den == 1 for dens in _level_denominators(local_engine_100) for den in dens[1:])
@@ -908,8 +922,6 @@ def test_open_reads_the_gamma2_key_of_the_level_below():
     engine._m3 = [[1] for _ in range(7)]
     engine._n2A[0][1:7] = [1] * 6
     engine._gamma2[0][1:7] = [1] * 5 + [11]
-    # _open fixes level 7's pair denominators too, from n2B's and n2D's below
-    engine._n2B[0][1:7] = engine._n2D[0][1:7] = [1] * 6
     engine._gamma2[5][1], engine._gamma2[3][2], engine._gamma2[1][3] = 1, 4, 0
     engine._open(7)
     assert engine._m3[7][0] % 11 == 0
