@@ -27,10 +27,12 @@ there.  Every factor is then an integer numerator over a power of d;
 each power is raised once, the per-degree constants once per degree,
 and each call normalises its whole value once, by one gcd.  The loci
 (x, y, z) and (y, x, z) differ only by p = x - y -> -p and s = z - x <->
-u = z - y.  One cache per line holds the interior product, shared by g0
-and the line's two genus-1 loci, and those loci's shared products; each
-call still checks its weights and its interior product, and multiplies
-in its own signs, s^2 and s*u.
+u = z - y.  One cache per line holds the line's record: the interior
+product, p^(d-1) and F = (d-1)!^2 p^(2d-2), which g0 reads for its h1
+factors and its tangent, and the numerator and denominator that the
+line's two genus-1 loci share.  Each call still checks its weights and
+its interior product, and multiplies in its own signs (and each locus
+its s^2 and s*u).
 
 What the verifier's run can catch: for admissible weights each locus
 equals ``cover_factor`` identically, since the pair's shared products
@@ -109,43 +111,43 @@ def _integer_weights(x, y, z) -> tuple[int, int, int]:
     return X, Y, Z
 
 
-def _interior(d: int, X: int, Y: int, Z: int) -> int:
-    """The numerator over d^(d-1) of the interior cover-weight product, prod
-    over r=1..d-1 of (Z - ((d-r)X + rY)/d), from the line's cache once no
-    factor A + rB (B != 0) vanishes; else WeightDegeneracyError."""
+def _interior(d: int, X: int, Y: int, Z: int) -> tuple[int, int, int, int, int]:
+    """The record of the line through the fixed points of weights X and Y,
+    from the line's cache once no factor A + rB (B != 0) of the interior
+    product vanishes; else WeightDegeneracyError."""
     A, B = d * (Z - X), X - Y
     r, rest = divmod(-A, B)
     if rest == 0 and 0 < r < d:
         raise WeightDegeneracyError(f"degenerate weights: z = ((d-r)x + ry)/d at d={d}, r={r}")
-    return _line_products(d, min(X, Y), max(X, Y), Z)[0]
+    return _line_products(d, min(X, Y), max(X, Y), Z)
 
 
 @functools.lru_cache(maxsize=1)
-def _per_degree(d: int) -> tuple[int, int, int, int, int]:
-    """(-1)^(d-1), (d-1)!, d^(d-1), (d-1)!^2 and d^(3d-3), for the 21 calls a degree."""
-    fact, dd = math.factorial(d - 1), d ** (d - 1)
-    return (-1) ** (d - 1), fact, dd, fact * fact, dd * dd * dd
+def _per_degree(d: int) -> tuple[int, int, int, int]:
+    """(-1)^(d-1), (d-1)!, (d-1)!^2 and d^(3d-3), for the 21 calls a degree."""
+    fact = math.factorial(d - 1)
+    return (-1) ** (d - 1), fact, fact * fact, d ** (3 * d - 3)
 
 
 @functools.lru_cache(maxsize=1)
-def _line_products(d: int, X: int, Y: int, Z: int) -> tuple[int, int, int]:
-    """The line through the fixed points of weights X < Y: _interior's
-    product (a swap takes factor r to d - r), then the integer numerator and
-    denominator of what localization_g1_locus shares with its swap (the h1
-    pair up to sign, the interior product, the obstruction's p, the tangent
-    without its s*u, nothing cancelled); kept for the next call, as
-    verify_localization calls g0 and the line's two loci in a row."""
-    _, _, dd, ff, dd3 = _per_degree(d)
+def _line_products(d: int, X: int, Y: int, Z: int) -> tuple[int, int, int, int, int]:
+    """The record of the line through the fixed points of weights X < Y,
+    kept as verify_localization calls g0 and the line's two loci in a row:
+    the numerator I over d^(d-1) of prod over r=1..d-1 of (Z - ((d-r)X +
+    rY)/d) (a swap takes r to d - r), p^(d-1) and F = (d-1)!^2 p^(2d-2) for
+    p = X - Y, and the numerator and denominator that a locus shares with
+    its swap (the h1 pair up to sign, I, the obstruction's p, the tangent
+    without its s*u, nothing cancelled)."""
+    _, _, ff, dd3 = _per_degree(d)
     i_num = math.prod(range(d * (Z - X) + X - Y, d * (Z - Y), X - Y))
     p = X - Y
     pd = p ** (d - 1)
-    p2, pd2 = p * p, pd * pd
-    h1_pair = ff * pd2 * p
-    tangent = ff * d * d * pd2 * p2 * i_num
+    F = ff * pd * pd
+    tangent = F * d * d * p * p * i_num
     # numerator: the tangent's denominator d^(3d-1), then the numerators of
     # the h1 factors and the obstruction; denominator: the tangent's
     # numerator, then the h1 factors' three d^(d-1) and the 24d
-    return i_num, dd3 * d * d * h1_pair * i_num * p, tangent * dd * dd * dd * 24 * d
+    return i_num, pd, F, dd3 * d * d * F * p * i_num * p, tangent * dd3 * 24 * d
 
 
 def localization_g0(d: int, w: WeightTriple):
@@ -155,29 +157,21 @@ def localization_g0(d: int, w: WeightTriple):
     fixed locus contributes: the d-fold cover of the line through
     them, branched over the two points.  Returns the exact ratio of
     bundle weights divided by the automorphism factor d; the value
-    must equal (-1)^(d-1)/d independently of the weights.
+    must equal (-1)^(d-1)/d independently of the weights.  It reads the
+    interior product, p^(d-1) and F from the line's record.
     """
     check_degree(d)
     if not isinstance(w, WeightTriple):
         raise ValueError(f"expected a WeightTriple, got {w!r}")
-    sign, fact, dd, ff, dd3 = _per_degree(d)
+    sign, fact, _, dd3 = _per_degree(d)
     X, Y, Z = _integer_weights(w.a, w.b, w.c)
-    i_num = _interior(d, X, Y, Z)
-    p = X - Y
-    pd = p ** (d - 1)
-
-    # each factor as an integer (numerator, denominator) pair, with scale =
-    # (d-1)!/d^(d-1), the interior product i_num/d^(d-1), (-p)^(d-1) = sign*pd
-    h1_first = (sign * fact * pd, dd)
-    h1_second = (sign * fact * sign * pd, dd)
-    h1_third = (sign * i_num, dd)
-    # over the tangent, sign*(d-1)!^2 p^(2d-2) times the interior product
-    # over d^(3d-3), and d; Rat's gcd does all the cancelling
-    num, den = dd3, sign * ff * pd * pd * i_num
-    for n, m in (h1_first, h1_second, h1_third, (1, d)):
-        num *= n
-        den *= m
-    return Rat(num, den)
+    i_num, pd, F, _, _ = _interior(d, X, Y, Z)
+    if X > Y:  # the record's p is min - max, g0's is x - y
+        pd *= sign
+    # the h1 numerators over d^(d-1) each, (-p)^(d-1) being sign*pd; over the
+    # tangent sign*F*I/d^(3d-3), and d; Rat's gcd does all the cancelling
+    h1_first, h1_second, h1_third = sign * fact * pd, sign * fact * sign * pd, sign * i_num
+    return Rat(dd3 * h1_first * h1_second * h1_third, sign * F * i_num * dd3 * d)
 
 
 def localization_g1_locus(d: int, x, y, z):
@@ -199,8 +193,7 @@ def localization_g1_locus(d: int, x, y, z):
     """
     check_degree(d)
     X, Y, Z = _integer_weights(x, y, z)
-    _interior(d, X, Y, Z)
-    _, num, den = _line_products(d, min(X, Y), max(X, Y), Z)
+    _, _, _, num, den = _interior(d, X, Y, Z)
     s, u = Z - X, Z - Y
     # the signs of h1_first (-sign), h1_third (sign*(x - z) = -sign*s), the
     # obstruction ((y - x)(z - x) = -p*s) and the tangent (-sign*(y - x));

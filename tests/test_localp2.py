@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cy5bps import localp2
@@ -290,7 +290,7 @@ def _interior_product(d, x, y, z):
     L = math.lcm(x.denominator, y.denominator, z.denominator)
     X, Y, Z = _integer_weights(x, y, z)
     assert (X, Y, Z) == (x * L, y * L, z * L)
-    return Rat(_interior(d, X, Y, Z), (d * L) ** (d - 1))
+    return Rat(_interior(d, X, Y, Z)[0], (d * L) ** (d - 1))
 
 
 COINCIDENT = "weights must be pairwise distinct"
@@ -367,16 +367,20 @@ def test_g1_locus_coincident_weights_raise(d, x, y, pattern):
 
 
 def _pair_products(d, X, Y, Z):
-    """The products localp2._line_products must hold for integer weights X,
-    Y, Z: the interior product I, then d^(3d-1) (d-1)!^2 p^(2d) I over
+    """The record localp2._line_products must hold for integer weights X,
+    Y, Z, with p = min(X, Y) - max(X, Y): the interior product I, p^(d-1),
+    F = (d-1)!^2 p^(2d-2), then d^(3d-1) (d-1)!^2 p^(2d) I over
     24 d^(3d) (d-1)!^2 p^(2d) I."""
     interior = math.prod(d * Z - (d - r) * X - r * Y for r in range(1, d))
-    shared = math.factorial(d - 1) ** 2 * (X - Y) ** (2 * d) * interior
-    return interior, d ** (3 * d - 1) * shared, 24 * d ** (3 * d) * shared
+    p = min(X, Y) - max(X, Y)
+    ff = math.factorial(d - 1) ** 2
+    shared = ff * p ** (2 * d) * interior
+    return (interior, p ** (d - 1), ff * p ** (2 * d - 2),
+            d ** (3 * d - 1) * shared, 24 * d ** (3 * d) * shared)
 
 
 def _assert_line_cache(d, x, y, z):
-    """The line cache, read at a call's own key, holds that call's products."""
+    """The line cache, read at a call's own key, holds that call's record."""
     X, Y, Z = _integer_weights(x, y, z)
     assert localp2._line_products(d, min(X, Y), max(X, Y), Z) == _pair_products(d, X, Y, Z)
 
@@ -384,6 +388,9 @@ def _assert_line_cache(d, x, y, z):
 @settings(max_examples=150, deadline=None)
 @given(d=st.integers(1, 30), x=_weights, y=_weights, z=_weights, other_z=_weights,
        r=st.integers(0, 29))
+# the degree of the benchmark's verifier workload, with x > y, so that g0
+# reads the record of the line in the order opposite to its own
+@example(d=150, x=Rat(5, 2), y=Rat(-7, 3), z=Rat(11), other_z=Rat(-4), r=0)
 def test_swap_pair_products_hold_in_any_call_order(d, x, y, z, other_z, r):
     # g0 and the loci share cached products across calls: run them in the
     # verifier's order, then swap back and forth, change only z (onto an
@@ -488,13 +495,23 @@ def test_verify_localization_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGESTS[fmt]
 
 
-# SHA-256 of the CSV stdout of ``verify-localization --max-degree 150 --seed 3``,
-# the benchmark's verifier workload, recorded before the two loci of a swap
-# pair shared their products.
-VERIFY_150_DIGEST = "3d363218d53828ea57eaedb7e007830eae3324f0ec7b460fd6f9250b2f48be3a"
+# SHA-256 of the stdout of ``verify-localization --max-degree 150 --seed S
+# --format F``, the benchmark's verifier workload on the two weight streams
+# CI's smoke step runs; seed 3's CSV was recorded before the two loci of a
+# swap pair shared their products, the other three before g0 read the line's
+# record.  The CSV rows hold only the closed-form values, so both seeds'
+# CSV agree; the JSON differs by seed.
+VERIFY_150_DIGESTS = {
+    (3, "csv"): "3d363218d53828ea57eaedb7e007830eae3324f0ec7b460fd6f9250b2f48be3a",
+    (3, "json"): "bf97dd879c1ad5083b2c7e369c4a1cf6950d8f6164a0b0d9860a59d35711e315",
+    (7, "csv"): "3d363218d53828ea57eaedb7e007830eae3324f0ec7b460fd6f9250b2f48be3a",
+    (7, "json"): "0d52e84ad6a97e46528054d217e20e9a7f366d48bdf584472859f79eadcb4e78",
+}
 
 
 def test_verify_localization_degree_150_output_is_pinned(capsys):
-    assert main(["verify-localization", "--max-degree", "150", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_150_DIGEST
+    for (seed, fmt), digest in VERIFY_150_DIGESTS.items():
+        argv = ["verify-localization", "--max-degree", "150", "--seed", str(seed), "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (seed, fmt)
