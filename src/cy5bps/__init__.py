@@ -8,69 +8,66 @@ rational curves, per-degree Chern integrals of the family of embedded
 rational curves, and the genus-1 cover-sum inversion.  Two backends
 are included: the closed-form local P^2 geometry (with torus
 fixed-point verifiers) and a file-driven compact hypersurface mode.
+
+Each exported name loads its defining module on first use (PEP 562),
+so ``import cy5bps`` compiles only this file, and a command that runs
+only the fixed-point verifiers never compiles the engine.
 """
 
-from .cohomology import CohClass, InsertionDegreeError, Ring, RingMismatchError
-from .engine import Engine
-from .genus1 import BpsReport, compute_bps_table, martin_S, martin_V, martin_check
-from .geometry import (
-    Geometry,
-    GeometryFileError,
-    hypersurface_chern,
-    load_hypersurface_geometry,
-)
-from .localp2 import (
-    WeightDegeneracyError,
-    WeightTriple,
-    localization_g0,
-    localization_g1,
-    localp2_geometry,
-    verify_localization,
-)
-from .rational import Rat, format_rational, is_integer, parse_rational
-from .series import (
-    DegreeSeries,
-    SeriesError,
-    extract_genus1_bps,
-    extract_genus1_bps_tilde,
-    invert_multi_cover,
-    moebius,
-    sigma,
-)
+import importlib
+
+# Each exported name, in the order of __all__, and the module that defines it.
+_EXPORTS = {
+    "Rat": "rational",
+    "parse_rational": "rational",
+    "format_rational": "rational",
+    "is_integer": "rational",
+    "SeriesError": "series",
+    "DegreeSeries": "series",
+    "sigma": "series",
+    "moebius": "series",
+    "invert_multi_cover": "series",
+    "extract_genus1_bps": "series",
+    "extract_genus1_bps_tilde": "series",
+    "Ring": "cohomology",
+    "CohClass": "cohomology",
+    "RingMismatchError": "cohomology",
+    "InsertionDegreeError": "cohomology",
+    "Geometry": "geometry",
+    "GeometryFileError": "geometry",
+    "load_hypersurface_geometry": "geometry",
+    "hypersurface_chern": "geometry",
+    "localp2_geometry": "localp2",
+    "WeightTriple": "localp2",
+    "WeightDegeneracyError": "localp2",
+    "localization_g0": "localp2",
+    "localization_g1": "localp2",
+    "verify_localization": "localp2",
+    "Engine": "engine",
+    "BpsReport": "genus1",
+    "compute_bps_table": "genus1",
+    "martin_S": "genus1",
+    "martin_V": "genus1",
+    "martin_check": "genus1",
+}
+
+# every submodule, reachable as an attribute before anything imports it
+_SUBMODULES = {*_EXPORTS.values(), "cli", "record", "__main__"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rat",
-    "parse_rational",
-    "format_rational",
-    "is_integer",
-    "SeriesError",
-    "DegreeSeries",
-    "sigma",
-    "moebius",
-    "invert_multi_cover",
-    "extract_genus1_bps",
-    "extract_genus1_bps_tilde",
-    "Ring",
-    "CohClass",
-    "RingMismatchError",
-    "InsertionDegreeError",
-    "Geometry",
-    "GeometryFileError",
-    "load_hypersurface_geometry",
-    "hypersurface_chern",
-    "localp2_geometry",
-    "WeightTriple",
-    "WeightDegeneracyError",
-    "localization_g0",
-    "localization_g1",
-    "verify_localization",
-    "Engine",
-    "BpsReport",
-    "compute_bps_table",
-    "martin_S",
-    "martin_V",
-    "martin_check",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # importing a submodule binds it on the package, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from .genus1 import compute_bps_table, martin_check
 from .geometry import GeometryFileError, load_hypersurface_geometry
-from .engine import Engine
 from .localp2 import localp2_geometry, verify_localization
 from .rational import format_rational, parse_integer
 from .series import check_degree
@@ -157,6 +155,8 @@ def _write_table(args, columns, rows, head, tail=None, csv_tail="", csv_warning=
             ([render(row[key])[0] for _, key, render in columns] for row in rows),
         ) + csv_tail
     else:
+        import json  # only JSON output needs it
+
         payload = {
             "command": args.command,
             **head,
@@ -234,7 +234,10 @@ def _cmd_hypersurface(args) -> int:
         print(f"error: {args.input}: {getattr(exc, 'strerror', None) or exc}{note}",
               file=sys.stderr)
         return EXIT_USAGE
-    # one engine: the meeting table reads counts the genus-1 run memoized
+    # one engine: the meeting table reads counts the genus-1 run memoized;
+    # imported here, so that the other commands never compile it
+    from .engine import Engine
+
     engine = Engine(geometry)
     report = compute_bps_table(geometry, max_degree, engine=engine)
     failures = list(report.integrality_failures)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .engine import Engine
 from .geometry import Geometry
 from .rational import Rat, is_integer
 from .record import FrozenRecord
@@ -55,6 +54,8 @@ def compute_bps_table(
             f"max_degree {max_degree} exceeds geometry max_degree {geometry.max_degree}"
         )
     if engine is None:
+        from .engine import Engine  # on first use, so that importing genus1 does not compile it
+
         engine = Engine(geometry)
     elif engine.geometry is not geometry:
         raise ValueError("engine was built for a different geometry")

@@ -23,7 +23,8 @@ exact scalar product.
 Both fixed-point formulas and the cover factor run on integer weights:
 each value is homogeneous of degree 0 in the torus weights, so a call
 scales x, y and z once by their common denominator and checks them
-there.  Every factor is then an integer numerator over a power of d;
+there, and the six loci of a triple get its integer weights, scaled
+once for all six.  Every factor is then an integer numerator over a power of d;
 each power is raised once, the per-degree constants once per degree,
 and each call normalises its whole value once, by one gcd.  The loci
 (x, y, z) and (y, x, z) differ only by p = x - y -> -p and s = z - x <->
@@ -100,12 +101,16 @@ def localp2_geometry(max_degree: int) -> Geometry:
 
 def _integer_weights(x, y, z) -> tuple[int, int, int]:
     """x, y, z scaled by their common denominator to the integers X, Y, Z:
-    a call's one weight step.  ``exact`` runs only if a weight is not a
+    a call's one weight step.  Three ``int`` weights are taken as they are
+    (L = 1), and ``exact`` runs only if a weight is neither that nor a
     :data:`Rat`; coincident weights raise WeightDegeneracyError."""
-    if not (type(x) is type(y) is type(z) is Rat):
-        x, y, z = exact(x), exact(y), exact(z)
-    L = math.lcm(x.denominator, y.denominator, z.denominator)
-    X, Y, Z = (v.numerator * (L // v.denominator) for v in (x, y, z))
+    if type(x) is type(y) is type(z) is int:
+        X, Y, Z = x, y, z
+    else:
+        if not (type(x) is type(y) is type(z) is Rat):
+            x, y, z = exact(x), exact(y), exact(z)
+        L = math.lcm(x.denominator, y.denominator, z.denominator)
+        X, Y, Z = (v.numerator * (L // v.denominator) for v in (x, y, z))
     if X == Y or Y == Z or X == Z:
         raise WeightDegeneracyError("weights must be pairwise distinct")
     return X, Y, Z
@@ -166,10 +171,10 @@ def localization_g0(d: int, w: WeightTriple):
     sign, fact, _, dd3 = _per_degree(d)
     X, Y, Z = _integer_weights(w.a, w.b, w.c)
     i_num, pd, F, _, _ = _interior(d, X, Y, Z)
-    if X > Y:  # the record's p is min - max, g0's is x - y
-        pd *= sign
     # the h1 numerators over d^(d-1) each, (-p)^(d-1) being sign*pd; over the
-    # tangent sign*F*I/d^(3d-3), and d; Rat's gcd does all the cancelling
+    # tangent sign*F*I/d^(3d-3), and d; Rat's gcd does all the cancelling.  pd
+    # enters only squared, as h1_first*h1_second, so the record's orientation
+    # of p (min - max, not x - y) cannot change the value
     h1_first, h1_second, h1_third = sign * fact * pd, sign * fact * sign * pd, sign * i_num
     return Rat(dd3 * h1_first * h1_second * h1_third, sign * F * i_num * dd3 * d)
 
@@ -211,8 +216,10 @@ def cover_factor(d: int, x, y, z):
 
 def _loci(w: WeightTriple):
     """The six genus-1 fixed loci of w, one per ordered pair of fixed
-    points, as the (x, y, z) arguments of localization_g1_locus."""
-    a, b, c = w.a, w.b, w.c
+    points, as the (x, y, z) arguments of localization_g1_locus and
+    cover_factor: w's integer weights, scaled once for all six, as each
+    value is homogeneous of degree 0 in the weights."""
+    a, b, c = _integer_weights(w.a, w.b, w.c)
     return ((a, b, c), (b, a, c), (a, c, b), (c, a, b), (b, c, a), (c, b, a))
 
 

@@ -471,8 +471,10 @@ def test_weight_step_skips_exact_when_every_weight_is_a_rat(monkeypatch):
     monkeypatch.setattr(localp2, "exact", spy)
     assert localization_g1_locus(2, Rat(0), Rat(1), Rat(3)) == Rat(1, 32)
     assert cover_factor(2, Rat(0), Rat(1), Rat(3)) == Rat(1, 32)
+    # three ints are integer weights already, as the verifier passes them
+    assert localization_g1_locus(2, 0, 1, 3) == cover_factor(2, 0, 1, 3) == Rat(1, 32)
     assert seen == []
-    assert cover_factor(2, 0, 1, 3) == Rat(1, 32)
+    assert cover_factor(2, 0, Rat(1), 3) == Rat(1, 32)
     assert seen == [0, 1, 3]
 
 
